@@ -33,7 +33,6 @@ __all__ = [
     "assemble_tm",
     "assemble_te",
     "weighted_mass",
-    "region2_area",
 ]
 
 #: quadrature orders: plain cells / interface-cut cells
@@ -207,10 +206,3 @@ def weighted_mass(mesh, w1, w2, forms=None, material=DISK):
     if w1 == 1.0 and w2 == 1.0:
         return HermitianSparse(M1 + M2)
     return HermitianSparse(w1 * M1 + w2 * M2)
-
-
-def region2_area(mesh, material=DISK):
-    """Quadrature measure of region 2 (the inclusion): 1^T M2 1."""
-    p = _pieces(mesh, material)
-    ones = np.ones(mesh.dof_count)
-    return float(ones @ (p.M[1] @ ones))

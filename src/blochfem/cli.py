@@ -4,12 +4,16 @@ Everything numerical is imported lazily inside the handlers: ``--threads``
 must pin the BLAS/OpenMP pools through environment variables, and those are
 only honored if they are set before numpy first loads.
 
-Exit codes: 0 success, 2 solver non-convergence, 1 usage or I/O trouble.
+Exit codes: 0 success, 2 solver failure (any ``BlochFEMError``, the
+reference solve included; one line on stderr, no traceback), 1 usage or I/O
+trouble.
 """
 
 import argparse
 import os
 import sys
+
+from .errors import BlochFEMError
 
 __all__ = ["main"]
 
@@ -84,8 +88,7 @@ def _cmd_run(args):
         if err.trace is not None and cfg.out:
             driver.emit_csv(err.trace, cfg.out)
             print("partial trace written to %s" % cfg.out, file=sys.stderr)
-        print("blochfem run: %s" % err, file=sys.stderr)
-        return 2
+        raise
     if cfg.out:
         driver.emit_csv(trace, cfg.out)
     last = trace[-1]
@@ -143,12 +146,11 @@ def _cmd_check(args):
     from .eigeniter import Pencil, inverse_power_rq
     from .mesh import build_mesh, evaluate, prolongate
 
-    failures = []
+    results = []
 
     def check(name, ok, detail=""):
         print("%-44s %s %s" % (name, "ok" if ok else "FAIL", detail))
-        if not ok:
-            failures.append(name)
+        results.append(ok)
 
     k = (np.pi / 2, np.pi)
     mesh = build_mesh(2)
@@ -201,8 +203,9 @@ def _cmd_check(args):
     tr3, _ = inverse_power_rq(pencil, np.ones(pencil.n, complex), steps=5)
     check("determinism (same start, same mus)", np.array_equal(tr2.mus(), tr3.mus()), "")
 
-    print("%d of %d checks failed" % (len(failures), 6) if failures else "all checks passed")
-    return 2 if failures else 0
+    failed = results.count(False)
+    print("%d of %d checks failed" % (failed, len(results)) if failed else "all checks passed")
+    return 2 if failed else 0
 
 
 def main(argv=None):
@@ -217,6 +220,9 @@ def main(argv=None):
     }[args.command]
     try:
         code = handler(args)
+    except BlochFEMError as err:
+        print("blochfem %s: %s" % (args.command, err), file=sys.stderr)
+        return 2
     except OSError as err:
         print("blochfem: %s" % err, file=sys.stderr)
         return 1

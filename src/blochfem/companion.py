@@ -49,7 +49,6 @@ __all__ = [
     "build_companion",
     "default_big_start",
     "solve_linearized",
-    "nonlinear_residual_dl",
     "shift_lower_bound",
 ]
 
@@ -307,7 +306,7 @@ class CompanionSolution:
 
 
 def solve_linearized(cs, z0=None, steps=None, tol=None, mesh_level=0,
-                     trace=None, ref_mu=None, max_steps=10000):
+                     trace=None, max_steps=10000):
     """Rayleigh inverse iteration on the extended pencil.
 
     Trace rows (and the ``tol`` stop) use the dual-norm residual of the
@@ -338,7 +337,6 @@ def solve_linearized(cs, z0=None, steps=None, tol=None, mesh_level=0,
         tol=tol,
         mesh_level=mesh_level,
         trace=trace,
-        ref_mu=ref_mu,
         max_steps=max_steps,
         residual_fn=residual_fn,
     )
@@ -348,23 +346,3 @@ def solve_linearized(cs, z0=None, steps=None, tol=None, mesh_level=0,
     return CompanionSolution(
         trace=trace, u=u / nrm, x=x / nrm, lam=mu - cs.beta, mu=mu
     )
-
-
-def nonlinear_residual_dl(mesh, k, model, u, lam, alpha1=1.0, forms=None):
-    """One-shot dual-norm residual of (u, lam) in the rational eigenproblem.
-
-    Assembles and factorizes from scratch unless ``forms`` is supplied, so
-    prefer :func:`solve_linearized`'s built-in residual tracking (or a
-    reused :class:`NonlinearResidual`) inside loops.
-    """
-    if not isinstance(model, dispersion.SimplifiedDL):
-        raise TypeError(
-            "the rational residual needs the lossless Drude-Lorentz variant, "
-            f"got {type(model).__name__}"
-        )
-    if forms is None:
-        forms = assemble_tm(mesh, k)
-    realization = dispersion.realize(model)
-    M_alpha = weighted_mass(mesh, alpha1, model.alpha2, forms=forms)
-    evaluator = NonlinearResidual(forms, M_alpha, realization)
-    return evaluator(np.asarray(u, dtype=complex), float(lam))

@@ -8,9 +8,9 @@ the convergence happens before the expensive fine-mesh factorization ever
 exists -- that is the entire point of the schedule, and the wall-time
 columns in the emitted traces are how we check it keeps being true.
 
-Three experiment families share the schedule machinery:
+Three experiment families share the one level loop of :func:`run_schedule`:
 
-``linear`` / ``homogeneous_check``
+``linear`` / ``homogeneous_check`` / ``k_sweep``
     constant permittivity, shifted inverse power / Rayleigh iteration;
 ``dl_linearized``
     lossless two-pole permittivity through the extended linear pencil;
@@ -37,7 +37,7 @@ from .eigeniter import Pencil, inverse_power_rq
 from .errors import BlochFEMError, NonConvergenceError
 from .mesh import build_mesh, prolongate
 from .newton import NewtonState, NonlinearPencil, newton_solve, newton_step, warm_start
-from .trace import CSV_HEADER, IterationTrace, TraceRow
+from .trace import CSV_HEADER, IterationTrace
 
 __all__ = [
     "EXPERIMENTS",
@@ -258,158 +258,119 @@ class SweepPoint:
 # the schedule
 
 
-def _levels(config):
-    if config.fine_only:
-        return [config.max_level]
-    return list(range(config.max_level + 1))
-
-
 def run_schedule(config, reference=None):
     """Run one experiment through the steps-per-mesh schedule.
 
-    Starts from the all-ones field on level 0 (or directly on the finest
-    level when ``fine_only`` is set), runs ``steps_per_mesh`` solver steps
-    per level, prolongates the iterate through each refinement, and iterates
-    on the finest level until ``tol`` or ``max_fine_steps``. Returns the
-    accumulated :class:`IterationTrace`; a solver failure is noted in
-    ``trace.notes`` and re-raised with the partial trace attached.
+    One loop serves every experiment family: on each level (level 0 up to
+    ``max_level``, or only the finest level when ``fine_only`` is set) it
+    builds the mesh and hands it to the family's level function together
+    with the previous level's ``(mesh, state)``. Below ``max_level`` the leg
+    is ``steps_per_mesh`` solver steps; on ``max_level`` the solver iterates
+    until ``tol`` or ``max_fine_steps``. Returns the accumulated
+    :class:`IterationTrace`; a solver failure is noted in ``trace.notes``
+    and re-raised with the partial trace attached.
 
-    ``reference`` fills the relative-eigenvalue-error column.
+    ``reference`` fills the relative-eigenvalue-error column, of a partial
+    trace too.
     """
     config.validate()
+    level_fn = {"dl_linearized": _companion_level, "newton": _newton_level}.get(
+        config.experiment, _power_level
+    )
+    levels = [config.max_level] if config.fine_only else range(config.max_level + 1)
     trace = IterationTrace()
-    ref_mu = reference.mu_ref if reference is not None else None
+    coarse = None
     try:
-        if config.experiment in ("linear", "homogeneous_check", "k_sweep"):
-            _schedule_power(config, trace, ref_mu)
-        elif config.experiment == "dl_linearized":
-            _schedule_companion(config, trace, ref_mu)
-        elif config.experiment == "newton":
-            _schedule_newton(config, trace, ref_mu)
+        for level in levels:
+            mesh = build_mesh(level)
+            if level < config.max_level:
+                leg = dict(steps=config.steps_per_mesh)
+            else:
+                leg = dict(tol=config.tol, max_steps=config.max_fine_steps)
+            coarse = (mesh, level_fn(config, mesh, coarse, trace, leg))
     except NonConvergenceError as err:
         trace.note("aborted: %s" % err)
         if err.trace is None:
             err.trace = trace
         raise
+    finally:
+        if reference is not None:
+            trace.fill_rel_err(reference.mu_ref)
     return trace
 
 
-def _schedule_power(config, trace, ref_mu):
-    beta = config.resolved_beta()
-    eps2 = config.model.c
-    mesh = build_mesh(_levels(config)[0])
-    u = np.ones(mesh.dof_count, dtype=complex)
-    for level in _levels(config):
-        if mesh.level != level:
-            fine = build_mesh(level)
-            u = prolongate(u, mesh, fine)
-            mesh = fine
-        forms = assemble_tm(mesh, config.k)
-        pencil = Pencil.from_stiffness(
-            forms.K, weighted_mass(mesh, config.alpha1, eps2, forms=forms), beta
+# Level functions: ``(config, mesh, coarse, trace, leg) -> state``. Each
+# starts from scratch when ``coarse`` is None, or else lifts the state of
+# the coarse ``(mesh, state)`` onto ``mesh``, then runs one solver leg.
+
+
+def _power_level(config, mesh, coarse, trace, leg):
+    if coarse is None:
+        u = np.ones(mesh.dof_count, dtype=complex)
+    else:
+        u = prolongate(coarse[1], coarse[0], mesh)
+    forms = assemble_tm(mesh, config.k)
+    pencil = Pencil.from_stiffness(
+        forms.K, weighted_mass(mesh, config.alpha1, config.model.c, forms=forms),
+        config.resolved_beta(),
+    )
+    _, u = inverse_power_rq(pencil, u, mesh_level=mesh.level, trace=trace, **leg)
+    return u
+
+
+def _companion_level(config, mesh, coarse, trace, leg):
+    cs = build_companion(
+        mesh, config.k, config.model, alpha1=config.alpha1, beta=config.resolved_beta()
+    )
+    if coarse is None:
+        z = default_big_start(cs)
+    else:
+        # prolongate the physical field; reseed the auxiliary blocks from
+        # their defining relation at the current eigenvalue
+        coarse_mesh, sol = coarse
+        u = prolongate(sol.u, coarse_mesh, mesh)
+        eta2 = np.asarray(cs.realization.A, dtype=float)
+        b = np.asarray(cs.realization.b, dtype=float)
+        x = (b / (eta2 - sol.lam))[:, None] * u[cs.xspace.xdofs][None, :]
+        z = np.concatenate([u, x.ravel()])
+    return solve_linearized(cs, z, mesh_level=mesh.level, trace=trace, **leg)
+
+
+def _newton_level(config, mesh, coarse, trace, leg):
+    forms = assemble_tm(mesh, config.k)
+    if coarse is None:
+        u, omega = warm_start(
+            mesh, config.k, const_eps2=config.warm_eps2,
+            rq_steps=config.warm_rq_steps, alpha1=config.alpha1, forms=forms,
         )
-        if level < config.max_level:
-            _, u = inverse_power_rq(
-                pencil, u, steps=config.steps_per_mesh,
-                mesh_level=level, trace=trace, ref_mu=ref_mu,
-            )
-        else:
-            _, u = inverse_power_rq(
-                pencil, u, tol=config.tol, max_steps=config.max_fine_steps,
-                mesh_level=level, trace=trace, ref_mu=ref_mu,
-            )
-    return trace
-
-
-def _schedule_companion(config, trace, ref_mu):
-    beta = config.resolved_beta()
-    mesh = build_mesh(_levels(config)[0])
-    cs = build_companion(mesh, config.k, config.model, alpha1=config.alpha1, beta=beta)
-    z = default_big_start(cs)
-    for level in _levels(config):
-        if mesh.level != level:
-            fine = build_mesh(level)
-            fine_cs = build_companion(
-                fine, config.k, config.model, alpha1=config.alpha1, beta=beta
-            )
-            # prolongate the physical field; reseed the auxiliary blocks
-            # from their defining relation at the current eigenvalue
-            u, _ = cs.split(z)
-            u = prolongate(u, mesh, fine)
-            lam = trace[-1].lam
-            eta2 = np.asarray(fine_cs.realization.A, dtype=float)
-            b = np.asarray(fine_cs.realization.b, dtype=float)
-            x = (b / (eta2 - lam))[:, None] * u[fine_cs.xspace.xdofs][None, :]
-            z = np.concatenate([u, x.ravel()])
-            mesh, cs = fine, fine_cs
-        if level < config.max_level:
-            sol = solve_linearized(
-                cs, z, steps=config.steps_per_mesh,
-                mesh_level=level, trace=trace, ref_mu=ref_mu,
-            )
-        else:
-            sol = solve_linearized(
-                cs, z, tol=config.tol, max_steps=config.max_fine_steps,
-                mesh_level=level, trace=trace, ref_mu=ref_mu,
-            )
-        z = np.concatenate([sol.u, sol.x.ravel()])
-    return trace
-
-
-def _newton_leg(pencil, state, steps, trace, mesh_level, ref_lam):
-    """Fixed number of Newton steps with per-step trace rows."""
-    for _ in range(steps):
+        trace.note(
+            "warm start: %d Rayleigh steps on the eps2=%g model, omega0=%.6g"
+            % (config.warm_rq_steps, config.warm_eps2, omega)
+        )
+        lam = omega ** 2
+    else:
+        coarse_mesh, state = coarse
+        u, lam = prolongate(state.u, coarse_mesh, mesh), state.lam
+    pencil = NonlinearPencil.from_mesh(
+        mesh, config.k, config.model, alpha1=config.alpha1, forms=forms
+    )
+    y = np.random.default_rng([config.seed, mesh.level]).standard_normal(pencil.n)
+    if "steps" not in leg:
+        u, omega, _ = newton_solve(
+            pencil, u, math.sqrt(lam), y, tol=leg["tol"], maxit=leg["max_steps"],
+            mesh_level=mesh.level, trace=trace,
+        )
+        return NewtonState(u=u, lam=omega ** 2, y=y)
+    # coarse legs hand the exact lam on: a round trip through omega moves it
+    # by an ulp in about half the cases
+    state = NewtonState(u=u / np.vdot(pencil.mass @ y, u), lam=lam, y=y)
+    for _ in range(leg["steps"]):
         t0 = time.perf_counter()
         state = newton_step(pencil, state)
         res = pencil.residual_dual(state.u, state.lam)
-        wall = time.perf_counter() - t0
-        rel = abs(state.lam - ref_lam) / abs(ref_lam) if ref_lam else math.nan
-        trace.append(TraceRow(
-            j=trace.next_j, mesh_level=mesh_level, dofs=pencil.n,
-            mu=state.lam, lam=state.lam, residual_dual=res,
-            wall_seconds=wall, rel_err=rel,
-        ))
+        trace.record(mesh.level, pencil.n, state.lam, state.lam, res,
+                     time.perf_counter() - t0)
     return state
-
-
-def _schedule_newton(config, trace, ref_lam):
-    mesh = build_mesh(_levels(config)[0])
-    forms = assemble_tm(mesh, config.k)
-    u, omega = warm_start(
-        mesh, config.k, const_eps2=config.warm_eps2,
-        rq_steps=config.warm_rq_steps, alpha1=config.alpha1, forms=forms,
-    )
-    trace.note(
-        "warm start: %d Rayleigh steps on the eps2=%g model, omega0=%.6g"
-        % (config.warm_rq_steps, config.warm_eps2, omega)
-    )
-    lam = omega ** 2
-    for level in _levels(config):
-        if mesh.level != level:
-            fine = build_mesh(level)
-            u = prolongate(u, mesh, fine)
-            mesh = fine
-            forms = assemble_tm(mesh, config.k)
-        pencil = NonlinearPencil(
-            K=forms.K, M1=forms.M1, M2=forms.M2,
-            model=config.model, alpha1=config.alpha1,
-        )
-        y = np.random.default_rng([config.seed, level]).standard_normal(pencil.n)
-        if level < config.max_level:
-            my = pencil.mass @ y
-            state = NewtonState(u=u / np.vdot(my, u), lam=lam, y=y)
-            state = _newton_leg(
-                pencil, state, config.steps_per_mesh, trace, level, ref_lam
-            )
-            u, lam = state.u, state.lam
-        else:
-            u, omega, _ = newton_solve(
-                pencil, u, math.sqrt(lam), y,
-                tol=config.tol, maxit=config.max_fine_steps,
-                mesh_level=level, trace=trace, ref_lam=ref_lam,
-            )
-            lam = omega ** 2
-    return trace
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import scipy.linalg
 
 from .errors import NonConvergenceError
 from .linalg import DualNorm, Factorization, HermitianSparse, rayleigh_quotient
-from .trace import IterationTrace, TraceRow
+from .trace import IterationTrace
 
 __all__ = [
     "BREAKDOWN_TOL",
@@ -90,11 +90,11 @@ class Pencil:
     def dual(self):
         if self._dual is None:
             if self.beta == 1.0:
-                self._dual = DualNorm.from_factorization(self.factorization)
+                fact = self.factorization
             else:
                 KM = (self.A_beta.mat + (1.0 - self.beta) * self.M_w.mat).tocsr()
-                self._dual = DualNorm.__new__(DualNorm)
-                self._dual.fact = Factorization(KM)
+                fact = Factorization(KM)
+            self._dual = DualNorm.from_factorization(fact)
         return self._dual
 
     def norm_m(self, u):
@@ -131,7 +131,7 @@ def default_start(n, seed=None):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-def _power_loop(pencil, u0, steps, tol, scale_by_mu, mesh_level, trace, ref_mu,
+def _power_loop(pencil, u0, steps, tol, scale_by_mu, mesh_level, trace,
                 max_steps, residual_fn=None):
     if residual_fn is None:
         residual_fn = pencil.residual_dual
@@ -166,20 +166,8 @@ def _power_loop(pencil, u0, steps, tol, scale_by_mu, mesh_level, trace, ref_mu,
         mu = rayleigh_quotient(raw, pencil.A_beta, pencil.M_w)
         q = raw / nrm
         res = residual_fn(q, mu)
-        wall = time.perf_counter() - t0
-        rel = abs(mu - ref_mu) / abs(ref_mu) if ref_mu is not None else np.nan
-        trace.append(
-            TraceRow(
-                j=trace.next_j,
-                mesh_level=mesh_level,
-                dofs=pencil.n,
-                mu=mu,
-                lam=mu - pencil.beta,
-                residual_dual=res,
-                wall_seconds=wall,
-                rel_err=rel,
-            )
-        )
+        trace.record(mesh_level, pencil.n, mu, mu - pencil.beta, res,
+                     time.perf_counter() - t0)
         if tol is not None and res <= tol:
             converged = True
             break
@@ -192,7 +180,7 @@ def _power_loop(pencil, u0, steps, tol, scale_by_mu, mesh_level, trace, ref_mu,
 
 
 def inverse_power_rq(pencil, u0, steps=None, tol=None, mesh_level=0, trace=None,
-                     ref_mu=None, max_steps=10000, residual_fn=None):
+                     max_steps=10000, residual_fn=None):
     """Shifted inverse iteration with Rayleigh-quotient scaling.
 
     Runs ``u_j = mu_{j-1} * A_beta^{-1} M_w q_{j-1}`` starting from ``u0``
@@ -208,19 +196,18 @@ def inverse_power_rq(pencil, u0, steps=None, tol=None, mesh_level=0, trace=None,
 
     Returns ``(trace, u)`` with ``u`` the raw (unnormalized) last iterate.
     """
-    return _power_loop(pencil, u0, steps, tol, True, mesh_level, trace, ref_mu,
+    return _power_loop(pencil, u0, steps, tol, True, mesh_level, trace,
                        max_steps, residual_fn)
 
 
 def inverse_power_plain(pencil, v0, steps=None, tol=None, mesh_level=0,
-                        trace=None, ref_mu=None, max_steps=10000,
-                        residual_fn=None):
+                        trace=None, max_steps=10000, residual_fn=None):
     """Inverse iteration without the Rayleigh scaling: ``v_j = A_beta^{-1} M_w q_{j-1}``.
 
     Same mu/residual trace as :func:`inverse_power_rq` from the same start;
     only the raw iterate lengths differ (their M_w-norms converge to 1/mu).
     """
-    return _power_loop(pencil, v0, steps, tol, False, mesh_level, trace, ref_mu,
+    return _power_loop(pencil, v0, steps, tol, False, mesh_level, trace,
                        max_steps, residual_fn)
 
 

@@ -13,7 +13,6 @@ the contracts the eigensolvers rely on:
 
 import numpy as np
 from scipy import sparse
-from scipy.io import mmread, mmwrite
 from scipy.sparse.linalg import splu
 
 from .errors import HermitianViolationError, SingularMatrixError
@@ -22,15 +21,11 @@ __all__ = [
     "HermitianSparse",
     "Factorization",
     "factorize",
-    "solve",
     "rayleigh_quotient",
-    "dual_norm_residual",
     "DualNorm",
     "imag_residue_warnings",
     "reset_imag_residue_warnings",
     "is_positive_definite",
-    "save_matrix",
-    "load_matrix",
 ]
 
 #: relative entrywise tolerance for the Hermiticity check
@@ -190,11 +185,6 @@ def factorize(A):
     return Factorization(A)
 
 
-def solve(F, b):
-    """Solve A x = b with a previously computed factorization of A."""
-    return F.solve(b)
-
-
 def rayleigh_quotient(u, A, B):
     """(u^H A u) / (u^H B u) for a Hermitian pencil; returns a real number.
 
@@ -253,11 +243,6 @@ class DualNorm:
         return float(np.sqrt(max(val.real, 0.0)))
 
 
-def dual_norm_residual(r, K, M):
-    """One-shot dual norm; prefer DualNorm when evaluating many residuals."""
-    return DualNorm(K, M)(r)
-
-
 def is_positive_definite(A):
     """Dense Cholesky test; intended for small matrices in validation paths."""
     arr = A.toarray() if hasattr(A, "toarray") else np.asarray(A)
@@ -266,17 +251,3 @@ def is_positive_definite(A):
         return True
     except np.linalg.LinAlgError:
         return False
-
-
-def save_matrix(A, path):
-    """Write a matrix in Matrix Market coordinate format (debug interface)."""
-    mat = _as_csr(A)
-    symmetry = "general"
-    if isinstance(A, HermitianSparse) and A.hermitian:
-        symmetry = "hermitian" if np.iscomplexobj(mat) else "symmetric"
-    mmwrite(str(path), mat.tocoo(), symmetry=symmetry)
-
-
-def load_matrix(path, hermitian=False):
-    """Read a Matrix Market file back into a HermitianSparse wrapper."""
-    return HermitianSparse(sparse.csr_matrix(mmread(str(path))), hermitian=hermitian)

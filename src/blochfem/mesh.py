@@ -25,8 +25,6 @@ __all__ = [
     "DISK",
     "PeriodicMesh",
     "build_mesh",
-    "refine",
-    "classify_point",
     "prolongate",
     "evaluate",
 ]
@@ -162,23 +160,6 @@ class PeriodicMesh:
 def build_mesh(level):
     """Build the uniform periodic mesh at the given refinement level."""
     return PeriodicMesh(level)
-
-
-def refine(mesh):
-    """Uniform refinement: every cell splits into four; level increments.
-
-    Meshes are uniform at every level, so this is simply the next level's
-    mesh; nestedness (coarse nodes reappearing among fine nodes) is a
-    structural property of the half-step grids.
-    """
-    return PeriodicMesh(mesh.level + 1)
-
-
-def classify_point(x, material=DISK):
-    """Material tag of a single point of the unit cell."""
-    x = np.asarray(x, dtype=float)
-    assert x.shape == (2,), "expected a single 2D point"
-    return int(material.classify(x))
 
 
 def _prolong_1d(coarse_n):

@@ -31,7 +31,7 @@ from .assembly import assemble_tm, weighted_mass
 from .eigeniter import Pencil, inverse_power_rq
 from .errors import NonConvergenceError, SingularMatrixError
 from .linalg import DualNorm, Factorization, HermitianSparse, rayleigh_quotient
-from .trace import IterationTrace, TraceRow
+from .trace import IterationTrace
 
 __all__ = [
     "NonlinearPencil",
@@ -166,7 +166,7 @@ def newton_step(pencil, state):
 
 
 def newton_solve(pencil, u0, omega0, y, tol=1e-13, maxit=30, mesh_level=0,
-                 trace=None, ref_lam=None):
+                 trace=None):
     """Newton iteration from (u0, omega0) until the dual residual reaches tol.
 
     The start is rescaled to P_y u0 = 1. The trace records the residual of
@@ -183,24 +183,8 @@ def newton_solve(pencil, u0, omega0, y, tol=1e-13, maxit=30, mesh_level=0,
     my = pencil.mass @ y
     u = _normalized_against(np.asarray(u0, dtype=complex), my)
     lam = float(omega0) ** 2
-
-    def record(res, wall):
-        rel = abs(lam - ref_lam) / abs(ref_lam) if ref_lam is not None else np.nan
-        trace.append(
-            TraceRow(
-                j=trace.next_j,
-                mesh_level=mesh_level,
-                dofs=pencil.n,
-                mu=lam,
-                lam=lam,
-                residual_dual=res,
-                wall_seconds=wall,
-                rel_err=rel,
-            )
-        )
-
     res = pencil.residual_dual(u, lam)
-    record(res, 0.0)
+    trace.record(mesh_level, pencil.n, lam, lam, res, 0.0)
     if res <= tol:
         return u, math.sqrt(lam), trace
 
@@ -209,9 +193,9 @@ def newton_solve(pencil, u0, omega0, y, tol=1e-13, maxit=30, mesh_level=0,
     for _ in range(maxit):
         t0 = time.perf_counter()
         state = newton_step(pencil, state)
-        lam = state.lam
         new_res = pencil.residual_dual(state.u, state.lam)
-        record(new_res, time.perf_counter() - t0)
+        trace.record(mesh_level, pencil.n, state.lam, state.lam, new_res,
+                     time.perf_counter() - t0)
         if new_res <= tol:
             return state.u, state.omega, trace
         worse = worse + 1 if new_res > res else 0

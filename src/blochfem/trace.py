@@ -1,12 +1,12 @@
 """Per-step iteration records shared by every solver in the package.
 
-A trace is an append-only list of :class:`TraceRow`. Solvers append one row
-per step; the driver owns persistence (CSV) and the global step numbering
-across refinement levels.
+A trace is a list of :class:`TraceRow`. Solvers add one row per step through
+:meth:`IterationTrace.record`, which numbers steps globally across refinement
+levels; the driver owns persistence (CSV) and fills the relative-error column.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,7 +20,7 @@ class TraceRow:
     """One solver step.
 
     ``mu`` is the shifted eigenvalue approximation, ``lam = mu - beta`` the
-    physical one. ``rel_err`` is NaN unless a reference value was supplied.
+    physical one. ``rel_err`` is NaN unless the run was given a reference.
     """
 
     j: int
@@ -52,8 +52,18 @@ class IterationTrace:
     # hand-offs); never written into the CSV rows
     notes: list = field(default_factory=list)
 
-    def append(self, row):
-        self.rows.append(row)
+    def record(self, mesh_level, dofs, mu, lam, residual_dual, wall_seconds):
+        """Append the row of one solver step, numbered after the last row."""
+        self.rows.append(TraceRow(
+            j=self.next_j, mesh_level=mesh_level, dofs=dofs, mu=mu, lam=lam,
+            residual_dual=residual_dual, wall_seconds=wall_seconds,
+        ))
+
+    def fill_rel_err(self, mu_ref):
+        """Set ``rel_err = |mu - mu_ref| / |mu_ref|`` on every row."""
+        self.rows = [
+            replace(r, rel_err=abs(r.mu - mu_ref) / abs(mu_ref)) for r in self.rows
+        ]
 
     def note(self, message):
         self.notes.append(str(message))

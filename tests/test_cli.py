@@ -103,3 +103,19 @@ def test_seed_override(tmp_path):
         out = None
 
     assert cli._load_config(Args()).seed == 7
+
+
+def test_reference_failure_exits_two_without_traceback(tmp_path, capsys, monkeypatch):
+    from blochfem import driver
+    from blochfem.errors import NonConvergenceError
+
+    def stalled(cfg):
+        raise NonConvergenceError("dual residual did not reach 1e-12 within 2000 steps")
+
+    monkeypatch.setattr(driver, "compute_reference", stalled)
+    ini = tmp_path / "run.ini"
+    ini.write_text(FAST_LINEAR.replace("tol = 1e-8", "tol = 1e-8\nuse_reference = true"))
+    for command in ("run", "reference"):
+        assert main([command, "--config", str(ini)]) == 2
+        err = capsys.readouterr().err
+        assert err == "blochfem %s: dual residual did not reach 1e-12 within 2000 steps\n" % command

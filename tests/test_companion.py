@@ -11,7 +11,6 @@ from blochfem.companion import (
     build_companion,
     build_xspace,
     default_big_start,
-    nonlinear_residual_dl,
     shift_lower_bound,
     solve_linearized,
 )
@@ -229,23 +228,6 @@ def test_scalar_oracle_level0(sys0, sol0):
 def test_level1_eigenvalue_regression_pin(sol1):
     # regression guard only; correctness is anchored by the level-0 oracle
     assert sol1.lam == pytest.approx(2.7957488301278595, abs=5e-9)
-
-
-def test_oneshot_residual_helper_matches(sys1, sol1):
-    model = two_oscillator()
-    val = nonlinear_residual_dl(
-        build_mesh(1), K_POINT, model, sol1.u, sol1.lam, forms=sys1.forms
-    )
-    resid = sys1.nonlinear_residual()
-    assert val == pytest.approx(resid(sol1.u, sol1.lam), rel=1e-12)
-    with pytest.raises(TypeError):
-        nonlinear_residual_dl(
-            build_mesh(0),
-            K_POINT,
-            dispersion.RealDL(alpha=2.0, terms=()),
-            sol1.u,
-            sol1.lam,
-        )
 
 
 # ---------------------------------------------------------------------------

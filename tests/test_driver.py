@@ -100,6 +100,17 @@ def test_budget_exhaustion_raises_and_annotates():
     assert any("aborted" in note for note in info.value.trace.notes)
 
 
+def test_partial_trace_carries_rel_err():
+    cfg = linear_config(max_level=1, tol=1e-13, max_fine_steps=3)
+    ref = driver.compute_reference(cfg)
+    with pytest.raises(NonConvergenceError) as info:
+        driver.run_schedule(cfg, reference=ref)
+    trace = info.value.trace
+    assert list(trace.levels()) == [0, 0, 0, 1, 1, 1]
+    assert np.all(np.isfinite([r.rel_err for r in trace]))
+    assert trace[-1].rel_err == abs(trace[-1].mu - ref.mu_ref) / abs(ref.mu_ref)
+
+
 def test_companion_schedule_levels_and_monotonicity():
     cfg = driver.RunConfig(
         experiment="dl_linearized", model=two_oscillator(),

@@ -128,13 +128,11 @@ def test_scaling_invariance_of_mu(disk_pencil):
 def test_trace_bookkeeping(disk_pencil):
     tr, _ = inverse_power_rq(
         disk_pencil, default_start(disk_pencil.n), steps=4, mesh_level=3,
-        ref_mu=3.5,
     )
     assert [r.j for r in tr] == [1, 2, 3, 4]
     assert all(r.mesh_level == 3 for r in tr)
     assert all(r.dofs == disk_pencil.n for r in tr)
     assert all(r.lam == r.mu - 1.0 for r in tr)
-    assert all(np.isfinite(r.rel_err) for r in tr)
     assert all(r.wall_seconds >= 0 for r in tr)
     # appending to an existing trace continues the global step numbering
     tr2, _ = inverse_power_rq(

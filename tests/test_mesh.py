@@ -34,7 +34,7 @@ def test_level_validation():
 
 def test_refine_increments_level():
     m = msh.build_mesh(1)
-    f = msh.refine(m)
+    f = msh.build_mesh(m.level + 1)
     assert f.level == 2
     assert f.ncell_side == 2 * m.ncell_side
 
@@ -67,15 +67,15 @@ def test_cell_center_dof_coordinates():
 
 
 def test_classify_center_and_corner():
-    assert msh.classify_point(np.array([0.5, 0.5])) == msh.OMEGA2
-    assert msh.classify_point(np.array([0.0, 0.0])) == msh.OMEGA1
+    assert msh.DISK.classify(np.array([0.5, 0.5])) == msh.OMEGA2
+    assert msh.DISK.classify(np.array([0.0, 0.0])) == msh.OMEGA1
 
 
 def test_classify_interface_tie_goes_to_inclusion():
     # (0.5, 0.8) sits exactly on the circle; the absolute guard keeps it inside
-    assert msh.classify_point(np.array([0.5, 0.8])) == msh.OMEGA2
-    assert msh.classify_point(np.array([0.8, 0.5])) == msh.OMEGA2
-    assert msh.classify_point(np.array([0.5, 0.8 + 1e-5])) == msh.OMEGA1
+    assert msh.DISK.classify(np.array([0.5, 0.8])) == msh.OMEGA2
+    assert msh.DISK.classify(np.array([0.8, 0.5])) == msh.OMEGA2
+    assert msh.DISK.classify(np.array([0.5, 0.8 + 1e-5])) == msh.OMEGA1
 
 
 def test_classify_vectorized_and_chi2():
@@ -85,11 +85,6 @@ def test_classify_vectorized_and_chi2():
     chi = msh.DISK.chi2(pts)
     assert set(np.unique(chi)) <= {0.0, 1.0}
     assert np.array_equal(chi == 1.0, tags == msh.OMEGA2)
-
-
-def test_classify_point_rejects_batches():
-    with pytest.raises(AssertionError):
-        msh.classify_point(np.zeros((3, 2)))
 
 
 # --- point evaluation --------------------------------------------------------
@@ -137,7 +132,7 @@ def test_evaluate_periodic_wrapping(x, y, sx, sy):
 
 def test_prolongation_reproduces_the_function():
     coarse = MESH0
-    fine = msh.refine(coarse)
+    fine = msh.build_mesh(coarse.level + 1)
     uf = msh.prolongate(COEFFS0, coarse, fine)
     assert uf.shape == (fine.dof_count,)
     pts = RNG.random((40, 2))
@@ -151,7 +146,7 @@ def test_prolongation_reproduces_the_function():
 
 def test_prolongation_preserves_constants():
     coarse = MESH0
-    fine = msh.refine(coarse)
+    fine = msh.build_mesh(coarse.level + 1)
     uf = msh.prolongate(np.ones(coarse.dof_count), coarse, fine)
     # stencil weights are dyadic rationals summing to one, so this is exact
     assert np.array_equal(uf, np.ones(fine.dof_count))
