@@ -81,14 +81,16 @@ def _cmd_run(args):
     from .errors import NonConvergenceError
 
     cfg = _load_config(args)
-    reference = driver.compute_reference(cfg) if cfg.use_reference else None
     try:
-        trace = driver.run_schedule(cfg, reference=reference)
+        trace = driver.run_schedule(cfg)
     except NonConvergenceError as err:
         if err.trace is not None and cfg.out:
             driver.emit_csv(err.trace, cfg.out)
             print("partial trace written to %s" % cfg.out, file=sys.stderr)
         raise
+    if cfg.use_reference:
+        # the reference starts from where the schedule ended
+        trace.fill_rel_err(driver.compute_reference(cfg, trace.final).mu_ref)
     if cfg.out:
         driver.emit_csv(trace, cfg.out)
     last = trace[-1]
@@ -114,10 +116,11 @@ def _cmd_reference(args):
 
     cfg = _load_config(args)
     ref = driver.compute_reference(cfg)
-    print(
-        "reference: mu = %.17g  lambda = %.17g  (level %d, %d dofs, residual %.3g)"
-        % (ref.mu_ref, ref.lam_ref, ref.level, ref.dofs, ref.residual_dual)
-    )
+    if ref.level is None:
+        where = "analytic Fourier value"
+    else:
+        where = "level %d, %d dofs, residual %.3g" % (ref.level, ref.dofs, ref.residual_dual)
+    print("reference: mu = %.17g  lambda = %.17g  (%s)" % (ref.mu_ref, ref.lam_ref, where))
     return 0
 
 
@@ -143,6 +146,7 @@ def _cmd_check(args):
 
     from . import dispersion
     from .assembly import assemble_tm, weighted_mass
+    from .driver import fourier_lambda1
     from .eigeniter import Pencil, inverse_power_rq
     from .mesh import build_mesh, evaluate, prolongate
 
@@ -162,12 +166,7 @@ def _cmd_check(args):
     pencil = Pencil.from_stiffness(forms.K, weighted_mass(mesh, 1.0, 1.0, forms=forms), 1.0)
     tr, _ = inverse_power_rq(pencil, np.ones(pencil.n, complex), tol=1e-10)
     lam = tr[-1].lam
-    # plane-wave oracle for the empty cell: min_n |k + 2 pi n|^2
-    exact = min(
-        (k[0] + 2 * np.pi * a) ** 2 + (k[1] + 2 * np.pi * b) ** 2
-        for a in range(-2, 3)
-        for b in range(-2, 3)
-    )
+    exact = fourier_lambda1(k)
     rel = abs(lam - exact) / exact
     check("homogeneous eigenvalue vs Fourier", rel <= 1e-3, "rel %.2e" % rel)
     check("Rayleigh monotone", tr.is_monotone_per_level(), "")

@@ -33,7 +33,7 @@ import numpy as np
 from . import dispersion
 from .assembly import assemble_tm, weighted_mass
 from .companion import build_companion, default_big_start, shift_lower_bound, solve_linearized
-from .eigeniter import Pencil, inverse_power_rq
+from .eigeniter import Pencil, inverse_power_rq, shifted_inverse_steps
 from .errors import BlochFEMError, NonConvergenceError
 from .mesh import build_mesh, prolongate
 from .newton import NewtonState, NonlinearPencil, newton_solve, newton_step, warm_start
@@ -46,6 +46,7 @@ __all__ = [
     "SweepPoint",
     "run_schedule",
     "compute_reference",
+    "fourier_lambda1",
     "emit_csv",
     "k_sweep",
     "emit_sweep_csv",
@@ -123,6 +124,12 @@ class RunConfig:
                 raise ValueError("constant permittivity must be positive")
             if self.beta is not None and not self.beta > 0.0:
                 raise ValueError("beta must be positive for the constant model")
+        if self.experiment == "homogeneous_check" and self.alpha1 != self.model.c:
+            # the analytic reference holds for a homogeneous cell only
+            raise ValueError(
+                "homogeneous_check needs alpha1 == eps2, got %g and %g"
+                % (self.alpha1, self.model.c)
+            )
         if self.experiment == "dl_linearized":
             # the companion shift bound depends on the model: check it now
             # rather than after the level-0 assembly
@@ -234,7 +241,11 @@ def _model_from_section(cp):
 
 @dataclass(frozen=True)
 class ReferenceSolution:
-    """Eigenvalue on one level beyond max_level, iterated to 1e-12."""
+    """Eigenvalue on one level beyond max_level, iterated to 1e-12.
+
+    For ``homogeneous_check`` it is the analytic Fourier value, with
+    ``level`` and ``dofs`` None and a zero residual.
+    """
 
     mu_ref: float
     lam_ref: float
@@ -267,8 +278,9 @@ def run_schedule(config, reference=None):
     with the previous level's ``(mesh, state)``. Below ``max_level`` the leg
     is ``steps_per_mesh`` solver steps; on ``max_level`` the solver iterates
     until ``tol`` or ``max_fine_steps``. Returns the accumulated
-    :class:`IterationTrace`; a solver failure is noted in ``trace.notes``
-    and re-raised with the partial trace attached.
+    :class:`IterationTrace`, with the last level's ``(mesh, state)`` in
+    ``trace.final``; a solver failure is noted in ``trace.notes`` and
+    re-raised with the partial trace attached.
 
     ``reference`` fills the relative-eigenvalue-error column, of a partial
     trace too.
@@ -288,6 +300,7 @@ def run_schedule(config, reference=None):
             else:
                 leg = dict(tol=config.tol, max_steps=config.max_fine_steps)
             coarse = (mesh, level_fn(config, mesh, coarse, trace, leg))
+        trace.final = coarse
     except NonConvergenceError as err:
         trace.note("aborted: %s" % err)
         if err.trace is None:
@@ -301,21 +314,33 @@ def run_schedule(config, reference=None):
 
 # Level functions: ``(config, mesh, coarse, trace, leg) -> state``. Each
 # starts from scratch when ``coarse`` is None, or else lifts the state of
-# the coarse ``(mesh, state)`` onto ``mesh``, then runs one solver leg.
+# the coarse ``(mesh, state)`` onto ``mesh``, then runs one solver leg. Every
+# state has the field ``u`` and the eigenvalue ``lam``.
 
 
-def _power_level(config, mesh, coarse, trace, leg):
+@dataclass(frozen=True)
+class _PowerState:
+    u: np.ndarray  # raw last iterate
+    lam: float
+
+
+def _power_level(config, mesh, coarse, trace, leg, sigma=None):
+    """Power leg; with ``sigma``, shifted inverse steps on the lifted u first."""
     if coarse is None:
         u = np.ones(mesh.dof_count, dtype=complex)
     else:
-        u = prolongate(coarse[1], coarse[0], mesh)
+        u = prolongate(coarse[1].u, coarse[0], mesh)
     forms = assemble_tm(mesh, config.k)
     pencil = Pencil.from_stiffness(
         forms.K, weighted_mass(mesh, config.alpha1, config.model.c, forms=forms),
         config.resolved_beta(),
     )
+    # K and M are not needed past this point; free them before factorizing
+    del forms
+    if sigma is not None:
+        u = shifted_inverse_steps(pencil, u, sigma)
     _, u = inverse_power_rq(pencil, u, mesh_level=mesh.level, trace=trace, **leg)
-    return u
+    return _PowerState(u=u, lam=trace[-1].lam)
 
 
 def _companion_level(config, mesh, coarse, trace, leg):
@@ -377,26 +402,54 @@ def _newton_level(config, mesh, coarse, trace, leg):
 # references and persistence
 
 
-def compute_reference(config, tol=REFERENCE_TOL):
-    """Eigenvalue on the (max_level + 1) mesh, iterated down to ``tol``."""
+def compute_reference(config, final=None, tol=REFERENCE_TOL):
+    """Eigenvalue on the (max_level + 1) mesh, iterated down to ``tol``.
+
+    Starts from ``final``, the ``(mesh, state)`` a schedule of ``config``
+    ended on (``trace.final``); without it, the schedule runs first. The
+    state is lifted onto the finer mesh and solved there by the family's
+    level function, as one more level of the schedule. The power family
+    first takes a few steps shifted by the run's final lambda (see
+    :func:`~blochfem.eigeniter.shifted_inverse_steps`), then iterates the
+    pencil itself, so ``mu_ref`` is the pencil's own Rayleigh quotient.
+    ``homogeneous_check`` returns the analytic Fourier value and solves
+    nothing.
+    """
     config.validate()
-    ref = replace(
-        config,
-        fine_only=True,
-        max_level=config.max_level + 1,
-        tol=tol,
-        max_fine_steps=max(config.max_fine_steps, 2000),
-        use_reference=False,
-    )
-    trace = run_schedule(ref)
+    if config.experiment == "homogeneous_check":
+        lam = fourier_lambda1(config.k, config.model.c)
+        return ReferenceSolution(
+            mu_ref=lam + config.resolved_beta(), lam_ref=lam, level=None,
+            dofs=None, residual_dual=0.0,
+        )
+    if final is None:
+        final = run_schedule(config).final
+    mesh = build_mesh(config.max_level + 1)
+    trace = IterationTrace()
+    leg = dict(tol=tol, max_steps=max(config.max_fine_steps, 2000))
+    if config.experiment == "dl_linearized":
+        _companion_level(config, mesh, final, trace, leg)
+    elif config.experiment == "newton":
+        _newton_level(config, mesh, final, trace, leg)
+    else:
+        _power_level(config, mesh, final, trace, leg, sigma=final[1].lam)
     last = trace[-1]
     return ReferenceSolution(
         mu_ref=last.mu,
         lam_ref=last.lam,
-        level=ref.max_level,
+        level=mesh.level,
         dofs=last.dofs,
         residual_dual=last.residual_dual,
     )
+
+
+def fourier_lambda1(k, eps=1.0):
+    """Smallest Bloch eigenvalue of a homogeneous cell of permittivity ``eps``.
+
+    The plane waves exp(i (k + 2 pi n) . x) give min_n |k + 2 pi n|^2 / eps;
+    each component of k is reduced to its nearest image.
+    """
+    return sum(math.remainder(c, 2 * math.pi) ** 2 for c in k) / eps
 
 
 def emit_csv(trace, path):

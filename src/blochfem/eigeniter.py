@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NonConvergenceError
+from .errors import NonConvergenceError, SingularMatrixError
 from .linalg import DualNorm, Factorization, HermitianSparse, rayleigh_quotient
 from .trace import IterationTrace
 
@@ -31,6 +31,7 @@ __all__ = [
     "default_start",
     "inverse_power_rq",
     "inverse_power_plain",
+    "shifted_inverse_steps",
     "ArnoldiResult",
     "arnoldi",
 ]
@@ -39,6 +40,18 @@ __all__ = [
 # kept at norm one, so the scale is absolute) means the subspace is invariant
 # to working precision.
 BREAKDOWN_TOL = 1e-12
+
+# A run that iterates to a tolerance stops with NonConvergenceError once its
+# residual is within FLOOR_FACTOR of tol and has not halved over the last
+# FLOOR_STEPS steps: it sits on the rounding floor of its mesh, and the rest
+# of its step budget would not move it.
+FLOOR_FACTOR = 100.0
+FLOOR_STEPS = 5
+
+# shifted_inverse_steps takes at most SHIFT_STEPS steps, and stops once mu
+# moves by no more than SHIFT_STALL relative
+SHIFT_STEPS = 4
+SHIFT_STALL = 1e-13
 
 
 def _as_hermitian(A):
@@ -152,6 +165,7 @@ def _power_loop(pencil, u0, steps, tol, scale_by_mu, mesh_level, trace,
     raw = u
     budget = steps if steps is not None else max_steps
     converged = tol is None
+    history = []
     for _ in range(budget):
         t0 = time.perf_counter()
         w = pencil.step(q)
@@ -171,6 +185,15 @@ def _power_loop(pencil, u0, steps, tol, scale_by_mu, mesh_level, trace,
         if tol is not None and res <= tol:
             converged = True
             break
+        if (steps is None and res <= FLOOR_FACTOR * tol
+                and len(history) >= FLOOR_STEPS
+                and res > 0.5 * history[-FLOOR_STEPS]):
+            raise NonConvergenceError(
+                f"dual residual stalled at {res:.3g}, within {FLOOR_FACTOR:g}x "
+                f"of {tol:g}, and has not halved in {FLOOR_STEPS} steps",
+                trace=trace,
+            )
+        history.append(res)
     if not converged and steps is None:
         raise NonConvergenceError(
             f"dual residual did not reach {tol:g} within {max_steps} steps",
@@ -187,8 +210,9 @@ def inverse_power_rq(pencil, u0, steps=None, tol=None, mesh_level=0, trace=None,
     and appends one :class:`TraceRow` per step (to ``trace`` if given).
     Stops after ``steps`` solves, or once the dual residual drops to ``tol``,
     whichever is requested (both: whichever comes first). A pure-tolerance
-    run that exhausts ``max_steps`` raises :class:`NonConvergenceError` with
-    the partial trace attached.
+    run that exhausts ``max_steps``, or stalls within :data:`FLOOR_FACTOR`
+    of ``tol`` without halving its residual in :data:`FLOOR_STEPS` steps,
+    raises :class:`NonConvergenceError` with the partial trace attached.
 
     ``residual_fn(q, mu)`` overrides the traced (and tol-checked) residual;
     the linearized rational solver uses this to report residuals of the
@@ -209,6 +233,37 @@ def inverse_power_plain(pencil, v0, steps=None, tol=None, mesh_level=0,
     """
     return _power_loop(pencil, v0, steps, tol, False, mesh_level, trace,
                        max_steps, residual_fn)
+
+
+def shifted_inverse_steps(pencil, u0, sigma):
+    """Up to SHIFT_STEPS inverse steps with K - sigma*M_w, from ``u0``.
+
+    With sigma a coarse eigenvalue just above lambda1 these converge at
+    |lambda1 - sigma| / |lambda2 - sigma| per step instead of
+    (lambda1 + beta) / (lambda2 + beta): shift-and-invert with a
+    Rayleigh-quotient shift. They stop when mu moves by at most SHIFT_STALL
+    relative; a step that raises mu is dropped, and a singular shifted
+    matrix leaves the iterate as it is. The shifted factorization is freed
+    on return, before the caller factors the pencil itself, so only one
+    factorization of this size is alive at a time.
+
+    Returns the M_w-normalized iterate.
+    """
+    q = pencil.normalized(np.asarray(u0, dtype=complex))
+    mu = rayleigh_quotient(q, pencil.A_beta, pencil.M_w)
+    try:
+        fact = Factorization(pencil.A_beta.mat - (pencil.beta + sigma) * pencil.M_w.mat)
+        for _ in range(SHIFT_STEPS):
+            w = fact.solve(pencil.M_w @ q)
+            new_mu = rayleigh_quotient(w, pencil.A_beta, pencil.M_w)
+            if new_mu > mu:
+                break
+            q, moved, mu = pencil.normalized(w), abs(new_mu - mu), new_mu
+            if moved <= SHIFT_STALL * abs(mu):
+                break
+    except SingularMatrixError:
+        pass
+    return q
 
 
 @dataclass

@@ -131,12 +131,16 @@ class Factorization:
         self.n = mat.shape[0]
         # inf-norm of A, used in the backward-error denominator
         self.norm = np.abs(mat).sum(axis=1).max() if mat.nnz else 0.0
+        # the floating type splu would convert to; kept so that solves never
+        # read self.lu.U, whose first access copies both factors
+        self.dtype = np.result_type(mat.dtype, np.float32)
+        csc = mat.tocsc().astype(self.dtype, copy=False)
         try:
             # All matrices here have symmetric sparsity (Hermitian pencils,
             # bordered systems), where the AT+A minimum-degree ordering
             # produces ~3x less fill than the default column ordering.
             self.lu = splu(
-                mat.tocsc(),
+                csc,
                 permc_spec="MMD_AT_PLUS_A",
                 options=dict(SymmetricMode=True),
             )
@@ -152,11 +156,11 @@ class Factorization:
         # a real factorization handles a complex right-hand side part by
         # part (A real => re/im decouple); complex factorizations and real
         # right-hand sides go straight through
-        if np.iscomplexobj(b) and not np.iscomplexobj(self.lu.U.data):
+        if np.iscomplexobj(b) and self.dtype.kind != "c":
             return self.lu.solve(np.ascontiguousarray(b.real)) + 1j * self.lu.solve(
                 np.ascontiguousarray(b.imag)
             )
-        return self.lu.solve(b.astype(self.lu.U.dtype, copy=False))
+        return self.lu.solve(b.astype(self.dtype, copy=False))
 
     def solve(self, b):
         b = np.asarray(b)

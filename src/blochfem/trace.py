@@ -51,6 +51,9 @@ class IterationTrace:
     # free-form annotations appended by the driver (solver failures, level
     # hand-offs); never written into the CSV rows
     notes: list = field(default_factory=list)
+    # the (mesh, state) a finished schedule ended on, where its reference
+    # starts; None on a partial trace
+    final: object = field(default=None, compare=False, repr=False)
 
     def record(self, mesh_level, dofs, mu, lam, residual_dual, wall_seconds):
         """Append the row of one solver step, numbered after the last row."""
@@ -96,7 +99,7 @@ class IterationTrace:
     def total_wall(self):
         return float(sum(r.wall_seconds for r in self.rows))
 
-    def monotone_mu_violation(self, slack=1e-12):
+    def monotone_mu_violation(self):
         """Largest relative increase of mu within a fixed mesh level.
 
         Returns 0.0 for a clean trace. Increases across a refinement
@@ -111,4 +114,4 @@ class IterationTrace:
         return max(worst, 0.0)
 
     def is_monotone_per_level(self, slack=1e-12):
-        return self.monotone_mu_violation(slack) <= slack
+        return self.monotone_mu_violation() <= slack

@@ -109,7 +109,7 @@ def test_reference_failure_exits_two_without_traceback(tmp_path, capsys, monkeyp
     from blochfem import driver
     from blochfem.errors import NonConvergenceError
 
-    def stalled(cfg):
+    def stalled(cfg, final=None):
         raise NonConvergenceError("dual residual did not reach 1e-12 within 2000 steps")
 
     monkeypatch.setattr(driver, "compute_reference", stalled)
@@ -119,3 +119,27 @@ def test_reference_failure_exits_two_without_traceback(tmp_path, capsys, monkeyp
         assert main([command, "--config", str(ini)]) == 2
         err = capsys.readouterr().err
         assert err == "blochfem %s: dual residual did not reach 1e-12 within 2000 steps\n" % command
+
+
+def test_run_with_reference_runs_the_schedule_once(tmp_path, monkeypatch):
+    from blochfem import driver
+
+    calls = []
+    run_schedule = driver.run_schedule
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run_schedule(*args, **kwargs)
+
+    ini = tmp_path / "run.ini"
+    ini.write_text(FAST_LINEAR.replace("tol = 1e-8", "tol = 1e-8\nuse_reference = true"))
+    out = tmp_path / "trace.csv"
+    monkeypatch.setattr(driver, "run_schedule", counted)
+    assert main(["run", "--config", str(ini), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    mu_ref = driver.compute_reference(driver.RunConfig.from_ini(ini)).mu_ref
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    for row in rows:
+        mu, rel_err = float(row[3]), float(row[5])
+        assert rel_err == pytest.approx(abs(mu - mu_ref) / mu_ref, rel=1e-12, abs=1e-300)

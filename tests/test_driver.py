@@ -102,7 +102,8 @@ def test_budget_exhaustion_raises_and_annotates():
 
 def test_partial_trace_carries_rel_err():
     cfg = linear_config(max_level=1, tol=1e-13, max_fine_steps=3)
-    ref = driver.compute_reference(cfg)
+    # the reference of the same pencil, from a schedule that converges
+    ref = driver.compute_reference(linear_config(max_level=1))
     with pytest.raises(NonConvergenceError) as info:
         driver.run_schedule(cfg, reference=ref)
     trace = info.value.trace
@@ -141,8 +142,10 @@ def test_newton_schedule_reaches_fine_tolerance():
 
 
 def test_reference_brackets_analytic_value():
+    # the discrete L4 solve of the empty cell (homogeneous_check itself takes
+    # the analytic value as its reference)
     cfg = driver.RunConfig(
-        experiment="homogeneous_check", model=dispersion.Constant(1.0),
+        experiment="linear", model=dispersion.Constant(1.0),
         max_level=3, tol=1e-10,
     )
     ref = driver.compute_reference(cfg)
@@ -159,7 +162,7 @@ def test_reference_levels_pin_exact_mode_and_disk_converges():
     exact = fourier_lambda1(K_POINT) + 1.0
     for max_level in (1, 2):
         cfg = driver.RunConfig(
-            experiment="homogeneous_check", model=dispersion.Constant(1.0),
+            experiment="linear", model=dispersion.Constant(1.0),
             max_level=max_level, tol=1e-10,
         )
         assert driver.compute_reference(cfg).mu_ref == pytest.approx(exact, abs=1e-9)
@@ -174,6 +177,40 @@ def test_reference_levels_pin_exact_mode_and_disk_converges():
         )
         mus.append(driver.compute_reference(cfg).mu_ref)
     assert abs(mus[2] - mus[1]) < 0.2 * abs(mus[1] - mus[0])
+
+
+def test_homogeneous_reference_is_the_fourier_value(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the analytic reference solves nothing")
+
+    monkeypatch.setattr(driver, "run_schedule", no_solve)
+    monkeypatch.setattr(driver, "build_mesh", no_solve)
+    for k, eps in ((K_POINT, 1.0), ((5.0, -4.0), 2.5)):
+        cfg = driver.RunConfig(
+            experiment="homogeneous_check", kx=k[0], ky=k[1], alpha1=eps,
+            model=dispersion.Constant(eps), beta=2.0,
+        )
+        ref = driver.compute_reference(cfg)
+        assert ref.lam_ref == pytest.approx(fourier_lambda1(k) / eps, rel=1e-14)
+        assert ref.mu_ref == ref.lam_ref + 2.0
+        assert ref.level is None and ref.dofs is None
+
+
+def test_homogeneous_check_needs_a_homogeneous_cell():
+    with pytest.raises(ValueError, match="alpha1 == eps2"):
+        driver.RunConfig(
+            experiment="homogeneous_check", model=dispersion.Constant(8.0)
+        ).validate()
+
+
+def test_reference_from_the_final_state_matches_the_standalone_one():
+    cfg = linear_config(max_level=1)
+    trace = driver.run_schedule(cfg)
+    mesh, state = trace.final
+    assert mesh.level == 1 and state.lam == trace[-1].lam
+    ref = driver.compute_reference(cfg, trace.final)
+    assert ref == driver.compute_reference(cfg)
+    assert ref.level == 2 and ref.residual_dual <= driver.REFERENCE_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 from blochfem.assembly import assemble_tm, weighted_mass
 from blochfem.eigeniter import (
+    FLOOR_FACTOR,
+    FLOOR_STEPS,
     ArnoldiResult,
     Pencil,
     arnoldi,
     default_start,
     inverse_power_plain,
     inverse_power_rq,
+    shifted_inverse_steps,
 )
 from blochfem.errors import NonConvergenceError
-from blochfem.linalg import HermitianSparse
+from blochfem.linalg import HermitianSparse, rayleigh_quotient
 from blochfem.mesh import build_mesh
 
 K_POINT = (np.pi / 2, np.pi)
@@ -241,6 +244,37 @@ def test_nonconvergence_attaches_partial_trace(disk_pencil):
         )
     assert err.value.trace is not None
     assert len(err.value.trace) == 3
+
+
+def test_stall_at_the_floor_raises_within_a_few_steps(disk_pencil):
+    # the level-0 residual floor is about 3e-15; a tol of 1e-15 is below it
+    tol = 1e-15
+    with pytest.raises(NonConvergenceError, match="has not halved") as err:
+        inverse_power_rq(
+            disk_pencil, default_start(disk_pencil.n), tol=tol, max_steps=2000
+        )
+    res = err.value.trace.residuals()
+    near = int(np.argmax(res <= FLOOR_FACTOR * tol))
+    assert res[near] <= FLOOR_FACTOR * tol
+    assert len(res) - near <= FLOOR_STEPS + 10
+
+
+def test_shifted_steps_converge_at_the_shifted_rate():
+    # eigenvalues 1 and 2: a shift of 1.1 shrinks the second component by
+    # 0.1 / 0.9 per step, against 1 / 2 unshifted
+    p = diag_pencil()
+    q = shifted_inverse_steps(p, np.array([1.0, 1.0]), 1.1)
+    assert abs(rayleigh_quotient(q, p.A_beta, p.M_w) - 1.0) < 1e-7
+    assert p.norm_m(q) == pytest.approx(1.0)
+
+
+def test_shifted_steps_keep_the_start_when_mu_would_rise_or_shift_is_singular():
+    p = diag_pencil()
+    u0 = np.array([1.0, 0.1])
+    # a shift nearer lambda2 = 2 amplifies the wrong component
+    assert np.array_equal(shifted_inverse_steps(p, u0, 1.9), p.normalized(u0))
+    # K - 1*M is singular
+    assert np.array_equal(shifted_inverse_steps(p, u0, 1.0), p.normalized(u0))
 
 
 def test_from_stiffness_shifts_correctly(level0):

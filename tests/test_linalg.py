@@ -100,6 +100,30 @@ def test_refinement_recovers_a_bad_first_solve():
     assert r <= lin.SOLVE_RTOL * (F.norm * np.linalg.norm(x) + np.linalg.norm(b))
 
 
+class _SolveOnly:
+    """A SuperLU stand-in that exposes nothing but ``solve``."""
+
+    def __init__(self, lu):
+        self.solve = lu.solve
+
+
+@pytest.mark.parametrize("complex_matrix", [False, True])
+@pytest.mark.parametrize("complex_rhs", [False, True])
+def test_solve_uses_nothing_of_the_factors_but_solve(complex_matrix, complex_rhs):
+    # reading lu.L or lu.U makes scipy copy both factors; a solve must not
+    A = random_hpd(20, seed=7, complex_=complex_matrix)
+    rng = np.random.default_rng(8)
+    b = rng.standard_normal(20)
+    if complex_rhs:
+        b = b + 1j * rng.standard_normal(20)
+    expected = lin.factorize(A).solve(b)
+    F = lin.factorize(A)
+    F.lu = _SolveOnly(F.lu)
+    x = F.solve(b)
+    assert x.dtype == expected.dtype
+    assert np.array_equal(x, expected)
+
+
 def test_singular_matrix_reported():
     A = sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularMatrixError):
