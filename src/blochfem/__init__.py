@@ -2,10 +2,11 @@
 
 Modules
 -------
-mesh        periodic quad meshes, refinement, prolongation
-assembly    Bloch-shifted stiffness and weighted mass matrices (TM / TE)
-linalg      Hermitian sparse wrappers, factorization, Rayleigh quotients,
-            dual-norm residuals
+mesh        periodic quad meshes, prolongation
+assembly    Bloch-shifted stiffness and weighted mass matrices (TM / TE);
+            checks the Hermiticity of its region pieces once per build
+linalg      wrapper for matrices Hermitian by construction (unchecked),
+            factorization, Rayleigh quotients, dual-norm residuals
 dispersion  permittivity models and their rational-function realizations
 eigeniter   inverse power iteration (with/without Rayleigh scaling), Arnoldi
 companion   linearized extended eigenproblem for rational permittivities

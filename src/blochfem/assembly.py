@@ -19,11 +19,16 @@ combination of region-restricted pieces (chi_1- and chi_2-weighted), which
 are assembled once per mesh with the material indicator evaluated at
 quadrature points: 3x3 Gauss per cell, upgraded to 4x4 on interface-cut
 cells (cells whose corners disagree on classification).
+
+Quadrature rounding can make only the stiffness and mass pieces
+non-Hermitian, so they are checked once, when they are built; everything
+combined from them is Hermitian by construction and not checked again.
 """
 
 import numpy as np
 from scipy import sparse
 
+from .errors import HermitianViolationError
 from .linalg import HermitianSparse
 from .mesh import DISK
 from .q2 import tensor_rule
@@ -33,11 +38,15 @@ __all__ = [
     "assemble_tm",
     "assemble_te",
     "weighted_mass",
+    "max_asymmetry",
 ]
 
 #: quadrature orders: plain cells / interface-cut cells
 QUAD_PLAIN = 3
 QUAD_CUT = 4
+
+#: relative entrywise tolerance for the Hermiticity check of the pieces
+HERMITIAN_RTOL = 1e-13
 
 
 class AssembledForms:
@@ -65,6 +74,25 @@ def _scatter(mesh, cells_idx, el):
     cols = np.repeat(dofs[:, None, :], 9, axis=1).ravel()
     n = mesh.dof_count
     return sparse.coo_matrix((el.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def max_asymmetry(A):
+    """max |A - A^H| over the entries of a sparse matrix."""
+    diff = A - A.getH()
+    return np.abs(diff.data).max() if diff.nnz else 0.0
+
+
+def _check_hermitian(pieces):
+    """Raise HermitianViolationError unless every piece is Hermitian to
+    HERMITIAN_RTOL relative to its largest entry."""
+    for A in pieces:
+        scale = np.abs(A.data).max() if A.nnz else 0.0
+        worst = max_asymmetry(A)
+        if scale > 0 and worst > HERMITIAN_RTOL * scale:
+            raise HermitianViolationError(
+                "region piece violates symmetry: "
+                "max|A - A^H| = %.3e vs max|A| = %.3e" % (worst, scale)
+            )
 
 
 class _RegionPieces:
@@ -107,6 +135,7 @@ class _RegionPieces:
         self.M = tuple(acc["M"])
         self.Cx = tuple(acc["Cx"])
         self.Cy = tuple(acc["Cy"])
+        _check_hermitian(self.K + self.M)
 
 
 _PIECES_CACHE = {}

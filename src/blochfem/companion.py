@@ -37,7 +37,7 @@ from . import dispersion
 from .assembly import assemble_tm, weighted_mass
 from .errors import ShiftBoundError
 from .eigeniter import Pencil, inverse_power_rq
-from .linalg import DualNorm, Factorization, HermitianSparse
+from .linalg import DualNorm, Factorization, HermitianSparse, _as_csr
 
 __all__ = [
     "XSpace",
@@ -75,7 +75,7 @@ class XSpace:
 
 
 def build_xspace(M2):
-    mat = M2.mat if isinstance(M2, HermitianSparse) else sparse.csr_matrix(M2)
+    mat = _as_csr(M2)
     diag = mat.diagonal().real
     xdofs = np.flatnonzero(diag > 0.0)
     R = mat.tocsc()[:, xdofs].tocsr()
@@ -177,7 +177,7 @@ class EliminatedPencil(Pencil):
                 + weight * cs.forms.M2.mat
                 + cs.beta * cs.M_alpha.mat
             ).tocsr()
-            self._schur = Factorization(HermitianSparse(S))
+            self._schur = Factorization(S)
         return self._schur
 
     def step(self, q):

@@ -1,6 +1,6 @@
 """Frequency-dependent permittivity models and their rational realization.
 
-Four model variants cover the material laws we solve with:
+Three model variants cover the material laws we solve with:
 
 * :class:`Constant` -- dispersion-free, eps(omega) = c.
 * :class:`SimplifiedDL` -- lossless Drude-Lorentz sum
@@ -10,15 +10,10 @@ Four model variants cover the material laws we solve with:
 * :class:`RealDL` -- real part of the damped Drude-Lorentz sum,
   ``alpha + sum_l xi2_l (eta2_l - omega^2) / ((eta2_l - omega^2)^2
   + gamma_l^2 omega^2)``.
-* :class:`RealCP` -- real part of the critical-points model, evaluated
-  through its closed real form (per complex pole pair (A, B)) rather than
-  by summing the complex partial fractions, which would cancel
-  catastrophically near resonances.
 
 Every variant is even in omega.  We hard-wire that by evaluating all models
 in the variable ``lam = omega**2``; ``eval(model, -w) == eval(model, w)``
-holds bitwise, not just to roundoff.  Derivatives in omega come from the
-chain rule d/domega = 2*omega * d/dlam.
+holds bitwise, not just to roundoff.  Derivatives are taken in lam too.
 
 Evaluation is refused within a small relative guard of any real pole
 (``NearPoleError``) instead of letting values silently blow up.
@@ -35,16 +30,13 @@ __all__ = [
     "Constant",
     "SimplifiedDL",
     "RealDL",
-    "RealCP",
     "Realization",
     "POLE_GUARD",
     "eval",
     "eval_dlambda",
-    "eval_domega",
     "real_poles",
     "realize",
     "transfer",
-    "lambda_weight",
 ]
 
 # Relative half-width of the exclusion window around each real pole,
@@ -148,34 +140,6 @@ class RealDL:
 
 
 @dataclass(frozen=True)
-class RealCP:
-    """Real part of the critical-points model, one complex pair (A, B) per pole.
-
-    Evaluated per pair through the closed real form
-
-        N/D with N = 2*(lam - |B|^2)*Re(A conj(B)) - 4*lam*Im(A)*Im(B),
-                 D = (lam - |B|^2)^2 + 4*lam*Im(B)^2,
-
-    added to the vacuum constant 1.  A pair only has a real pole when
-    Im(B) == 0 (then lam = |B|^2 makes D vanish).
-    """
-
-    pairs: tuple = ()
-
-    def __post_init__(self):
-        pairs = []
-        for p in self.pairs:
-            a, b = p
-            a = complex(a)
-            b = complex(b)
-            if not (np.isfinite(a.real) and np.isfinite(a.imag)
-                    and np.isfinite(b.real) and np.isfinite(b.imag)):
-                raise ValueError(f"non-finite pole pair {p!r}")
-            pairs.append((a, b))
-        object.__setattr__(self, "pairs", tuple(pairs))
-
-
-@dataclass(frozen=True)
 class Realization:
     """Diagonal state-space realization of the strictly proper part of
     lam * eps(lam) for a :class:`SimplifiedDL` model.
@@ -215,8 +179,6 @@ def real_poles(model):
         poles = [t.eta2 for t in model.terms]
     elif isinstance(model, RealDL):
         poles = [t.eta2 for t in model.terms if t.gamma == 0.0]
-    elif isinstance(model, RealCP):
-        poles = [abs(b) ** 2 for (_, b) in model.pairs if b.imag == 0.0]
     else:
         raise TypeError(f"not a dispersion model: {type(model).__name__}")
     return np.sort(np.asarray(poles, dtype=float))
@@ -255,14 +217,6 @@ def _eval_lam(model, lam):
             else:
                 acc += t.xi2 * s / (s * s + t.gamma * t.gamma * lam)
         return acc
-    if isinstance(model, RealCP):
-        acc = 1.0
-        for a, b in model.pairs:
-            m = lam - abs(b) ** 2
-            num = 2.0 * m * (a * b.conjugate()).real - 4.0 * lam * a.imag * b.imag
-            den = m * m + 4.0 * lam * b.imag ** 2
-            acc += num / den
-        return acc
     raise TypeError(f"not a dispersion model: {type(model).__name__}")
 
 
@@ -286,19 +240,6 @@ def _dlam(model, lam):
             # d/dlam [xi2*s/den]; the numerator collapses to s^2 - gamma^2*eta2
             acc += t.xi2 * (s * s - t.gamma * t.gamma * t.eta2) / (den * den)
         return acc
-    if isinstance(model, RealCP):
-        acc = 0.0
-        for a, b in model.pairs:
-            p = (a * b.conjugate()).real
-            q = a.imag * b.imag
-            r = b.imag ** 2
-            m = lam - abs(b) ** 2
-            num = 2.0 * m * p - 4.0 * lam * q
-            den = m * m + 4.0 * lam * r
-            dnum = 2.0 * p - 4.0 * q
-            dden = 2.0 * m + 4.0 * r
-            acc += (dnum * den - num * dden) / (den * den)
-        return acc
     raise TypeError(f"not a dispersion model: {type(model).__name__}")
 
 
@@ -314,14 +255,6 @@ def eval_dlambda(model, lam):
     lam = float(lam)
     _guard_poles(model, lam)
     return _dlam(model, lam)
-
-
-def eval_domega(model, omega):
-    """d eps / d omega, analytically (chain rule through lam = omega^2)."""
-    omega = float(omega)
-    lam = omega ** 2
-    _guard_poles(model, lam)
-    return 2.0 * omega * _dlam(model, lam)
 
 
 def eval_lambda(model, lam):
@@ -367,50 +300,3 @@ def transfer(realization, lam):
                 f"guard window of the pole at {p!r}"
             )
     return float(np.sum(realization.b ** 2 / (realization.A - lam)))
-
-
-# ---------------------------------------------------------------------------
-# the lam-weight split used by the companion system
-
-
-@dataclass(frozen=True)
-class LambdaWeight:
-    """lam * eps(lam) for a SimplifiedDL model, split as affine + strictly proper.
-
-    value  = affine + proper
-    affine = lam * alpha2 - Xi
-    proper = sum xi2_l eta2_l / (eta2_l - lam)
-    """
-
-    value: float
-    affine: float
-    proper: float
-
-
-def lambda_weight(model, lam):
-    """Split lam*eps(lam) into its affine and strictly proper parts.
-
-    Cross-checks the split against the direct product lam * eps(lam) to
-    1e-12 relative (with an absolute floor of 1 for the near-cancellation
-    case lam -> 0, where the two routes agree only to roundoff of the
-    individual pieces) and raises ArithmeticError on disagreement --
-    a failure here means the model parameters were mangled somewhere.
-    """
-    if not isinstance(model, SimplifiedDL):
-        raise TypeError(
-            f"lambda_weight needs the lossless variant, got {type(model).__name__}"
-        )
-    lam = float(lam)
-    _guard_poles(model, lam)
-    Xi = sum(t.xi2 for t in model.terms)
-    affine = lam * model.alpha2 - Xi
-    proper = sum(t.xi2 * t.eta2 / (t.eta2 - lam) for t in model.terms)
-    value = affine + proper
-    direct = lam * _eval_lam(model, lam)
-    scale = max(1.0, abs(value), abs(direct))
-    if abs(value - direct) > 1e-12 * scale:
-        raise ArithmeticError(
-            f"lam*eps split disagrees with direct evaluation at lam={lam!r}: "
-            f"{value!r} vs {direct!r}"
-        )
-    return LambdaWeight(value=value, affine=affine, proper=proper)

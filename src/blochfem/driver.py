@@ -131,6 +131,10 @@ class RunConfig:
                 % (self.alpha1, self.model.c)
             )
         if self.experiment == "dl_linearized":
+            if not isinstance(self.model, dispersion.SimplifiedDL):
+                raise ValueError(
+                    "experiment 'dl_linearized' needs a simplified_dl model"
+                )
             # the companion shift bound depends on the model: check it now
             # rather than after the level-0 assembly
             bound = shift_lower_bound(self.model)

@@ -54,27 +54,22 @@ SHIFT_STEPS = 4
 SHIFT_STALL = 1e-13
 
 
-def _as_hermitian(A):
-    if isinstance(A, HermitianSparse):
-        return A
-    return HermitianSparse(A)
-
-
 class Pencil:
     """Shifted positive definite pencil (A_beta, M_w) with cached solvers.
 
     The factorization of A_beta and the dual-norm factorization of
     K + M_w = A_beta + (1-beta) M_w are built lazily and reused for every
     step. For beta == 1 the two matrices coincide bitwise, so one
-    factorization serves both purposes.
+    factorization serves both purposes. A_beta and M_w are
+    :class:`HermitianSparse`, Hermitian by construction.
     """
 
     def __init__(self, A_beta, M_w, beta):
         beta = float(beta)
         if not (beta >= 0.0 and np.isfinite(beta)):
             raise ValueError(f"shift beta must be finite and >= 0, got {beta}")
-        self.A_beta = _as_hermitian(A_beta)
-        self.M_w = _as_hermitian(M_w)
+        self.A_beta = A_beta
+        self.M_w = M_w
         if self.A_beta.n != self.M_w.n:
             raise ValueError("pencil matrices differ in size")
         self.beta = beta
@@ -84,8 +79,6 @@ class Pencil:
     @classmethod
     def from_stiffness(cls, K, M_w, beta):
         """Build (K + beta*M_w, M_w) from the unshifted stiffness."""
-        K = _as_hermitian(K)
-        M_w = _as_hermitian(M_w)
         shifted = (K.mat + float(beta) * M_w.mat).tocsr()
         return cls(HermitianSparse(shifted), M_w, beta)
 

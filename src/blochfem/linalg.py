@@ -3,7 +3,9 @@
 All heavy lifting is delegated to scipy.sparse / SuperLU; this module pins
 the contracts the eigensolvers rely on:
 
-* construction-time Hermiticity validation (hard error, not a warning),
+* a thin CSR wrapper for matrices that are Hermitian by construction (the
+  check is made once per region-piece build, in
+  ``assembly._RegionPieces``),
 * reusable factorizations with an explicit singularity signal and a
   1e-10 backward-error guarantee (one step of iterative refinement),
 * real Rayleigh quotients with an imaginary-residue diagnostics counter,
@@ -15,21 +17,17 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .errors import HermitianViolationError, SingularMatrixError
+from .errors import SingularMatrixError
 
 __all__ = [
     "HermitianSparse",
     "Factorization",
-    "factorize",
     "rayleigh_quotient",
     "DualNorm",
     "imag_residue_warnings",
     "reset_imag_residue_warnings",
     "is_positive_definite",
 ]
-
-#: relative entrywise tolerance for the Hermiticity check
-HERMITIAN_RTOL = 1e-13
 
 #: backward-error target for solves
 SOLVE_RTOL = 1e-10
@@ -55,58 +53,23 @@ def _bump_imag_warnings():
 
 
 class HermitianSparse:
-    """A square sparse matrix with an optional validated Hermitian flag.
+    """A CSR matrix that is Hermitian by construction, as ``.mat``.
 
-    The underlying scipy CSR matrix is exposed as ``.mat``; the wrapper only
-    adds the validation contract and a few conveniences. Real symmetric
-    matrices are fine (Hermitian with zero imaginary part) and keep their
-    real dtype.
+    Nothing is checked here. The region pieces every matrix is built from
+    are checked once when they are assembled; real-weighted sums of them,
+    the exactly Hermitian Bloch cross term and literal conjugate-transpose
+    blocks stay Hermitian. Real symmetric matrices keep their real dtype.
     """
 
-    def __init__(self, mat, hermitian=True):
-        mat = sparse.csr_matrix(mat)
-        if mat.shape[0] != mat.shape[1]:
-            raise ValueError("matrix must be square, got %r" % (mat.shape,))
-        self.mat = mat
-        self.n = mat.shape[0]
-        self.hermitian = bool(hermitian)
-        if self.hermitian:
-            self._validate_hermitian()
-
-    def _validate_hermitian(self):
-        diff = self.mat - self.mat.getH()
-        scale = np.abs(self.mat.data).max() if self.mat.nnz else 0.0
-        worst = np.abs(diff.data).max() if diff.nnz else 0.0
-        if scale > 0 and worst > HERMITIAN_RTOL * scale:
-            raise HermitianViolationError(
-                "matrix flagged hermitian violates symmetry: "
-                "max|A - A^H| = %.3e vs max|A| = %.3e" % (worst, scale)
-            )
-
-    @property
-    def shape(self):
-        return self.mat.shape
-
-    @property
-    def dtype(self):
-        return self.mat.dtype
-
-    def dot(self, x):
-        return self.mat @ x
+    def __init__(self, mat):
+        self.mat = sparse.csr_matrix(mat)
+        self.n = self.mat.shape[0]
 
     def __matmul__(self, x):
         return self.mat @ x
 
     def toarray(self):
         return self.mat.toarray()
-
-    def __repr__(self):
-        return "HermitianSparse(n=%d, nnz=%d, dtype=%s, hermitian=%s)" % (
-            self.n,
-            self.mat.nnz,
-            self.mat.dtype,
-            self.hermitian,
-        )
 
 
 def _as_csr(A):
@@ -182,11 +145,6 @@ class Factorization:
             x = x + self._raw_solve(r)
             self.refinements += 1
         return x
-
-
-def factorize(A):
-    """Factorize a (Hermitian or general) sparse matrix for repeated solves."""
-    return Factorization(A)
 
 
 def rayleigh_quotient(u, A, B):

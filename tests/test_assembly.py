@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scipy import sparse
+
 from blochfem import assembly as asm, mesh as msh
+from blochfem.eigeniter import Pencil
+from blochfem.errors import HermitianViolationError
 from blochfem.linalg import rayleigh_quotient
 
 K_GENERIC = (np.pi / 2, np.pi)
@@ -36,6 +40,42 @@ def test_stiffness_is_hermitian(level1):
     K = forms.K.mat
     diff = np.abs((K - K.getH()).data)
     assert (diff.max() if diff.size else 0.0) <= 1e-13 * np.abs(K.data).max()
+
+
+def test_hermitian_validation_rejects_asymmetry(monkeypatch):
+    A = sparse.csr_matrix(np.array([[1.0, 2.0], [0.5, 1.0]]))
+    with pytest.raises(HermitianViolationError, match="symmetry"):
+        asm._check_hermitian((A,))
+    asm._check_hermitian((A + A.T,))
+
+    # a piece that comes out of quadrature asymmetric is refused when built
+    scatter = asm._scatter
+
+    def skewed(mesh, cells_idx, el):
+        el = el.copy()
+        el[:, 0, 1] += 1e-6 * np.abs(el).max()
+        return scatter(mesh, cells_idx, el)
+
+    monkeypatch.setattr(asm, "_scatter", skewed)
+    with pytest.raises(HermitianViolationError, match="symmetry"):
+        asm._RegionPieces(msh.build_mesh(0), msh.DISK)
+
+
+def test_pieces_are_checked_once_per_build(monkeypatch):
+    calls = []
+    check = asm._check_hermitian
+    monkeypatch.setattr(asm, "_check_hermitian", lambda p: calls.append(p) or check(p))
+    monkeypatch.setattr(asm, "_PIECES_CACHE", {})
+    mesh = msh.build_mesh(1)
+    asm.assemble_tm(mesh, K_GENERIC)
+    assert len(calls) == 1
+    # K and M of both regions
+    assert len(calls[0]) == 4
+    forms = asm.assemble_tm(mesh, (0.3, -1.1))
+    Mw = asm.weighted_mass(mesh, 1.0, 8.0, forms=forms)
+    asm.weighted_mass(mesh, 2.0, 3.0)
+    Pencil.from_stiffness(forms.K, Mw, beta=1.0)
+    assert len(calls) == 1
 
 
 def test_mass_splits_exactly(level1):

@@ -143,3 +143,15 @@ def test_run_with_reference_runs_the_schedule_once(tmp_path, monkeypatch):
     for row in rows:
         mu, rel_err = float(row[3]), float(row[5])
         assert rel_err == pytest.approx(abs(mu - mu_ref) / mu_ref, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("model", [
+    "kind = constant\neps2 = 8.0\n",
+    "kind = real_dl\nalpha = 1.143\nxi2 = 416.6166\neta2 = 92.1086\ngamma = 2.782\n",
+])
+def test_linearized_needs_the_simplified_model(tmp_path, capsys, model):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nexperiment = dl_linearized\nmax_level = 0\n\n[model]\n" + model)
+    assert main(["run", "--config", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert err == "blochfem: bad configuration: experiment 'dl_linearized' needs a simplified_dl model\n"

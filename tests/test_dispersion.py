@@ -35,15 +35,10 @@ def silver():
     )
 
 
-def critical_points():
-    return dp.RealCP(pairs=((1.5 + 2.0j, 3.0 + 4.0j), (-0.7 + 0.1j, 1.0 + 0.5j)))
-
-
 ALL_MODELS = [
     pytest.param(dp.Constant(8.0), id="constant"),
     pytest.param(two_oscillator(), id="lossless-dl"),
     pytest.param(silver(), id="damped-dl"),
-    pytest.param(critical_points(), id="critical-points"),
 ]
 
 
@@ -63,7 +58,7 @@ def test_constant_is_constant():
     m = dp.Constant(8.0)
     for w in (0.0, 1.0, -3.7, 100.0):
         assert dp.eval(m, w) == 8.0
-        assert dp.eval_domega(m, w) == 0.0
+        assert dp.eval_dlambda(m, w * w) == 0.0
 
 
 def test_two_oscillator_static_value():
@@ -73,9 +68,9 @@ def test_two_oscillator_static_value():
 
 
 def test_single_term_derivative_hand_value():
-    # d/domega [1/(4 - omega^2)] at omega=1 is 2*1/(4-1)^2 = 2/9
+    # d/dlam [1/(4 - lam)] at lam=1 is 1/(4-1)^2 = 1/9
     m = dp.SimplifiedDL(alpha2=1.0, terms=(dp.LorentzTerm(xi2=1.0, eta2=4.0),))
-    assert dp.eval_domega(m, 1.0) == pytest.approx(2.0 / 9.0, rel=1e-14)
+    assert dp.eval_dlambda(m, 1.0) == pytest.approx(1.0 / 9.0, rel=1e-14)
 
 
 def test_realization_frozen_values():
@@ -133,22 +128,14 @@ def test_derivative_matches_finite_differences(model):
     h = 1e-6
     checked = 0
     while checked < 50:
-        w = rng.uniform(0.3, 12.0)
+        lam = rng.uniform(0.3, 12.0) ** 2
         try:
-            an = dp.eval_domega(model, w)
-            fd = (dp.eval(model, w + h) - dp.eval(model, w - h)) / (2 * h)
+            an = dp.eval_dlambda(model, lam)
+            fd = (dp.eval_lambda(model, lam + h) - dp.eval_lambda(model, lam - h)) / (2 * h)
         except NearPoleError:
             continue
         assert abs(an - fd) <= 1e-6 * (1.0 + abs(an))
         checked += 1
-
-
-def test_eval_dlambda_chain_rule():
-    m = two_oscillator()
-    w = 2.3
-    assert dp.eval_domega(m, w) == pytest.approx(
-        2.0 * w * dp.eval_dlambda(m, w * w), rel=1e-14
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +172,8 @@ def test_gamma_zero_reduction_is_exact():
         try:
             a = dp.eval(damped, w)
             b = dp.eval(lossless, w)
-            da = dp.eval_domega(damped, w)
-            db = dp.eval_domega(lossless, w)
+            da = dp.eval_dlambda(damped, w * w)
+            db = dp.eval_dlambda(lossless, w * w)
         except NearPoleError:
             continue
         assert a == b
@@ -211,20 +198,14 @@ def test_pole_set_damped_only_counts_undamped_terms():
     assert np.allclose(dp.real_poles(m), [9.0])
 
 
-def test_pole_set_critical_points():
-    # only a real B gives a real pole, at lam = |B|^2
-    m = dp.RealCP(pairs=((1.0 + 1.0j, 2.0 + 0.0j), (1.0 + 0.5j, 3.0 + 4.0j)))
-    assert np.allclose(dp.real_poles(m), [4.0])
-
-
 def test_guard_triggers_at_pole():
     m = two_oscillator()
     with pytest.raises(NearPoleError):
         dp.eval(m, np.sqrt(55.2698))
     with pytest.raises(NearPoleError):
-        dp.eval_domega(m, np.sqrt(63.1655))
+        dp.eval_dlambda(m, 63.1655)
     with pytest.raises(NearPoleError):
-        dp.lambda_weight(m, 55.2698)
+        dp.eval_lambda(m, 55.2698)
     with pytest.raises(NearPoleError):
         dp.transfer(dp.realize(m), 63.1655 * (1.0 + 1e-10))
 
@@ -237,41 +218,6 @@ def test_divergence_is_monotone_up_to_the_guard():
     vals = [dp.eval_lambda(m, lam) for lam in lams]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert np.isfinite(vals[-1])
-
-
-# ---------------------------------------------------------------------------
-# the affine + strictly-proper split of lam * eps(lam)
-
-
-def test_lambda_weight_at_zero():
-    w = dp.lambda_weight(two_oscillator(), 0.0)
-    Xi = dp.realize(two_oscillator()).Xi
-    assert w.affine == pytest.approx(-Xi, rel=1e-14)
-    assert w.proper == pytest.approx(Xi, rel=1e-13)
-    assert abs(w.value) < 1e-10
-
-
-def test_lambda_weight_agrees_with_direct_product():
-    m = two_oscillator()
-    for lam in (10.0, 0.5, -3.0, 40.0):
-        w = dp.lambda_weight(m, lam)
-        direct = lam * dp.eval_lambda(m, lam)
-        assert w.value == pytest.approx(direct, rel=1e-12, abs=1e-12)
-        assert w.value == pytest.approx(w.affine + w.proper, rel=1e-14)
-
-
-def test_lambda_weight_single_term_hand_value():
-    # xi2 = eta2 = 1, lam = 1/2: lam*eps = alpha2/2 + 1 either way
-    m = dp.SimplifiedDL(alpha2=3.0, terms=(dp.LorentzTerm(xi2=1.0, eta2=1.0),))
-    w = dp.lambda_weight(m, 0.5)
-    assert w.value == pytest.approx(0.5 * 3.0 + 1.0, rel=1e-14)
-    assert w.affine == pytest.approx(0.5 * 3.0 - 1.0, rel=1e-14)
-    assert w.proper == pytest.approx(2.0, rel=1e-14)
-
-
-def test_lambda_weight_rejects_other_variants():
-    with pytest.raises(TypeError):
-        dp.lambda_weight(dp.Constant(8.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
