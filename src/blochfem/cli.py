@@ -42,7 +42,7 @@ def build_parser():
     def common(p):
         p.add_argument("--config", required=True, help="INI run configuration")
         p.add_argument("--out", help="output CSV path (overrides the config)")
-        p.add_argument("--seed", type=int, help="seed override (u64)")
+        p.add_argument("--seed", type=int, help="seed override (accepted; no solver uses it)")
         p.add_argument("--threads", type=int, help="BLAS/OpenMP thread count")
 
     p_run = sub.add_parser("run", help="run one experiment schedule")

@@ -33,6 +33,7 @@ __all__ = [
     "Realization",
     "POLE_GUARD",
     "eval",
+    "eval_lambda",
     "eval_dlambda",
     "real_poles",
     "realize",

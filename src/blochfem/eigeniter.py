@@ -137,6 +137,22 @@ def default_start(n, seed=None):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+def _stop_at_floor(res, history, tol, trace):
+    """Raise NonConvergenceError once ``res`` sits on the rounding floor.
+
+    ``history`` holds the residuals of the steps before this one. The floor
+    is reached when ``res`` is within :data:`FLOOR_FACTOR` of ``tol`` and
+    above half the residual :data:`FLOOR_STEPS` steps earlier.
+    """
+    if (res <= FLOOR_FACTOR * tol and len(history) >= FLOOR_STEPS
+            and res > 0.5 * history[-FLOOR_STEPS]):
+        raise NonConvergenceError(
+            f"dual residual stalled at {res:.3g}, within {FLOOR_FACTOR:g}x "
+            f"of {tol:g}, and has not halved in {FLOOR_STEPS} steps",
+            trace=trace,
+        )
+
+
 def _power_loop(pencil, u0, steps, tol, scale_by_mu, mesh_level, trace,
                 max_steps, residual_fn=None):
     if residual_fn is None:
@@ -178,14 +194,8 @@ def _power_loop(pencil, u0, steps, tol, scale_by_mu, mesh_level, trace,
         if tol is not None and res <= tol:
             converged = True
             break
-        if (steps is None and res <= FLOOR_FACTOR * tol
-                and len(history) >= FLOOR_STEPS
-                and res > 0.5 * history[-FLOOR_STEPS]):
-            raise NonConvergenceError(
-                f"dual residual stalled at {res:.3g}, within {FLOOR_FACTOR:g}x "
-                f"of {tol:g}, and has not halved in {FLOOR_STEPS} steps",
-                trace=trace,
-            )
+        if steps is None:
+            _stop_at_floor(res, history, tol, trace)
         history.append(res)
     if not converged and steps is None:
         raise NonConvergenceError(

@@ -1,22 +1,37 @@
-"""Bordered Newton iteration for the dispersive nonlinear eigenproblem.
+"""Newton-type iterations for the dispersive nonlinear eigenproblem.
 
 The unknown pair is (u, lam) with lam = omega^2: every supported
 permittivity is even in omega, so the problem is rational in lam and the
 omega <-> -omega sign ambiguity never enters. The residual map is
 
-    T(lam) u = [K - lam*(alpha1*M1 + eps2(lam)*M2)] u,
+    T(lam) u = [K - lam*(alpha1*M1 + eps2(lam)*M2)] u.
 
-closed by the normalization P_y u = y^H M u = 1 against a fixed vector y
-(M is the plain, unweighted mass). One Newton step solves the bordered
-Hermitian-plus-border system
+Two iterations solve T(lam) u = 0:
 
-    [[T(lam), dT(lam) u], [y^H M, 0]] (s, nu) = (-T(lam) u, 0)
+* **Bordered Newton** (:func:`newton_step`, :func:`newton_solve`), closed by
+  the normalization P_y u = y^H M u = 1 against a vector y (M is the plain,
+  unweighted mass). :func:`newton_solve` takes y to be the
+  mass-normalized iterate each step starts from; the level-0 leg of a
+  schedule and the hand-over from residual inverse iteration keep y fixed
+  at their mass-normalized start. One step solves the bordered
+  Hermitian-plus-border system
 
-as a single sparse (n+1) x (n+1) factorization -- T(lam) itself turns
-singular at convergence, so eliminating through it is exactly the wrong
-move, while the bordered matrix stays well conditioned. The constraint row
-forces y^H M s = 0, so the normalization survives every update; an explicit
-renormalization after each step removes roundoff drift.
+      [[T(lam), dT(lam) u], [y^H M, 0]] (s, nu) = (-T(lam) u, 0)
+
+  as a single sparse (n+1) x (n+1) factorization -- T(lam) itself turns
+  singular at convergence, so eliminating through it is exactly the wrong
+  move, while the bordered matrix stays well conditioned. The constraint
+  row forces y^H M s = 0, so the normalization survives every update; an
+  explicit renormalization after each step removes roundoff drift. It
+  converges quadratically from a good enough start and pays one
+  factorization per step.
+* **Residual inverse iteration** (:func:`residual_inverse_iteration`;
+  Neumaier, SIAM J. Numer. Anal. 22(5), 1985) for a start that comes with
+  a good shift sigma, such as a coarse mesh's eigenpair. T(sigma) is
+  factored once; each step takes lam from the scalar Rayleigh functional
+  u^H T(lam) u = 0 and updates u <- u - T(sigma)^{-1} T(lam) u, converging
+  linearly at a rate proportional to |lam - sigma|. Once it stops gaining
+  it hands its iterate to bordered Newton.
 """
 
 import math
@@ -28,7 +43,7 @@ import scipy.sparse as sparse
 
 from . import dispersion
 from .assembly import assemble_tm, weighted_mass
-from .eigeniter import Pencil, inverse_power_rq
+from .eigeniter import Pencil, _stop_at_floor, inverse_power_rq
 from .errors import NonConvergenceError, SingularMatrixError
 from .linalg import DualNorm, Factorization, HermitianSparse, rayleigh_quotient
 from .trace import IterationTrace
@@ -38,9 +53,22 @@ __all__ = [
     "NewtonState",
     "newton_step",
     "newton_solve",
+    "rayleigh_functional",
+    "residual_inverse_iteration",
     "warm_start",
     "decay_exponent",
 ]
+
+
+# rayleigh_functional stops once its scalar Newton step is at most
+# FUNCTIONAL_RTOL relative, and gives up after FUNCTIONAL_MAXIT steps
+FUNCTIONAL_RTOL = 1e-14
+FUNCTIONAL_MAXIT = 50
+
+# residual_inverse_iteration hands over to bordered Newton once its residual
+# has fallen by less than STALL_DROP over the last STALL_STEPS steps
+STALL_DROP = 10.0
+STALL_STEPS = 2
 
 
 @dataclass
@@ -117,6 +145,12 @@ class NewtonState:
     lam: float
     y: np.ndarray
 
+    @classmethod
+    def normalized(cls, pencil, u, lam):
+        """(u, lam) with u mass-normalized and y = u, so that P_y u = 1."""
+        u = _mass_normalized(pencil, u)
+        return cls(u=u, lam=lam, y=u)
+
     @property
     def omega(self):
         if self.lam < 0.0:
@@ -124,11 +158,11 @@ class NewtonState:
         return math.sqrt(self.lam)
 
 
-def _normalized_against(u, my, what="start vector"):
+def _normalized_against(u, my):
     pyu = np.vdot(my, u)
     if abs(pyu) < 1e-300:
         raise ValueError(
-            f"{what} is orthogonal to the normalization functional; "
+            "updated field is orthogonal to the normalization functional; "
             "pick a different y"
         )
     return u / pyu
@@ -161,43 +195,58 @@ def newton_step(pencil, state):
     u = state.u + sol[:n]
     # nu is real up to roundoff (Hermitian T, real lam); keep lam real
     lam = state.lam + sol[n].real
-    u = _normalized_against(u, my, what="updated field")
+    u = _normalized_against(u, my)
     return NewtonState(u=u, lam=lam, y=state.y)
 
 
-def newton_solve(pencil, u0, omega0, y, tol=1e-13, maxit=30, mesh_level=0,
+def newton_solve(pencil, u0, omega0, *, tol=1e-13, maxit=30, mesh_level=0,
                  trace=None):
     """Newton iteration from (u0, omega0) until the dual residual reaches tol.
 
-    The start is rescaled to P_y u0 = 1. The trace records the residual of
-    the *start* as its first row, then one row per Newton step, so decay
+    Every step is normalized against the iterate it starts from: that
+    iterate is mass-normalized and taken as y, so the update is
+    M-orthogonal to it and the border follows the eigenvector even from a
+    start as far off as a warm start. The trace records the residual of the
+    *start* as its first row, then one row per Newton step, so decay
     diagnostics see the full history. Divergence (three consecutive residual
-    increases) and running out of iterations both raise NonConvergenceError
-    with the trace attached.
+    increases), a stall on the rounding floor (the residual within
+    :data:`~blochfem.eigeniter.FLOOR_FACTOR` of tol and not halved in
+    :data:`~blochfem.eigeniter.FLOOR_STEPS` steps) and running out of
+    iterations all raise NonConvergenceError with the trace attached.
 
-    Returns (u, omega, trace); u has P_y u = 1.
+    Returns (u, omega, trace); u has P_y u = 1 for y the iterate before it.
     """
     if trace is None:
         trace = IterationTrace()
-    y = np.asarray(y)
-    my = pencil.mass @ y
-    u = _normalized_against(np.asarray(u0, dtype=complex), my)
-    lam = float(omega0) ** 2
-    res = pencil.residual_dual(u, lam)
-    trace.record(mesh_level, pencil.n, lam, lam, res, 0.0)
-    if res <= tol:
-        return u, math.sqrt(lam), trace
+    state = NewtonState.normalized(pencil, np.asarray(u0, dtype=complex),
+                                   float(omega0) ** 2)
+    res = pencil.residual_dual(state.u, state.lam)
+    trace.record(mesh_level, pencil.n, state.lam, state.lam, res, 0.0)
+    if res > tol:
+        state = _newton_loop(pencil, state, res, tol, maxit, mesh_level, trace,
+                             rebase=True)
+    return state.u, state.omega, trace
 
-    state = NewtonState(u=u, lam=lam, y=y)
+
+def _newton_loop(pencil, state, res, tol, maxit, mesh_level, trace,
+                 rebase=False):
+    """Newton steps from ``state``, whose residual is ``res``, down to tol.
+
+    With ``rebase`` every step is normalized against the iterate it starts
+    from; otherwise against ``state.y`` throughout.
+    """
+    history = [res]
     worse = 0
     for _ in range(maxit):
         t0 = time.perf_counter()
+        if rebase:
+            state = NewtonState.normalized(pencil, state.u, state.lam)
         state = newton_step(pencil, state)
         new_res = pencil.residual_dual(state.u, state.lam)
         trace.record(mesh_level, pencil.n, state.lam, state.lam, new_res,
                      time.perf_counter() - t0)
         if new_res <= tol:
-            return state.u, state.omega, trace
+            return state
         worse = worse + 1 if new_res > res else 0
         if worse >= 3:
             raise NonConvergenceError(
@@ -205,11 +254,108 @@ def newton_solve(pencil, u0, omega0, y, tol=1e-13, maxit=30, mesh_level=0,
                 "the start is outside the attraction basin" % new_res,
                 trace=trace,
             )
+        _stop_at_floor(new_res, history, tol, trace)
+        history.append(new_res)
         res = new_res
     raise NonConvergenceError(
         f"Newton did not reach {tol:g} within {maxit} steps",
         trace=trace,
     )
+
+
+def rayleigh_functional(pencil, u, lam):
+    """The root of the scalar equation u^H T(lam) u = 0 next to ``lam``.
+
+    With a = u^H K u, b1 = u^H M1 u and b2 = u^H M2 u (real, the matrices
+    being Hermitian) the equation reads a = lam*(alpha1*b1 + eps2(lam)*b2);
+    scalar Newton from ``lam`` solves it. For a constant permittivity this
+    is the Rayleigh quotient. Raises NonConvergenceError if the scalar
+    iteration does not settle.
+    """
+    a = np.vdot(u, pencil.K @ u).real
+    b1 = pencil.alpha1 * np.vdot(u, pencil.M1 @ u).real
+    b2 = np.vdot(u, pencil.M2 @ u).real
+    lam = float(lam)
+    for _ in range(FUNCTIONAL_MAXIT):
+        eps2 = dispersion.eval_lambda(pencil.model, lam)
+        deps2 = dispersion.eval_dlambda(pencil.model, lam)
+        slope = b1 + (eps2 + lam * deps2) * b2
+        step = (lam * (b1 + eps2 * b2) - a) / slope
+        if not math.isfinite(step):
+            break
+        lam -= step
+        if abs(step) <= FUNCTIONAL_RTOL * abs(lam):
+            return lam
+    raise NonConvergenceError(
+        "Rayleigh functional found no root next to lam = %r" % lam
+    )
+
+
+def _mass_normalized(pencil, u):
+    nrm = math.sqrt(max(np.vdot(u, pencil.mass @ u).real, 0.0))
+    if not nrm > 0.0:
+        raise ValueError("cannot normalize a zero field")
+    return u / nrm
+
+
+def residual_inverse_iteration(pencil, u0, sigma, steps=None, tol=None,
+                               max_steps=None, mesh_level=0, trace=None):
+    """Residual inverse iteration from ``u0`` with the shift ``sigma``.
+
+    Factors T(sigma) once. Each step updates u <- u - T(sigma)^{-1} T(lam) u,
+    normalizes u in the plain mass and takes lam from
+    :func:`rayleigh_functional`; the start gets its lam the same way. Runs
+    ``steps`` steps, or iterates until the dual residual reaches ``tol``;
+    the tolerance run records the start's residual as its first row, as
+    :func:`newton_solve` does. Once the residual of a tolerance run has
+    fallen by less than STALL_DROP over STALL_STEPS steps, the factorization
+    is freed and bordered Newton, normalized against the iterate it is
+    handed, takes the rest of the ``max_steps`` budget. Running out of steps raises
+    NonConvergenceError with the trace attached.
+
+    Returns a :class:`NewtonState` with y = u (so P_y u = u^H M u = 1).
+    """
+    if trace is None:
+        trace = IterationTrace()
+    u = _mass_normalized(pencil, np.asarray(u0, dtype=complex))
+    lam = rayleigh_functional(pencil, u, sigma)
+    if tol is not None:
+        res = pencil.residual_dual(u, lam)
+        trace.record(mesh_level, pencil.n, lam, lam, res, 0.0)
+        if res <= tol:
+            return NewtonState(u=u, lam=lam, y=u)
+        history = [res]
+    # factored after the dual-norm LU, so that freeing it before a bordered
+    # LU leaves no hole below the dual-norm LU on the heap
+    fact = Factorization(pencil.T(sigma))
+    budget = steps if steps is not None else max_steps
+    for taken in range(1, budget + 1):
+        t0 = time.perf_counter()
+        u = _mass_normalized(pencil, u - fact.solve(pencil.T(lam) @ u))
+        lam = rayleigh_functional(pencil, u, lam)
+        res = pencil.residual_dual(u, lam)
+        trace.record(mesh_level, pencil.n, lam, lam, res,
+                     time.perf_counter() - t0)
+        if tol is None:
+            continue
+        if res <= tol:
+            return NewtonState(u=u, lam=lam, y=u)
+        history.append(res)
+        if (len(history) > STALL_STEPS
+                and res > history[-1 - STALL_STEPS] / STALL_DROP):
+            # free the shifted LU before the first bordered one
+            del fact
+            trace.note("residual inverse iteration stalled at %.3e after %d "
+                       "steps; bordered Newton from there" % (res, taken))
+            return _newton_loop(pencil, NewtonState(u=u, lam=lam, y=u), res,
+                                tol, max_steps - taken, mesh_level, trace)
+    if tol is not None:
+        raise NonConvergenceError(
+            f"residual inverse iteration did not reach {tol:g} within "
+            f"{max_steps} steps",
+            trace=trace,
+        )
+    return NewtonState(u=u, lam=lam, y=u)
 
 
 def warm_start(mesh, k, const_eps2=2.0, rq_steps=8, alpha1=1.0, forms=None):

@@ -6,7 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from blochfem import dispersion, driver
+from blochfem import dispersion, driver, linalg
 from blochfem.errors import NonConvergenceError
 from blochfem.trace import CSV_HEADER, IterationTrace
 
@@ -135,6 +135,43 @@ def test_newton_schedule_reaches_fine_tolerance():
     assert list(tr.levels()[:3]) == [0] * 3
     assert tr[-1].residual_dual <= 1e-12
     assert tr[-1].lam == pytest.approx(6.3080838, abs=1e-6)
+
+
+def test_refined_newton_levels_factor_once_plus_the_dual_norm(monkeypatch):
+    # L0 pays one bordered LU per step; each refined level one LU of
+    # T(sigma) and the dual-norm LU of K + M, and no bordered LU
+    sizes = []
+    real_init = linalg.Factorization.__init__
+
+    def counting_init(self, A):
+        real_init(self, A)
+        sizes.append(self.n)
+
+    monkeypatch.setattr(linalg.Factorization, "__init__", counting_init)
+    cfg = driver.RunConfig(
+        experiment="newton", model=silver(),
+        steps_per_mesh=3, max_level=2, tol=1e-12,
+    )
+    tr = driver.run_schedule(cfg)
+    assert tr[-1].residual_dual <= 1e-12
+    for n in (1024, 4096):
+        assert sizes.count(n) == 2
+        assert sizes.count(n + 1) == 0
+    assert sizes.count(257) == 3
+
+
+def test_newton_seed_does_not_pick_the_band():
+    # pool point 38 of the benchmark: normalized against a seeded random
+    # vector, seed 3 sent the first L0 step to 9.0 and the run to the
+    # lambda = 10.95 band
+    cfg = driver.RunConfig(
+        experiment="newton", model=silver(), kx=3.0557955062589977,
+        ky=1.9657217236799707, steps_per_mesh=3, max_level=3, tol=1e-12,
+        max_fine_steps=40, seed=3,
+    )
+    tr = driver.run_schedule(cfg)
+    assert tr[-1].lam == pytest.approx(6.8962117599558015, abs=1e-10)
+    assert tr[-1].residual_dual <= 1e-12
 
 
 # ---------------------------------------------------------------------------

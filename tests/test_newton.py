@@ -1,4 +1,5 @@
-"""Bordered Newton: scalar oracles, normalization, decay diagnostics."""
+"""Bordered Newton and residual inverse iteration: scalar oracles,
+normalization, agreement, failure policies, decay diagnostics."""
 
 import math
 
@@ -6,18 +7,20 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from blochfem import dispersion
+from blochfem import dispersion, linalg, newton
 from blochfem.assembly import assemble_tm, weighted_mass
 from blochfem.eigeniter import Pencil, inverse_power_rq
 from blochfem.errors import NonConvergenceError, SingularMatrixError
 from blochfem.linalg import HermitianSparse
-from blochfem.mesh import build_mesh
+from blochfem.mesh import build_mesh, prolongate
 from blochfem.newton import (
     NewtonState,
     NonlinearPencil,
     decay_exponent,
     newton_solve,
     newton_step,
+    rayleigh_functional,
+    residual_inverse_iteration,
     warm_start,
 )
 from test_dispersion import silver
@@ -63,8 +66,9 @@ def silver_run(level1):
     mesh, forms = level1
     p = NonlinearPencil.from_mesh(mesh, K_POINT, silver(), forms=forms)
     u0, om0 = warm_start(mesh, K_POINT, const_eps2=2.0, rq_steps=8, forms=forms)
+    u, om, tr = newton_solve(p, u0, om0, tol=1e-12, mesh_level=1)
+    # a fixed normalization vector for the single-step tests below
     y = np.random.default_rng(42).standard_normal(p.n)
-    u, om, tr = newton_solve(p, u0, om0, y, tol=1e-12, mesh_level=1)
     return p, u, om, tr, (u0, om0, y)
 
 
@@ -85,9 +89,7 @@ def test_linear_toy_converges_in_one_exact_step():
 
 def test_linear_toy_solve_and_omega():
     p = toy_pencil()
-    u, om, tr = newton_solve(
-        p, np.array([1.0, 0.0]), 0.9, np.array([1.0, 0.0]), tol=1e-14
-    )
+    u, om, tr = newton_solve(p, np.array([1.0, 0.0]), 0.9, tol=1e-14)
     assert om == pytest.approx(1.0, abs=1e-14)
     assert len(tr) - 1 <= 2
     assert tr[-1].residual_dual <= 1e-14
@@ -107,9 +109,7 @@ def test_rational_toy_matches_scalar_newton():
     # 1x1 bordered Newton with the normalization pinning u *is* scalar
     # Newton on the rational function; check iterates and the exact root
     p = rational_1x1()
-    u, om, tr = newton_solve(
-        p, np.array([1.0]), math.sqrt(0.5), np.array([1.0]), tol=1e-15
-    )
+    u, om, tr = newton_solve(p, np.array([1.0]), math.sqrt(0.5), tol=1e-15)
     lam_seq = [row.lam for row in tr][1:]
     lam = 0.5
     for got in lam_seq:
@@ -204,8 +204,7 @@ def test_constant_model_matches_inverse_power(level1):
         K=forms.K, M1=forms.M1, M2=forms.M2, model=dispersion.Constant(8.0)
     )
     u0, om0 = warm_start(mesh, K_POINT, const_eps2=8.0, rq_steps=3, forms=forms)
-    y = np.random.default_rng(7).standard_normal(p.n)
-    _, om, _ = newton_solve(p, u0, om0, y, tol=1e-13)
+    _, om, _ = newton_solve(p, u0, om0, tol=1e-13)
     assert om ** 2 == pytest.approx(lam_pow, abs=1e-10)
 
 
@@ -252,14 +251,87 @@ def test_warm_start_degenerate_and_validation(level1):
 
 
 # ---------------------------------------------------------------------------
+# residual inverse iteration
+
+
+def test_rayleigh_functional_scalar_oracles():
+    # 1x1: u^H T(lam) u = 0 is the rational equation itself
+    root = rayleigh_functional(rational_1x1(), np.array([1.0]), 0.5)
+    assert root == pytest.approx((11 - math.sqrt(57)) / 4, rel=1e-15)
+    # constant model: the Rayleigh quotient (1 + 3) / 2
+    assert rayleigh_functional(toy_pencil(), np.array([1.0, 1.0]), 0.3) == 2.0
+
+
+def test_residual_inverse_iteration_converges_on_toy():
+    p = toy_pencil()
+    state = residual_inverse_iteration(
+        p, np.array([1.0, 0.3]), 0.9, tol=1e-14, max_steps=40
+    )
+    assert state.lam == pytest.approx(1.0, abs=1e-14)
+    assert abs(state.u[1]) <= 1e-13
+    assert np.vdot(state.u, p.mass @ state.u).real == pytest.approx(1.0)
+
+
+def _prolongated_coarse(level):
+    """Field and lam of a converged Newton solve one level below ``level``."""
+    coarse, fine = build_mesh(level - 1), build_mesh(level)
+    p = NonlinearPencil.from_mesh(coarse, K_POINT, silver())
+    u0, om0 = warm_start(coarse, K_POINT, const_eps2=2.0, rq_steps=8)
+    u, om, _ = newton_solve(p, u0, om0, tol=1e-12)
+    return fine, prolongate(u, coarse, fine), om ** 2
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_residual_inverse_iteration_agrees_with_bordered_newton(level):
+    fine, u, sigma = _prolongated_coarse(level)
+    p = NonlinearPencil.from_mesh(fine, K_POINT, silver())
+    tol = 1e-12
+    rii = residual_inverse_iteration(p, u, sigma, tol=tol, max_steps=40)
+    _, om, _ = newton_solve(p, u, math.sqrt(sigma), tol=tol, maxit=40)
+    # the benchmark gate's Newton allowance (perfbench/gate.py)
+    assert abs(rii.lam - om ** 2) <= 10.0 * (1.0 + om ** 2) * tol
+    assert p.residual_dual(rii.u, rii.lam) <= tol
+
+
+def test_stalled_residual_inverse_iteration_falls_back_to_newton(monkeypatch):
+    # tol far below the rounding floor: the shifted iteration stalls and
+    # hands over to bordered Newton, which cannot reach tol either
+    fine, u, sigma = _prolongated_coarse(1)
+    p = NonlinearPencil.from_mesh(fine, K_POINT, silver())
+    sizes = []
+    newton_steps = []
+    real_init, real_step = linalg.Factorization.__init__, newton.newton_step
+
+    def counting_init(self, A):
+        real_init(self, A)
+        sizes.append(self.n)
+
+    def counting_step(pencil, state):
+        newton_steps.append(state.lam)
+        return real_step(pencil, state)
+
+    monkeypatch.setattr(linalg.Factorization, "__init__", counting_init)
+    monkeypatch.setattr(newton, "newton_step", counting_step)
+    with pytest.raises(NonConvergenceError) as info:
+        residual_inverse_iteration(p, u, sigma, tol=1e-18, max_steps=30)
+    tr = info.value.trace
+    assert any("bordered Newton from there" in n for n in tr.notes)
+    assert newton_steps
+    # start row, shifted steps, then one row per Newton step
+    assert len(tr) - 1 - len(newton_steps) > newton.STALL_STEPS
+    assert len(tr) - 1 <= 30
+    # the dual-norm LU, one shifted LU, then one bordered LU per Newton step
+    assert sizes == [p.n, p.n] + [p.n + 1] * len(newton_steps)
+
+
+# ---------------------------------------------------------------------------
 # failure policies and diagnostics
 
 
 def test_maxit_exhaustion_raises_with_trace():
     p = rational_1x1()
     with pytest.raises(NonConvergenceError) as info:
-        newton_solve(p, np.array([1.0]), math.sqrt(0.5), np.array([1.0]),
-                     tol=0.0, maxit=3)
+        newton_solve(p, np.array([1.0]), math.sqrt(0.5), tol=0.0, maxit=3)
     assert len(info.value.trace) == 4  # start row + 3 steps
 
 
@@ -277,14 +349,43 @@ def test_three_rising_residuals_abort():
         model=dispersion.Constant(1.0),
     )
     with pytest.raises(NonConvergenceError, match="three steps"):
-        newton_solve(p, np.array([1.0, 0.0]), 0.9, np.array([1.0, 0.0]),
-                     tol=1e-16, maxit=10)
+        newton_solve(p, np.array([1.0, 0.0]), 0.9, tol=1e-16, maxit=10)
+
+
+def test_newton_stops_on_the_floor():
+    # within 100x of tol and not halved in 5 steps: stop there instead of
+    # running out the 30-step budget
+    scripted = iter([5e-11, 4e-11, 3e-11, 3e-11, 2.9e-11, 2.8e-11, 2.7e-11])
+
+    class Rigged(NonlinearPencil):
+        def residual_dual(self, u, lam):
+            return next(scripted)
+
+    p = Rigged(
+        K=diag_hermitian([1.0, 3.0]),
+        M1=diag_hermitian([1.0, 1.0]),
+        M2=diag_hermitian([0.0, 0.0]),
+        model=dispersion.Constant(1.0),
+    )
+    with pytest.raises(NonConvergenceError, match="stalled at 2.8e-11") as info:
+        newton_solve(p, np.array([1.0, 0.0]), 0.9, tol=1e-12, maxit=30)
+    assert len(info.value.trace) == 6  # start row + 5 steps
+
+
+def test_slow_newton_far_above_tol_is_not_a_floor_stall():
+    # the same stagnation 1000x above tol runs out the budget instead
+    p = rational_1x1()
+    p.residual_dual = lambda u, lam: 1e-9
+    with pytest.raises(NonConvergenceError, match="within 8 steps"):
+        newton_solve(p, np.array([1.0]), math.sqrt(0.5), tol=1e-12, maxit=8)
 
 
 def test_zero_start_against_y_rejected():
+    # every step is normalized against its own start, so only the zero
+    # field is orthogonal to its normalization functional
     p = toy_pencil()
-    with pytest.raises(ValueError, match="orthogonal"):
-        newton_solve(p, np.array([0.0, 1.0]), 0.9, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="zero field"):
+        newton_solve(p, np.array([0.0, 0.0]), 0.9)
 
 
 def test_negative_lam_has_no_omega():
