@@ -35,7 +35,7 @@ import numpy as np
 from . import dispersion
 from .assembly import assemble_tm, weighted_mass
 from .companion import build_companion, default_big_start, shift_lower_bound, solve_linearized
-from .eigeniter import Pencil, inverse_power_rq, shifted_inverse_steps
+from .eigeniter import Pencil, inverse_power_rq, lopcg
 from .errors import BlochFEMError, NonConvergenceError
 from .mesh import build_mesh, prolongate
 from .newton import (
@@ -337,21 +337,23 @@ class _PowerState:
     lam: float
 
 
-def _power_level(config, mesh, coarse, trace, leg, sigma=None):
-    """Power leg; with ``sigma``, shifted inverse steps on the lifted u first."""
+def _power_pencil(config, mesh, coarse):
+    """The beta-pencil on ``mesh`` and the start lifted from ``coarse``."""
     if coarse is None:
         u = np.ones(mesh.dof_count, dtype=complex)
     else:
         u = prolongate(coarse[1].u, coarse[0], mesh)
+    # K and M are dropped on return, before anything is factorized
     forms = assemble_tm(mesh, config.k)
     pencil = Pencil.from_stiffness(
         forms.K, weighted_mass(mesh, config.alpha1, config.model.c, forms=forms),
         config.resolved_beta(),
     )
-    # K and M are not needed past this point; free them before factorizing
-    del forms
-    if sigma is not None:
-        u = shifted_inverse_steps(pencil, u, sigma)
+    return pencil, u
+
+
+def _power_level(config, mesh, coarse, trace, leg):
+    pencil, u = _power_pencil(config, mesh, coarse)
     _, u = inverse_power_rq(pencil, u, mesh_level=mesh.level, trace=trace, **leg)
     return _PowerState(u=u, lam=trace[-1].lam)
 
@@ -429,10 +431,10 @@ def compute_reference(config, final=None, tol=REFERENCE_TOL):
     Starts from ``final``, the ``(mesh, state)`` a schedule of ``config``
     ended on (``trace.final``); without it, the schedule runs first. The
     state is lifted onto the finer mesh and solved there by the family's
-    level function, as one more level of the schedule. The power family
-    first takes a few steps shifted by the run's final lambda (see
-    :func:`~blochfem.eigeniter.shifted_inverse_steps`), then iterates the
-    pencil itself, so ``mu_ref`` is the pencil's own Rayleigh quotient.
+    level function, as one more level of the schedule; the power family
+    instead runs :func:`~blochfem.eigeniter.lopcg` on the beta-pencil,
+    preconditioned with the dual-norm factorization, so that level makes
+    one factorization and ``mu_ref`` is the pencil's own Rayleigh quotient.
     ``homogeneous_check`` returns the analytic Fourier value and solves
     nothing.
     """
@@ -453,7 +455,8 @@ def compute_reference(config, final=None, tol=REFERENCE_TOL):
     elif config.experiment == "newton":
         _newton_level(config, mesh, final, trace, leg)
     else:
-        _power_level(config, mesh, final, trace, leg, sigma=final[1].lam)
+        pencil, u = _power_pencil(config, mesh, final)
+        lopcg(pencil, u, mesh_level=mesh.level, trace=trace, **leg)
     last = trace[-1]
     return ReferenceSolution(
         mu_ref=last.mu,

@@ -1,4 +1,4 @@
-"""Inverse power iterations and a Krylov accelerator for shifted Hermitian pencils.
+"""Inverse power iterations, LOPCG and a Krylov accelerator for shifted Hermitian pencils.
 
 The solvers here operate on a :class:`Pencil` (A_beta, M_w) with
 A_beta = K + beta*M_w positive definite and M_w the (positive definite) mass
@@ -13,6 +13,11 @@ sequence; they differ only in the length of the raw vectors (the Rayleigh
 scaling keeps them O(1), the plain variant converges to a vector of M_w-norm
 1/mu). Residuals are always evaluated on the normalized iterate and measured
 in the dual norm induced by K + M_w.
+
+:func:`lopcg` iterates a good start (a coarser mesh's eigenvector) down to a
+tight tolerance on the dual-norm factorization alone: one solve per step
+gives both the residual and the next search direction, and a three-vector
+Rayleigh-Ritz projection takes the place of the power step.
 """
 
 import time
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NonConvergenceError, SingularMatrixError
+from .errors import NonConvergenceError
 from .linalg import DualNorm, Factorization, HermitianSparse, rayleigh_quotient
 from .trace import IterationTrace
 
@@ -31,14 +36,15 @@ __all__ = [
     "default_start",
     "inverse_power_rq",
     "inverse_power_plain",
-    "shifted_inverse_steps",
+    "lopcg",
     "ArnoldiResult",
     "arnoldi",
 ]
 
 # An orthogonalized Krylov direction with M_w-norm below this (iterates are
 # kept at norm one, so the scale is absolute) means the subspace is invariant
-# to working precision.
+# to working precision; lopcg drops a search direction that Gram-Schmidt
+# shrinks below this fraction of its length.
 BREAKDOWN_TOL = 1e-12
 
 # A run that iterates to a tolerance stops with NonConvergenceError once its
@@ -47,11 +53,6 @@ BREAKDOWN_TOL = 1e-12
 # of its step budget would not move it.
 FLOOR_FACTOR = 100.0
 FLOOR_STEPS = 5
-
-# shifted_inverse_steps takes at most SHIFT_STEPS steps, and stops once mu
-# moves by no more than SHIFT_STALL relative
-SHIFT_STEPS = 4
-SHIFT_STALL = 1e-13
 
 
 class Pencil:
@@ -153,6 +154,15 @@ def _stop_at_floor(res, history, tol, trace):
         )
 
 
+def _start_vector(pencil, u0):
+    u = np.asarray(u0, dtype=complex)
+    if u.shape != (pencil.n,):
+        raise ValueError(f"start vector has shape {u.shape}, expected ({pencil.n},)")
+    if not np.all(np.isfinite(u)) or not np.any(u):
+        raise ValueError("start vector must be finite and nonzero")
+    return u
+
+
 def _power_loop(pencil, u0, steps, tol, scale_by_mu, mesh_level, trace,
                 max_steps, residual_fn=None):
     if residual_fn is None:
@@ -161,11 +171,7 @@ def _power_loop(pencil, u0, steps, tol, scale_by_mu, mesh_level, trace,
         raise ValueError("need a step count, a tolerance, or both")
     if steps is not None and steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    u = np.asarray(u0, dtype=complex)
-    if u.shape != (pencil.n,):
-        raise ValueError(f"start vector has shape {u.shape}, expected ({pencil.n},)")
-    if not np.all(np.isfinite(u)) or not np.any(u):
-        raise ValueError("start vector must be finite and nonzero")
+    u = _start_vector(pencil, u0)
     if trace is None:
         trace = IterationTrace()
 
@@ -238,35 +244,82 @@ def inverse_power_plain(pencil, v0, steps=None, tol=None, mesh_level=0,
                        max_steps, residual_fn)
 
 
-def shifted_inverse_steps(pencil, u0, sigma):
-    """Up to SHIFT_STEPS inverse steps with K - sigma*M_w, from ``u0``.
+def lopcg(pencil, u0, tol, max_steps=10000, mesh_level=0, trace=None):
+    """Locally optimal preconditioned conjugate gradient from ``u0`` to ``tol``.
 
-    With sigma a coarse eigenvalue just above lambda1 these converge at
-    |lambda1 - sigma| / |lambda2 - sigma| per step instead of
-    (lambda1 + beta) / (lambda2 + beta): shift-and-invert with a
-    Rayleigh-quotient shift. They stop when mu moves by at most SHIFT_STALL
-    relative; a step that raises mu is dropped, and a singular shifted
-    matrix leaves the iterate as it is. The shifted factorization is freed
-    on return, before the caller factors the pencil itself, so only one
-    factorization of this size is alive at a time.
+    Knyazev's LOPCG (SIAM J. Sci. Comput. 23(2):517-541, 2001) for the
+    smallest eigenpair of the pencil, preconditioned with the dual-norm
+    factorization of K + M_w, the only factorization it makes (for
+    beta == 1 it is the LU of A_beta). Each step takes fresh products
+    A_beta x and M_w x of the iterate x, its Rayleigh quotient mu, the
+    residual r = A_beta x - mu M_w x and one solve z = (K + M_w)^{-1} r,
+    which gives both the dual residual sqrt(r^H z) the row records and the
+    new search direction. The next iterate is the lowest Ritz vector on
+    span{x, z, p}, p being the previous move, orthonormalized column by
+    column in M_w with two Gram-Schmidt passes; a direction that the passes
+    shrink below :data:`BREAKDOWN_TOL` of its length is dropped.
 
-    Returns the M_w-normalized iterate.
+    The first row is the start's own residual. Stops once the residual is at
+    most ``tol``; a stall on the rounding floor (:func:`_stop_at_floor`) and
+    ``max_steps`` rows without reaching ``tol`` raise
+    :class:`NonConvergenceError` with the partial trace attached.
+
+    Returns ``(trace, x)``; the last row is the residual of x as returned.
     """
-    q = pencil.normalized(np.asarray(u0, dtype=complex))
-    mu = rayleigh_quotient(q, pencil.A_beta, pencil.M_w)
-    try:
-        fact = Factorization(pencil.A_beta.mat - (pencil.beta + sigma) * pencil.M_w.mat)
-        for _ in range(SHIFT_STEPS):
-            w = fact.solve(pencil.M_w @ q)
-            new_mu = rayleigh_quotient(w, pencil.A_beta, pencil.M_w)
-            if new_mu > mu:
-                break
-            q, moved, mu = pencil.normalized(w), abs(new_mu - mu), new_mu
-            if moved <= SHIFT_STALL * abs(mu):
-                break
-    except SingularMatrixError:
-        pass
-    return q
+    x = pencil.normalized(_start_vector(pencil, u0))
+    if trace is None:
+        trace = IterationTrace()
+    p = None
+    history = []
+    t0 = time.perf_counter()
+    for _ in range(max_steps):
+        Ax, Mx = pencil.A_beta @ x, pencil.M_w @ x
+        mu = np.vdot(x, Ax).real / np.vdot(x, Mx).real
+        res, z = pencil.dual.norm_and_solve(Ax - mu * Mx)
+        trace.record(mesh_level, pencil.n, mu, mu - pencil.beta, res,
+                     time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        if res <= tol:
+            return trace, x
+        _stop_at_floor(res, history, tol, trace)
+        history.append(res)
+        x, p = _ritz_step(pencil, x, Ax, Mx, (z, p))
+    raise NonConvergenceError(
+        f"LOPCG did not reach {tol:g} within {max_steps} steps", trace=trace,
+    )
+
+
+def _ritz_step(pencil, x, Ax, Mx, directions):
+    """Lowest Ritz vector on span{x, directions} and the move that reaches it.
+
+    x is M_w-normalized, with the products ``Ax`` and ``Mx``; a direction
+    may be None.
+    """
+    V, AV, MV = [x], [Ax], [Mx]
+    for w in directions:
+        if w is None:
+            continue
+        length = np.linalg.norm(w)
+        for _pass in range(2):
+            for v, Mv in zip(V, MV):
+                w = w - v * np.vdot(Mv, w)
+        if not np.linalg.norm(w) > BREAKDOWN_TOL * length:
+            continue
+        Mw = pencil.M_w @ w
+        nrm = np.sqrt(np.vdot(w, Mw).real)
+        w = w / nrm
+        V.append(w)
+        AV.append(pencil.A_beta @ w)
+        MV.append(Mw / nrm)
+    V, AV, MV = (np.column_stack(cols) for cols in (V, AV, MV))
+    K_small = V.conj().T @ AV
+    M_small = V.conj().T @ MV
+    _, vecs = scipy.linalg.eigh(
+        0.5 * (K_small + K_small.conj().T), 0.5 * (M_small + M_small.conj().T),
+        subset_by_index=[0, 0],
+    )
+    y = vecs[:, 0]
+    return V @ y, V[:, 1:] @ y[1:]
 
 
 @dataclass

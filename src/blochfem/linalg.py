@@ -195,14 +195,18 @@ class DualNorm:
         return dn
 
     def __call__(self, r):
+        return self.norm_and_solve(r)[0]
+
+    def norm_and_solve(self, r):
+        """The dual norm of ``r`` and the solve (K+M)^{-1} r it is taken from."""
         r = np.asarray(r)
         if not np.any(r):
-            return 0.0
+            return 0.0, np.zeros_like(r)
         z = self.fact.solve(r)
         val = np.vdot(r, z)
         # r^H (K+M)^{-1} r is real nonnegative for Hermitian positive K+M;
         # tiny negative round-off is clipped
-        return float(np.sqrt(max(val.real, 0.0)))
+        return float(np.sqrt(max(val.real, 0.0))), z
 
 
 def is_positive_definite(A):

@@ -129,12 +129,17 @@ class NonlinearPencil:
             -self.alpha1 * self.M1.mat - (eps2 + lam * deps2) * self.M2.mat
         ).tocsr()
 
-    def residual_dual(self, u, lam):
-        """Dual norm of T(lam) applied to the mass-normalized field."""
+    def residual_dual(self, u, lam, T=None):
+        """Dual norm of T(lam) applied to the mass-normalized field.
+
+        ``T`` is T(lam) when the caller has built it already.
+        """
         nrm = math.sqrt(np.vdot(u, self.mass @ u).real)
         if nrm <= 0.0:
             raise ValueError("residual of a zero field")
-        return self.dual(self.T(lam) @ (u / nrm))
+        if T is None:
+            T = self.T(lam)
+        return self.dual(T @ (u / nrm))
 
 
 @dataclass
@@ -313,6 +318,9 @@ def residual_inverse_iteration(pencil, u0, sigma, steps=None, tol=None,
     handed, takes the rest of the ``max_steps`` budget. Running out of steps raises
     NonConvergenceError with the trace attached.
 
+    Each step builds T(lam) once, for the row's residual and the next
+    update; no T(lam) is alive while a factorization is made.
+
     Returns a :class:`NewtonState` with y = u (so P_y u = u^H M u = 1).
     """
     if trace is None:
@@ -325,15 +333,20 @@ def residual_inverse_iteration(pencil, u0, sigma, steps=None, tol=None,
         if res <= tol:
             return NewtonState(u=u, lam=lam, y=u)
         history = [res]
-    # factored after the dual-norm LU, so that freeing it before a bordered
-    # LU leaves no hole below the dual-norm LU on the heap
+    # the dual-norm LU comes first, so that freeing the shifted LU before a
+    # bordered one leaves no hole below the dual-norm LU on the heap
+    pencil.dual
     fact = Factorization(pencil.T(sigma))
+    T_lam = pencil.T(lam)
     budget = steps if steps is not None else max_steps
     for taken in range(1, budget + 1):
         t0 = time.perf_counter()
-        u = _mass_normalized(pencil, u - fact.solve(pencil.T(lam) @ u))
+        u = _mass_normalized(pencil, u - fact.solve(T_lam @ u))
+        # free it before its successor is built
+        del T_lam
         lam = rayleigh_functional(pencil, u, lam)
-        res = pencil.residual_dual(u, lam)
+        T_lam = pencil.T(lam)
+        res = pencil.residual_dual(u, lam, T_lam)
         trace.record(mesh_level, pencil.n, lam, lam, res,
                      time.perf_counter() - t0)
         if tol is None:
@@ -343,8 +356,8 @@ def residual_inverse_iteration(pencil, u0, sigma, steps=None, tol=None,
         history.append(res)
         if (len(history) > STALL_STEPS
                 and res > history[-1 - STALL_STEPS] / STALL_DROP):
-            # free the shifted LU before the first bordered one
-            del fact
+            # free T(lam) and the shifted LU before the first bordered LU
+            del T_lam, fact
             trace.note("residual inverse iteration stalled at %.3e after %d "
                        "steps; bordered Newton from there" % (res, taken))
             return _newton_loop(pencil, NewtonState(u=u, lam=lam, y=u), res,

@@ -2,6 +2,7 @@
 
 import math
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -248,6 +249,26 @@ def test_reference_from_the_final_state_matches_the_standalone_one():
     ref = driver.compute_reference(cfg, trace.final)
     assert ref == driver.compute_reference(cfg)
     assert ref.level == 2 and ref.residual_dual <= driver.REFERENCE_TOL
+
+
+def test_power_reference_factors_once_and_converges_from_a_stalling_start(monkeypatch):
+    # pool point 34 of the linear_refined benchmark workload: a reference
+    # that drops every step raising mu by rounding stalled here at 1.16e-12
+    cfg = driver.RunConfig.from_ini(REPO / "configs" / "experiment1.ini")
+    cfg = replace(cfg, kx=2.1967727806945763, ky=1.8971541259255482, out=None)
+    final = driver.run_schedule(cfg).final
+    sizes = []
+    real_init = linalg.Factorization.__init__
+
+    def counting_init(self, A):
+        real_init(self, A)
+        sizes.append(self.n)
+
+    monkeypatch.setattr(linalg.Factorization, "__init__", counting_init)
+    ref = driver.compute_reference(cfg, final)
+    assert ref.level == 4 and ref.residual_dual <= driver.REFERENCE_TOL
+    assert sizes == [ref.dofs]
+    assert ref.lam_ref == pytest.approx(final[1].lam, rel=1e-4)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from blochfem.eigeniter import (
     default_start,
     inverse_power_plain,
     inverse_power_rq,
-    shifted_inverse_steps,
+    lopcg,
 )
 from blochfem.errors import NonConvergenceError
 from blochfem.linalg import HermitianSparse, rayleigh_quotient
@@ -259,22 +259,81 @@ def test_stall_at_the_floor_raises_within_a_few_steps(disk_pencil):
     assert len(res) - near <= FLOOR_STEPS + 10
 
 
-def test_shifted_steps_converge_at_the_shifted_rate():
-    # eigenvalues 1 and 2: a shift of 1.1 shrinks the second component by
-    # 0.1 / 0.9 per step, against 1 / 2 unshifted
-    p = diag_pencil()
-    q = shifted_inverse_steps(p, np.array([1.0, 1.0]), 1.1)
-    assert abs(rayleigh_quotient(q, p.A_beta, p.M_w) - 1.0) < 1e-7
-    assert p.norm_m(q) == pytest.approx(1.0)
+def unit_shift_diag_pencil(lams):
+    """Diagonal pencil with eigenvalues ``lams`` and beta = 1, M_w = I."""
+    A = HermitianSparse(sp.diags(np.asarray(lams, dtype=float) + 1.0).tocsr())
+    M = HermitianSparse(sp.identity(len(lams), format="csr"))
+    return Pencil(A, M, beta=1.0)
 
 
-def test_shifted_steps_keep_the_start_when_mu_would_rise_or_shift_is_singular():
-    p = diag_pencil()
-    u0 = np.array([1.0, 0.1])
-    # a shift nearer lambda2 = 2 amplifies the wrong component
-    assert np.array_equal(shifted_inverse_steps(p, u0, 1.9), p.normalized(u0))
-    # K - 1*M is singular
-    assert np.array_equal(shifted_inverse_steps(p, u0, 1.0), p.normalized(u0))
+def test_lopcg_takes_fewer_steps_than_inverse_power():
+    p = unit_shift_diag_pencil(np.arange(1.0, 31.0))
+    trace, x = lopcg(p, np.ones(p.n), tol=1e-10)
+    power, _ = inverse_power_rq(p, np.ones(p.n), tol=1e-10)
+    assert trace[-1].residual_dual <= 1e-10
+    assert trace[-1].lam == pytest.approx(1.0, rel=1e-12)
+    assert 2 * len(trace) < len(power)
+
+
+def test_lopcg_rows_are_the_residuals_of_their_iterates(disk_pencil):
+    u0 = default_start(disk_pencil.n)
+    full, _ = lopcg(disk_pencil, u0, tol=1e-12)
+    for row in full:
+        # stopping at a row's residual returns that row's iterate
+        trace, x = lopcg(disk_pencil, u0, tol=row.residual_dual)
+        assert np.array_equal(trace.mus(), full.mus()[:row.j])
+        assert np.array_equal(trace.residuals(), full.residuals()[:row.j])
+        assert trace[-1].residual_dual == disk_pencil.residual_dual(x, trace[-1].mu)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_lopcg_mu_never_rises(level):
+    mesh = build_mesh(level)
+    forms = assemble_tm(mesh, K_POINT)
+    p = Pencil.from_stiffness(forms.K, weighted_mass(mesh, 1.0, 8.0, forms=forms), 1.0)
+    trace, _ = lopcg(p, default_start(p.n), tol=1e-13)
+    mus = trace.mus()
+    assert trace[-1].residual_dual <= 1e-13
+    assert np.all(np.diff(mus) <= 1e-12 * np.abs(mus[1:]))
+
+
+def test_lopcg_eigenvector_start_returns_after_its_first_row():
+    # the residual, and so the search direction, is exactly zero
+    p = unit_shift_diag_pencil([1.0, 2.0, 3.0])
+    trace, x = lopcg(p, np.array([0.0, 3.0, 0.0]), tol=1e-14)
+    assert len(trace) == 1
+    assert trace[0].residual_dual == 0.0 and trace[0].lam == 2.0
+    # a rotated pencil leaves a rounding-level residual
+    rng = np.random.default_rng(5)
+    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    A = Q @ np.diag(np.arange(2.0, 8.0)) @ Q.T
+    p = Pencil(HermitianSparse(sp.csr_matrix(0.5 * (A + A.T))),
+               HermitianSparse(sp.identity(6, format="csr")), beta=1.0)
+    trace, x = lopcg(p, Q[:, 0], tol=1e-13)
+    assert len(trace) == 1 and trace[0].lam == pytest.approx(1.0, rel=1e-14)
+
+
+def test_lopcg_drops_a_dependent_direction():
+    # on two unknowns span{x, z} is the whole space after one step, so from
+    # the second step on the previous move lies in span{x, z}
+    p = unit_shift_diag_pencil([1.0, 2.0])
+    with pytest.raises(NonConvergenceError, match="LOPCG did not reach") as err:
+        lopcg(p, np.array([1.0, 1.0]), tol=0.0, max_steps=6)
+    trace = err.value.trace
+    assert len(trace) == 6
+    assert np.all(trace.residuals()[1:] < 1e-15)
+    assert trace.lams()[1:] == pytest.approx(1.0, rel=1e-15)
+
+
+def test_lopcg_below_the_floor_raises_with_the_partial_trace(disk_pencil):
+    # the level-0 residual floor is about 2e-15
+    u0 = default_start(disk_pencil.n)
+    with pytest.raises(NonConvergenceError, match="has not halved") as err:
+        lopcg(disk_pencil, u0, tol=1e-16, max_steps=200)
+    assert FLOOR_STEPS < len(err.value.trace) < 200
+    with pytest.raises(NonConvergenceError, match="within 3 steps") as err:
+        lopcg(disk_pencil, u0, tol=1e-16, max_steps=3)
+    assert len(err.value.trace) == 3
 
 
 def test_from_stiffness_shifts_correctly(level0):
