@@ -22,27 +22,28 @@ Three experiment families share the one level loop of :func:`run_schedule`:
 
 Everything here is plumbing around the solver modules: configuration
 parsing, level hand-offs, reference solutions, CSV persistence. No
-numerics of its own beyond the eigenvalue-error column.
+numerics of its own beyond the eigenvalue-error column. A level function
+sets up its solver leg and lifts the coarse state; the leg's trace rows,
+step budget and stop rule belong to :func:`~blochfem.eigeniter.iterate`.
 """
 
 import configparser
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import dispersion
 from .assembly import assemble_tm, weighted_mass
 from .companion import build_companion, default_big_start, shift_lower_bound, solve_linearized
-from .eigeniter import Pencil, inverse_power_rq, lopcg
+from .eigeniter import Pencil, inverse_power_rq, iterate, lopcg
 from .errors import BlochFEMError, NonConvergenceError
 from .mesh import build_mesh, prolongate
 from .newton import (
     NewtonState,
     NonlinearPencil,
+    _newton_rows,
     newton_solve,
-    newton_step,
     residual_inverse_iteration,
     warm_start,
 )
@@ -176,35 +177,15 @@ class RunConfig:
         cfg = cls()
         if cp.has_section("run"):
             run = cp["run"]
-            known = {
-                "experiment": str,
-                "kx": float,
-                "ky": float,
-                "alpha1": float,
-                "beta": float,
-                "steps_per_mesh": int,
-                "max_level": int,
-                "fine_only": None,
-                "tol": float,
-                "max_fine_steps": int,
-                "seed": int,
-                "use_reference": None,
-                "warm_eps2": float,
-                "warm_rq_steps": int,
-                "out": str,
-            }
+            known = {f.name: f.type for f in fields(cls)
+                     if f.name != "model" and not f.name.startswith("sweep_")}
             for key in run:
                 if key not in known:
                     raise ValueError("unknown [run] key %r in %s" % (key, path))
-            kwargs = {}
-            for key, conv in known.items():
-                if key not in run:
-                    continue
-                if conv is None:
-                    kwargs[key] = run.getboolean(key)
-                else:
-                    kwargs[key] = conv(run[key])
-            cfg = replace(cfg, **kwargs)
+            cfg = replace(cfg, **{
+                key: run.getboolean(key) if known[key] is bool else known[key](run[key])
+                for key in run
+            })
         cfg = replace(cfg, model=_model_from_section(cp))
         if cp.has_section("sweep"):
             sw = cp["sweep"]
@@ -382,8 +363,9 @@ def _newton_level(config, mesh, coarse, trace, leg):
     A refined level factors T(sigma) once, with sigma the coarse lambda,
     and runs :func:`~blochfem.newton.residual_inverse_iteration` from the
     prolongated field. Level 0 and ``fine_only`` runs start from the warm
-    start and run bordered Newton, each step normalized against the iterate
-    it starts from.
+    start and run bordered Newton: a fixed-step leg normalized against the
+    warm start throughout, a tolerance leg (:func:`newton_solve`) each step
+    against the iterate it starts from.
     """
     forms = assemble_tm(mesh, config.k)
     pencil = NonlinearPencil.from_mesh(
@@ -405,20 +387,13 @@ def _newton_level(config, mesh, coarse, trace, leg):
     )
     if "steps" not in leg:
         u, omega, _ = newton_solve(
-            pencil, u, omega, tol=leg["tol"], maxit=leg["max_steps"],
-            mesh_level=mesh.level, trace=trace,
+            pencil, u, omega, mesh_level=mesh.level, trace=trace, **leg
         )
         return NewtonState(u=u, lam=omega ** 2, y=u)
     # coarse legs hand the exact lam on: a round trip through omega moves it
     # by an ulp in about half the cases
-    state = NewtonState.normalized(pencil, u, omega ** 2)
-    for _ in range(leg["steps"]):
-        t0 = time.perf_counter()
-        state = newton_step(pencil, state)
-        res = pencil.residual_dual(state.u, state.lam)
-        trace.record(mesh.level, pencil.n, state.lam, state.lam, res,
-                     time.perf_counter() - t0)
-    return state
+    rows = _newton_rows(pencil, NewtonState.normalized(pencil, u, omega ** 2))
+    return iterate(rows, pencil.n, trace, mesh.level, **leg)[1]
 
 
 # ---------------------------------------------------------------------------

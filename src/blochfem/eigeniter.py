@@ -18,6 +18,10 @@ in the dual norm induced by K + M_w.
 tight tolerance on the dual-norm factorization alone: one solve per step
 gives both the residual and the next search direction, and a three-vector
 Rayleigh-Ritz projection takes the place of the power step.
+
+Every solver leg, those of :mod:`blochfem.newton` too, is a generator of
+trace rows run by :func:`iterate`, which times and records the rows and
+owns the step count, tolerance, step budget and rounding-floor stop.
 """
 
 import time
@@ -34,6 +38,7 @@ __all__ = [
     "BREAKDOWN_TOL",
     "Pencil",
     "default_start",
+    "iterate",
     "inverse_power_rq",
     "inverse_power_plain",
     "lopcg",
@@ -138,22 +143,6 @@ def default_start(n, seed=None):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-def _stop_at_floor(res, history, tol, trace):
-    """Raise NonConvergenceError once ``res`` sits on the rounding floor.
-
-    ``history`` holds the residuals of the steps before this one. The floor
-    is reached when ``res`` is within :data:`FLOOR_FACTOR` of ``tol`` and
-    above half the residual :data:`FLOOR_STEPS` steps earlier.
-    """
-    if (res <= FLOOR_FACTOR * tol and len(history) >= FLOOR_STEPS
-            and res > 0.5 * history[-FLOOR_STEPS]):
-        raise NonConvergenceError(
-            f"dual residual stalled at {res:.3g}, within {FLOOR_FACTOR:g}x "
-            f"of {tol:g}, and has not halved in {FLOOR_STEPS} steps",
-            trace=trace,
-        )
-
-
 def _start_vector(pencil, u0):
     u = np.asarray(u0, dtype=complex)
     if u.shape != (pencil.n,):
@@ -163,52 +152,78 @@ def _start_vector(pencil, u0):
     return u
 
 
-def _power_loop(pencil, u0, steps, tol, scale_by_mu, mesh_level, trace,
-                max_steps, residual_fn=None):
-    if residual_fn is None:
-        residual_fn = pencil.residual_dual
-    if steps is None and tol is None:
-        raise ValueError("need a step count, a tolerance, or both")
+def iterate(rows, n, trace, mesh_level, steps=None, tol=None, max_steps=None,
+            start_row=False, name="dual residual"):
+    """Run one solver leg: time and record the rows of ``rows`` until a stop.
+
+    ``rows`` yields ``(state, mu, lam, residual)`` once per solver step;
+    each becomes a row of ``trace`` (new when None) timed over its yield. A
+    leg takes exactly ``steps`` rows, or runs until a residual is at most
+    ``tol`` within ``max_steps`` rows, not counting a first ``start_row``
+    (the start's own residual). A tolerance leg raises
+    :class:`NonConvergenceError` when its budget runs out (``<name> did not
+    reach ...``), or on the rounding floor: a residual within
+    :data:`FLOOR_FACTOR` of ``tol`` and above half the one
+    :data:`FLOOR_STEPS` rows earlier in the leg. ``rows`` resumes only
+    after its last row missed every stop. Any NonConvergenceError raised
+    under it carries the partial trace, and ``rows`` is closed on the way
+    out, freeing what its frame holds. Returns ``(trace, state)``.
+    """
+    if (steps is None) == (tol is None):
+        raise ValueError("need exactly one of a step count and a tolerance")
     if steps is not None and steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    u = _start_vector(pencil, u0)
     if trace is None:
         trace = IterationTrace()
+    history = []
+    try:
+        for _ in range((steps or max_steps) + start_row):
+            t0 = time.perf_counter()
+            state, mu, lam, res = next(rows)
+            trace.record(mesh_level, n, mu, lam, res, time.perf_counter() - t0)
+            if steps is not None:
+                continue
+            if res <= tol:
+                return trace, state
+            if (res <= FLOOR_FACTOR * tol and len(history) >= FLOOR_STEPS
+                    and res > 0.5 * history[-FLOOR_STEPS]):
+                raise NonConvergenceError(
+                    f"dual residual stalled at {res:.3g}, within "
+                    f"{FLOOR_FACTOR:g}x of {tol:g}, and has not halved in "
+                    f"{FLOOR_STEPS} steps"
+                )
+            history.append(res)
+        if steps is None:
+            raise NonConvergenceError(
+                f"{name} did not reach {tol:g} within {max_steps} steps"
+            )
+        return trace, state
+    except NonConvergenceError as err:
+        if err.trace is None:
+            err.trace = trace
+        raise
+    finally:
+        rows.close()
 
+
+def _power_rows(pencil, u0, scale_by_mu, residual_fn):
+    if residual_fn is None:
+        residual_fn = pencil.residual_dual
+    u = _start_vector(pencil, u0)
     mu = rayleigh_quotient(u, pencil.A_beta, pencil.M_w)
     q = pencil.normalized(u)
-    raw = u
-    budget = steps if steps is not None else max_steps
-    converged = tol is None
-    history = []
-    for _ in range(budget):
-        t0 = time.perf_counter()
+    while True:
         w = pencil.step(q)
         raw = mu * w if scale_by_mu else w
         nrm = pencil.norm_m(raw)
         if nrm == 0.0 or not np.isfinite(nrm):
             raise NonConvergenceError(
                 "iterate collapsed to zero (start vector numerically "
-                "orthogonal to the whole spectrum?)",
-                trace=trace,
+                "orthogonal to the whole spectrum?)"
             )
         mu = rayleigh_quotient(raw, pencil.A_beta, pencil.M_w)
         q = raw / nrm
-        res = residual_fn(q, mu)
-        trace.record(mesh_level, pencil.n, mu, mu - pencil.beta, res,
-                     time.perf_counter() - t0)
-        if tol is not None and res <= tol:
-            converged = True
-            break
-        if steps is None:
-            _stop_at_floor(res, history, tol, trace)
-        history.append(res)
-    if not converged and steps is None:
-        raise NonConvergenceError(
-            f"dual residual did not reach {tol:g} within {max_steps} steps",
-            trace=trace,
-        )
-    return trace, raw
+        yield raw, mu, mu - pencil.beta, residual_fn(q, mu)
 
 
 def inverse_power_rq(pencil, u0, steps=None, tol=None, mesh_level=0, trace=None,
@@ -217,11 +232,9 @@ def inverse_power_rq(pencil, u0, steps=None, tol=None, mesh_level=0, trace=None,
 
     Runs ``u_j = mu_{j-1} * A_beta^{-1} M_w q_{j-1}`` starting from ``u0``
     and appends one :class:`TraceRow` per step (to ``trace`` if given).
-    Stops after ``steps`` solves, or once the dual residual drops to ``tol``,
-    whichever is requested (both: whichever comes first). A pure-tolerance
-    run that exhausts ``max_steps``, or stalls within :data:`FLOOR_FACTOR`
-    of ``tol`` without halving its residual in :data:`FLOOR_STEPS` steps,
-    raises :class:`NonConvergenceError` with the partial trace attached.
+    Takes ``steps`` solves, or iterates until the dual residual drops to
+    ``tol`` under the budget and floor stop of :func:`iterate`, which raise
+    :class:`NonConvergenceError` with the partial trace attached.
 
     ``residual_fn(q, mu)`` overrides the traced (and tol-checked) residual;
     the linearized rational solver uses this to report residuals of the
@@ -229,8 +242,8 @@ def inverse_power_rq(pencil, u0, steps=None, tol=None, mesh_level=0, trace=None,
 
     Returns ``(trace, u)`` with ``u`` the raw (unnormalized) last iterate.
     """
-    return _power_loop(pencil, u0, steps, tol, True, mesh_level, trace,
-                       max_steps, residual_fn)
+    return iterate(_power_rows(pencil, u0, True, residual_fn), pencil.n, trace,
+                   mesh_level, steps=steps, tol=tol, max_steps=max_steps)
 
 
 def inverse_power_plain(pencil, v0, steps=None, tol=None, mesh_level=0,
@@ -240,8 +253,8 @@ def inverse_power_plain(pencil, v0, steps=None, tol=None, mesh_level=0,
     Same mu/residual trace as :func:`inverse_power_rq` from the same start;
     only the raw iterate lengths differ (their M_w-norms converge to 1/mu).
     """
-    return _power_loop(pencil, v0, steps, tol, False, mesh_level, trace,
-                       max_steps, residual_fn)
+    return iterate(_power_rows(pencil, v0, False, residual_fn), pencil.n, trace,
+                   mesh_level, steps=steps, tol=tol, max_steps=max_steps)
 
 
 def lopcg(pencil, u0, tol, max_steps=10000, mesh_level=0, trace=None):
@@ -260,33 +273,25 @@ def lopcg(pencil, u0, tol, max_steps=10000, mesh_level=0, trace=None):
     shrink below :data:`BREAKDOWN_TOL` of its length is dropped.
 
     The first row is the start's own residual. Stops once the residual is at
-    most ``tol``; a stall on the rounding floor (:func:`_stop_at_floor`) and
-    ``max_steps`` rows without reaching ``tol`` raise
-    :class:`NonConvergenceError` with the partial trace attached.
+    most ``tol``; a stall on the rounding floor and ``max_steps`` rows
+    without reaching ``tol`` raise :class:`NonConvergenceError` with the
+    partial trace attached (:func:`iterate`).
 
     Returns ``(trace, x)``; the last row is the residual of x as returned.
     """
+    return iterate(_lopcg_rows(pencil, u0), pencil.n, trace, mesh_level,
+                   tol=tol, max_steps=max_steps, name="LOPCG")
+
+
+def _lopcg_rows(pencil, u0):
     x = pencil.normalized(_start_vector(pencil, u0))
-    if trace is None:
-        trace = IterationTrace()
     p = None
-    history = []
-    t0 = time.perf_counter()
-    for _ in range(max_steps):
+    while True:
         Ax, Mx = pencil.A_beta @ x, pencil.M_w @ x
         mu = np.vdot(x, Ax).real / np.vdot(x, Mx).real
         res, z = pencil.dual.norm_and_solve(Ax - mu * Mx)
-        trace.record(mesh_level, pencil.n, mu, mu - pencil.beta, res,
-                     time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        if res <= tol:
-            return trace, x
-        _stop_at_floor(res, history, tol, trace)
-        history.append(res)
+        yield x, mu, mu - pencil.beta, res
         x, p = _ritz_step(pencil, x, Ax, Mx, (z, p))
-    raise NonConvergenceError(
-        f"LOPCG did not reach {tol:g} within {max_steps} steps", trace=trace,
-    )
 
 
 def _ritz_step(pencil, x, Ax, Mx, directions):
@@ -354,11 +359,7 @@ def arnoldi(pencil, u0, m):
     """
     if m < 1:
         raise ValueError(f"subspace dimension must be >= 1, got {m}")
-    u = np.asarray(u0, dtype=complex)
-    if not np.all(np.isfinite(u)) or not np.any(u):
-        raise ValueError("start vector must be finite and nonzero")
-
-    q = pencil.normalized(u)
+    q = pencil.normalized(_start_vector(pencil, u0))
     V = np.empty((pencil.n, m), dtype=complex)
     V[:, 0] = q
     dim = 1

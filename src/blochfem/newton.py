@@ -32,10 +32,15 @@ Two iterations solve T(lam) u = 0:
   u^H T(lam) u = 0 and updates u <- u - T(sigma)^{-1} T(lam) u, converging
   linearly at a rate proportional to |lam - sigma|. Once it stops gaining
   it hands its iterate to bordered Newton.
+
+Both are generators of trace rows (:func:`_newton_rows`, :func:`_rii_rows`)
+run by :func:`~blochfem.eigeniter.iterate`, which times and records the
+rows and applies the stop rules; a hand-over continues the same leg, under
+its one step budget and its one floor history.
 """
 
+import itertools
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +48,7 @@ import scipy.sparse as sparse
 
 from . import dispersion
 from .assembly import assemble_tm, weighted_mass
-from .eigeniter import Pencil, _stop_at_floor, inverse_power_rq
+from .eigeniter import Pencil, inverse_power_rq, iterate
 from .errors import NonConvergenceError, SingularMatrixError
 from .linalg import DualNorm, Factorization, HermitianSparse, rayleigh_quotient
 from .trace import IterationTrace
@@ -204,7 +209,7 @@ def newton_step(pencil, state):
     return NewtonState(u=u, lam=lam, y=state.y)
 
 
-def newton_solve(pencil, u0, omega0, *, tol=1e-13, maxit=30, mesh_level=0,
+def newton_solve(pencil, u0, omega0, *, tol=1e-13, max_steps=30, mesh_level=0,
                  trace=None):
     """Newton iteration from (u0, omega0) until the dual residual reaches tol.
 
@@ -212,60 +217,52 @@ def newton_solve(pencil, u0, omega0, *, tol=1e-13, maxit=30, mesh_level=0,
     iterate is mass-normalized and taken as y, so the update is
     M-orthogonal to it and the border follows the eigenvector even from a
     start as far off as a warm start. The trace records the residual of the
-    *start* as its first row, then one row per Newton step, so decay
-    diagnostics see the full history. Divergence (three consecutive residual
-    increases), a stall on the rounding floor (the residual within
-    :data:`~blochfem.eigeniter.FLOOR_FACTOR` of tol and not halved in
-    :data:`~blochfem.eigeniter.FLOOR_STEPS` steps) and running out of
-    iterations all raise NonConvergenceError with the trace attached.
+    *start* as its first row, which ``max_steps`` does not count, then one
+    row per Newton step, so decay diagnostics see the full history.
+    Divergence (three consecutive residual increases), a stall on the
+    rounding floor and running out of steps all raise NonConvergenceError
+    with the trace attached (:func:`~blochfem.eigeniter.iterate`).
 
     Returns (u, omega, trace); u has P_y u = 1 for y the iterate before it.
     """
-    if trace is None:
-        trace = IterationTrace()
     state = NewtonState.normalized(pencil, np.asarray(u0, dtype=complex),
                                    float(omega0) ** 2)
-    res = pencil.residual_dual(state.u, state.lam)
-    trace.record(mesh_level, pencil.n, state.lam, state.lam, res, 0.0)
-    if res > tol:
-        state = _newton_loop(pencil, state, res, tol, maxit, mesh_level, trace,
-                             rebase=True)
+    trace, state = iterate(
+        _newton_rows(pencil, state, rebase=True, start_row=True), pencil.n,
+        trace, mesh_level, tol=tol, max_steps=max_steps, start_row=True,
+        name="Newton",
+    )
     return state.u, state.omega, trace
 
 
-def _newton_loop(pencil, state, res, tol, maxit, mesh_level, trace,
-                 rebase=False):
-    """Newton steps from ``state``, whose residual is ``res``, down to tol.
+def _newton_rows(pencil, state, rebase=False, start_row=False, res=None):
+    """Rows of bordered Newton steps from ``state``.
 
     With ``rebase`` every step is normalized against the iterate it starts
-    from; otherwise against ``state.y`` throughout.
+    from; otherwise against ``state.y`` throughout. ``start_row`` yields the
+    residual of ``state`` first. Given that residual (or ``res``), as
+    tolerance legs are, the rows raise NonConvergenceError once it grew
+    three rows in a row; they test it on resuming, after the row's ``tol``.
     """
-    history = [res]
+    if start_row:
+        res = pencil.residual_dual(state.u, state.lam)
+        yield state, state.lam, state.lam, res
     worse = 0
-    for _ in range(maxit):
-        t0 = time.perf_counter()
+    while True:
         if rebase:
             state = NewtonState.normalized(pencil, state.u, state.lam)
         state = newton_step(pencil, state)
         new_res = pencil.residual_dual(state.u, state.lam)
-        trace.record(mesh_level, pencil.n, state.lam, state.lam, new_res,
-                     time.perf_counter() - t0)
-        if new_res <= tol:
-            return state
+        yield state, state.lam, state.lam, new_res
+        if res is None:
+            continue
         worse = worse + 1 if new_res > res else 0
         if worse >= 3:
             raise NonConvergenceError(
                 "Newton residual grew three steps in a row (last %.3e); "
-                "the start is outside the attraction basin" % new_res,
-                trace=trace,
+                "the start is outside the attraction basin" % new_res
             )
-        _stop_at_floor(new_res, history, tol, trace)
-        history.append(new_res)
         res = new_res
-    raise NonConvergenceError(
-        f"Newton did not reach {tol:g} within {maxit} steps",
-        trace=trace,
-    )
 
 
 def rayleigh_functional(pencil, u, lam):
@@ -311,12 +308,12 @@ def residual_inverse_iteration(pencil, u0, sigma, steps=None, tol=None,
     normalizes u in the plain mass and takes lam from
     :func:`rayleigh_functional`; the start gets its lam the same way. Runs
     ``steps`` steps, or iterates until the dual residual reaches ``tol``;
-    the tolerance run records the start's residual as its first row, as
-    :func:`newton_solve` does. Once the residual of a tolerance run has
-    fallen by less than STALL_DROP over STALL_STEPS steps, the factorization
-    is freed and bordered Newton, normalized against the iterate it is
-    handed, takes the rest of the ``max_steps`` budget. Running out of steps raises
-    NonConvergenceError with the trace attached.
+    the tolerance run records the start's residual as its first row, which
+    ``max_steps`` does not count, as :func:`newton_solve` does. Once the
+    residual of a tolerance run has fallen by less than STALL_DROP over
+    STALL_STEPS steps, the factorization is freed and bordered Newton,
+    normalized against the iterate it is handed, continues the leg: the
+    rest of its budget, its floor stop, and three rises from there.
 
     Each step builds T(lam) once, for the row's residual and the next
     update; no T(lam) is alive while a factorization is made.
@@ -325,50 +322,42 @@ def residual_inverse_iteration(pencil, u0, sigma, steps=None, tol=None,
     """
     if trace is None:
         trace = IterationTrace()
+    rows = _rii_rows(pencil, u0, sigma, trace, to_tol=tol is not None)
+    return iterate(rows, pencil.n, trace, mesh_level, steps=steps, tol=tol,
+                   max_steps=max_steps, start_row=tol is not None,
+                   name="residual inverse iteration")[1]
+
+
+def _rii_rows(pencil, u0, sigma, trace, to_tol):
+    """Rows of residual inverse iteration; ``to_tol`` adds the start row and
+    the hand-over to bordered Newton, which reads the stall off ``trace``."""
     u = _mass_normalized(pencil, np.asarray(u0, dtype=complex))
     lam = rayleigh_functional(pencil, u, sigma)
-    if tol is not None:
-        res = pencil.residual_dual(u, lam)
-        trace.record(mesh_level, pencil.n, lam, lam, res, 0.0)
-        if res <= tol:
-            return NewtonState(u=u, lam=lam, y=u)
-        history = [res]
+    if to_tol:
+        yield NewtonState(u=u, lam=lam, y=u), lam, lam, pencil.residual_dual(u, lam)
     # the dual-norm LU comes first, so that freeing the shifted LU before a
     # bordered one leaves no hole below the dual-norm LU on the heap
     pencil.dual
     fact = Factorization(pencil.T(sigma))
     T_lam = pencil.T(lam)
-    budget = steps if steps is not None else max_steps
-    for taken in range(1, budget + 1):
-        t0 = time.perf_counter()
+    for taken in itertools.count(1):
         u = _mass_normalized(pencil, u - fact.solve(T_lam @ u))
         # free it before its successor is built
         del T_lam
         lam = rayleigh_functional(pencil, u, lam)
         T_lam = pencil.T(lam)
         res = pencil.residual_dual(u, lam, T_lam)
-        trace.record(mesh_level, pencil.n, lam, lam, res,
-                     time.perf_counter() - t0)
-        if tol is None:
-            continue
-        if res <= tol:
-            return NewtonState(u=u, lam=lam, y=u)
-        history.append(res)
-        if (len(history) > STALL_STEPS
-                and res > history[-1 - STALL_STEPS] / STALL_DROP):
+        state = NewtonState(u=u, lam=lam, y=u)
+        yield state, lam, lam, res
+        # iterate has recorded this row as trace[-1]; from taken ==
+        # STALL_STEPS on, the row STALL_STEPS back lies within this leg
+        if (to_tol and taken >= STALL_STEPS
+                and res > trace[-1 - STALL_STEPS].residual_dual / STALL_DROP):
             # free T(lam) and the shifted LU before the first bordered LU
             del T_lam, fact
             trace.note("residual inverse iteration stalled at %.3e after %d "
                        "steps; bordered Newton from there" % (res, taken))
-            return _newton_loop(pencil, NewtonState(u=u, lam=lam, y=u), res,
-                                tol, max_steps - taken, mesh_level, trace)
-    if tol is not None:
-        raise NonConvergenceError(
-            f"residual inverse iteration did not reach {tol:g} within "
-            f"{max_steps} steps",
-            trace=trace,
-        )
-    return NewtonState(u=u, lam=lam, y=u)
+            yield from _newton_rows(pencil, state, res=res)
 
 
 def warm_start(mesh, k, const_eps2=2.0, rq_steps=8, alpha1=1.0, forms=None):

@@ -2,7 +2,7 @@
 
 import math
 import pathlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -421,6 +421,29 @@ def test_unknown_keys_rejected(tmp_path):
     bad.write_text("[run]\nexperiment = linear\n[sweep]\nnonsense = 1\n")
     with pytest.raises(ValueError, match="nonsense"):
         driver.RunConfig.from_ini(bad)
+
+
+def test_every_run_field_round_trips_through_ini(tmp_path):
+    # one value per [run] key, none of them the default; the [run] keys are
+    # the fields of RunConfig but the model and the [sweep] ones
+    values = dict(
+        experiment="k_sweep", kx=0.25, ky=-0.5, alpha1=2.5, beta=1.5,
+        steps_per_mesh=3, max_level=2, fine_only=True, tol=3e-9,
+        max_fine_steps=50, seed=7, use_reference=True, warm_eps2=3.5,
+        warm_rq_steps=4, out="traces/out.csv",
+    )
+    assert sorted(values) == sorted(
+        f.name for f in fields(driver.RunConfig)
+        if f.name != "model" and not f.name.startswith("sweep_")
+    )
+    ini = tmp_path / "all.ini"
+    ini.write_text("[run]\n" + "".join("%s = %s\n" % kv for kv in values.items()))
+    cfg = driver.RunConfig.from_ini(ini)
+    default = driver.RunConfig()
+    for key, value in values.items():
+        assert getattr(default, key) != value, key
+        assert getattr(cfg, key) == value, key
+        assert type(getattr(cfg, key)) is type(value), key
 
 
 def test_missing_config_file_is_oserror(tmp_path):

@@ -16,11 +16,13 @@ from blochfem.eigeniter import (
     default_start,
     inverse_power_plain,
     inverse_power_rq,
+    iterate,
     lopcg,
 )
 from blochfem.errors import NonConvergenceError
 from blochfem.linalg import HermitianSparse, rayleigh_quotient
 from blochfem.mesh import build_mesh
+from blochfem.trace import IterationTrace
 
 K_POINT = (np.pi / 2, np.pi)
 ANALYTIC_HOMOG = (np.pi / 2) ** 2 + np.pi ** 2  # smallest |k+2*pi*n|^2
@@ -225,6 +227,8 @@ def test_rejects_zero_start(disk_pencil):
         inverse_power_rq(disk_pencil, np.zeros(disk_pencil.n), steps=1)
     with pytest.raises(ValueError):
         arnoldi(disk_pencil, np.zeros(disk_pencil.n), m=2)
+    with pytest.raises(ValueError, match="shape"):
+        arnoldi(disk_pencil, np.ones(disk_pencil.n + 1), m=2)
 
 
 def test_rejects_bad_step_requests(disk_pencil):
@@ -348,3 +352,83 @@ def test_beta_one_reuses_solver_factorization(level0):
     p = Pencil.from_stiffness(forms.K, forms.M, beta=1.0)
     _ = p.factorization
     assert p.dual.fact is p.factorization
+
+
+# ---------------------------------------------------------------------------
+# iterate on scripted rows
+
+
+def scripted(residuals, closed=None):
+    """Rows with the given residuals; a row's state is its index."""
+    try:
+        for i, res in enumerate(residuals):
+            yield i, 2.0, 1.0, res
+    finally:
+        if closed is not None:
+            closed.append(True)
+
+
+def test_iterate_steps_mode_takes_exactly_steps_rows():
+    # a zero residual would stop a tolerance leg at its first row
+    closed = []
+    trace, state = iterate(scripted([0.0] * 7, closed), 2, None, 3, steps=6)
+    assert state == 5 and len(trace) == 6
+    assert [r.j for r in trace] == [1, 2, 3, 4, 5, 6]
+    assert all(r.mesh_level == 3 and r.dofs == 2 and r.mu == 2.0 and r.lam == 1.0
+               for r in trace)
+    assert all(r.wall_seconds >= 0.0 for r in trace)
+    assert closed == [True]
+
+
+def test_iterate_stops_at_the_first_row_within_tol():
+    closed = []
+    trace, state = iterate(scripted([1.0, 0.5, 1e-3, 1e-4], closed), 2, None, 0,
+                           tol=1e-3, max_steps=10)
+    assert state == 2 and trace.residuals().tolist() == [1.0, 0.5, 1e-3]
+    assert closed == [True]
+
+
+@pytest.mark.parametrize("start_row", [False, True])
+def test_iterate_budget_leaves_out_the_start_row(start_row):
+    closed = []
+    with pytest.raises(NonConvergenceError,
+                       match="^Newton did not reach 1e-12 within 3 steps$") as err:
+        iterate(scripted([1.0] * 10, closed), 2, None, 0, tol=1e-12, max_steps=3,
+                start_row=start_row, name="Newton")
+    assert len(err.value.trace) == 3 + start_row
+    assert closed == [True]
+
+
+def test_iterate_floor_stop_sees_the_whole_leg():
+    # a switch of solver inside the rows keeps the leg's residual history:
+    # no part alone has the FLOOR_STEPS earlier rows the stop compares with
+    def switching(closed):
+        yield from scripted([4e-11, 3e-11, 3e-11])
+        yield from scripted([2.9e-11, 2.8e-11, 2.7e-11, 2.6e-11], closed)
+
+    closed = []
+    with pytest.raises(NonConvergenceError, match="stalled at 2.7e-11") as err:
+        iterate(switching(closed), 2, None, 0, tol=1e-12, max_steps=30)
+    assert len(err.value.trace) == FLOOR_STEPS + 1
+    assert closed == [True]
+    # 1000x above tol the same stagnation runs out the budget instead
+    with pytest.raises(NonConvergenceError, match="within 8 steps"):
+        iterate(scripted([1e-9] * 10), 2, None, 0, tol=1e-12, max_steps=8)
+
+
+def test_iterate_attaches_the_partial_trace_to_a_failure_in_the_rows():
+    def failing():
+        yield from scripted([1.0, 0.5])
+        raise NonConvergenceError("gave up")
+
+    trace = IterationTrace()
+    trace.record(0, 2, 3.0, 2.0, 1.0, 0.0)
+    with pytest.raises(NonConvergenceError, match="gave up") as err:
+        iterate(failing(), 2, trace, 1, tol=1e-12, max_steps=10)
+    assert err.value.trace is trace and len(trace) == 3
+
+
+def test_iterate_needs_steps_or_tol():
+    for leg in ({}, dict(steps=2, tol=1e-3, max_steps=5), dict(steps=0)):
+        with pytest.raises(ValueError):
+            iterate(scripted([1.0] * 5), 2, None, 0, **leg)

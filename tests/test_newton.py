@@ -287,7 +287,7 @@ def test_residual_inverse_iteration_agrees_with_bordered_newton(level):
     p = NonlinearPencil.from_mesh(fine, K_POINT, silver())
     tol = 1e-12
     rii = residual_inverse_iteration(p, u, sigma, tol=tol, max_steps=40)
-    _, om, _ = newton_solve(p, u, math.sqrt(sigma), tol=tol, maxit=40)
+    _, om, _ = newton_solve(p, u, math.sqrt(sigma), tol=tol, max_steps=40)
     # the benchmark gate's Newton allowance (perfbench/gate.py)
     assert abs(rii.lam - om ** 2) <= 10.0 * (1.0 + om ** 2) * tol
     assert p.residual_dual(rii.u, rii.lam) <= tol
@@ -331,7 +331,7 @@ def test_stalled_residual_inverse_iteration_falls_back_to_newton(monkeypatch):
 def test_maxit_exhaustion_raises_with_trace():
     p = rational_1x1()
     with pytest.raises(NonConvergenceError) as info:
-        newton_solve(p, np.array([1.0]), math.sqrt(0.5), tol=0.0, maxit=3)
+        newton_solve(p, np.array([1.0]), math.sqrt(0.5), tol=0.0, max_steps=3)
     assert len(info.value.trace) == 4  # start row + 3 steps
 
 
@@ -349,7 +349,30 @@ def test_three_rising_residuals_abort():
         model=dispersion.Constant(1.0),
     )
     with pytest.raises(NonConvergenceError, match="three steps"):
-        newton_solve(p, np.array([1.0, 0.0]), 0.9, tol=1e-16, maxit=10)
+        newton_solve(p, np.array([1.0, 0.0]), 0.9, tol=1e-16, max_steps=10)
+
+
+def test_three_rises_count_from_the_hand_over():
+    # two rises before residual inverse iteration hands over do not count
+    # towards bordered Newton's three
+    scripted = iter([1e-3, 2e-3, 3e-3, 4e-3, 5e-3, 6e-3, 7e-3])
+
+    class Rigged(NonlinearPencil):
+        def residual_dual(self, u, lam, T=None):
+            return next(scripted)
+
+    p = Rigged(
+        K=diag_hermitian([1.0, 3.0]),
+        M1=diag_hermitian([1.0, 1.0]),
+        M2=diag_hermitian([0.0, 0.0]),
+        model=dispersion.Constant(1.0),
+    )
+    with pytest.raises(NonConvergenceError, match="three steps") as info:
+        residual_inverse_iteration(p, np.array([1.0, 0.3]), 0.9, tol=1e-16,
+                                   max_steps=20)
+    tr = info.value.trace
+    assert any("bordered Newton from there" in n for n in tr.notes)
+    assert len(tr) == 6  # start row, two shifted steps, three Newton steps
 
 
 def test_newton_stops_on_the_floor():
@@ -368,7 +391,7 @@ def test_newton_stops_on_the_floor():
         model=dispersion.Constant(1.0),
     )
     with pytest.raises(NonConvergenceError, match="stalled at 2.8e-11") as info:
-        newton_solve(p, np.array([1.0, 0.0]), 0.9, tol=1e-12, maxit=30)
+        newton_solve(p, np.array([1.0, 0.0]), 0.9, tol=1e-12, max_steps=30)
     assert len(info.value.trace) == 6  # start row + 5 steps
 
 
@@ -377,7 +400,7 @@ def test_slow_newton_far_above_tol_is_not_a_floor_stall():
     p = rational_1x1()
     p.residual_dual = lambda u, lam: 1e-9
     with pytest.raises(NonConvergenceError, match="within 8 steps"):
-        newton_solve(p, np.array([1.0]), math.sqrt(0.5), tol=1e-12, maxit=8)
+        newton_solve(p, np.array([1.0]), math.sqrt(0.5), tol=1e-12, max_steps=8)
 
 
 def test_zero_start_against_y_rejected():
