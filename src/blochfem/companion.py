@@ -27,6 +27,13 @@ The extended matrix is positive definite once beta exceeds the resonance
 spread max(eta2) - min(eta2); smaller shifts are rejected up front
 (ShiftBoundError) because every positivity statement downstream relies on
 that bound.
+
+:func:`solve_linearized` takes the paper's inverse power steps on a leg of
+fixed length and runs LOPCG on span{x, step(x), p} on a leg to a
+tolerance. The rate of the power steps is (lam1 + beta)/(lam2 + beta), slow
+for a shift just above the spread; both kinds of leg solve with the Schur
+complement, never with the extended matrix, and record the nonlinear
+residual.
 """
 
 import numpy as np
@@ -36,7 +43,7 @@ from dataclasses import dataclass
 from . import dispersion
 from .assembly import assemble_tm, weighted_mass
 from .errors import ShiftBoundError
-from .eigeniter import Pencil, inverse_power_rq
+from .eigeniter import Pencil, inverse_power_rq, lopcg
 from .linalg import DualNorm, Factorization, HermitianSparse, _as_csr
 
 __all__ = [
@@ -282,17 +289,16 @@ class NonlinearResidual:
         self.dual = DualNorm(forms.K.mat, M_alpha.mat)
 
     def __call__(self, u, lam):
-        nrm = np.sqrt(np.vdot(u, self.M_alpha @ u).real)
+        Mu = self.M_alpha @ u
+        nrm = np.sqrt(np.vdot(u, Mu).real)
         if nrm <= 0.0:
             raise ValueError("residual of a zero field")
-        u = u / nrm
         s = dispersion.transfer(self.realization, lam)
         r = (
             self.forms.K @ u
-            + self.realization.Xi * (self.forms.M2 @ u)
-            - lam * (self.M_alpha @ u)
-            - s * (self.forms.M2 @ u)
-        )
+            + (self.realization.Xi - s) * (self.forms.M2 @ u)
+            - lam * Mu
+        ) / nrm
         return self.dual(r)
 
 
@@ -307,7 +313,13 @@ class CompanionSolution:
 
 def solve_linearized(cs, z0=None, steps=None, tol=None, mesh_level=0,
                      trace=None, max_steps=10000):
-    """Rayleigh inverse iteration on the extended pencil.
+    """Inverse iteration, or LOPCG to a tolerance, on the extended pencil.
+
+    A leg of ``steps`` rows takes the paper's Rayleigh inverse power steps.
+    A leg to ``tol`` runs :func:`~blochfem.eigeniter.lopcg` with the
+    eliminated inverse step as its search direction; its first row is the
+    start's own residual, and it fails as ``LOPCG did not reach ...``. Both
+    solve with the Schur complement and never factor the extended matrix.
 
     Trace rows (and the ``tol`` stop) use the dual-norm residual of the
     recovered field in the *nonlinear* problem -- that is the quantity the
@@ -330,16 +342,16 @@ def solve_linearized(cs, z0=None, steps=None, tol=None, mesh_level=0,
         u, _ = cs.split(q)
         return resid(u, mu - cs.beta)
 
-    trace, z = inverse_power_rq(
-        pencil,
-        z0,
-        steps=steps,
-        tol=tol,
-        mesh_level=mesh_level,
-        trace=trace,
-        max_steps=max_steps,
-        residual_fn=residual_fn,
-    )
+    if steps is None:
+        trace, z = lopcg(
+            pencil, z0, tol, max_steps=max_steps, mesh_level=mesh_level,
+            trace=trace, residual_fn=residual_fn,
+        )
+    else:
+        trace, z = inverse_power_rq(
+            pencil, z0, steps=steps, tol=tol, mesh_level=mesh_level,
+            trace=trace, residual_fn=residual_fn,
+        )
     mu = trace[-1].mu
     u, x = cs.split(z)
     nrm = np.sqrt(np.vdot(u, cs.M_alpha @ u).real)

@@ -15,9 +15,12 @@ scaling keeps them O(1), the plain variant converges to a vector of M_w-norm
 in the dual norm induced by K + M_w.
 
 :func:`lopcg` iterates a good start (a coarser mesh's eigenvector) down to a
-tight tolerance on the dual-norm factorization alone: one solve per step
-gives both the residual and the next search direction, and a three-vector
-Rayleigh-Ritz projection takes the place of the power step.
+tolerance, a three-vector Rayleigh-Ritz projection taking the place of the
+power step. On the plain pencil it runs on the dual-norm factorization
+alone: one solve per step gives both the residual and the next search
+direction. Given a ``residual_fn`` (the linearized rational solver reports
+the nonlinear residual) its search direction is the inverse step instead,
+taken after the row is recorded.
 
 Every solver leg, those of :mod:`blochfem.newton` too, is a generator of
 trace rows run by :func:`iterate`, which times and records the rows and
@@ -36,6 +39,7 @@ from .trace import IterationTrace
 
 __all__ = [
     "BREAKDOWN_TOL",
+    "DROP_TOL",
     "Pencil",
     "default_start",
     "iterate",
@@ -48,9 +52,16 @@ __all__ = [
 
 # An orthogonalized Krylov direction with M_w-norm below this (iterates are
 # kept at norm one, so the scale is absolute) means the subspace is invariant
-# to working precision; lopcg drops a search direction that Gram-Schmidt
-# shrinks below this fraction of its length.
+# to working precision.
 BREAKDOWN_TOL = 1e-12
+
+# lopcg drops a search direction that Gram-Schmidt shrinks below this
+# fraction of its length: what is left is a few ulps of rounding. Anything
+# longer still points somewhere. The inverse step on the companion pencil
+# is parallel to x up to the residual, so a drop at 1e-12 stopped those legs
+# at a nonlinear residual of 3.6e-12 on level 1, where the power steps go
+# below 1e-13.
+DROP_TOL = 1e-15
 
 # A run that iterates to a tolerance stops with NonConvergenceError once its
 # residual is within FLOOR_FACTOR of tol and has not halved over the last
@@ -257,64 +268,86 @@ def inverse_power_plain(pencil, v0, steps=None, tol=None, mesh_level=0,
                    mesh_level, steps=steps, tol=tol, max_steps=max_steps)
 
 
-def lopcg(pencil, u0, tol, max_steps=10000, mesh_level=0, trace=None):
+def lopcg(pencil, u0, tol, max_steps=10000, mesh_level=0, trace=None,
+          residual_fn=None):
     """Locally optimal preconditioned conjugate gradient from ``u0`` to ``tol``.
 
     Knyazev's LOPCG (SIAM J. Sci. Comput. 23(2):517-541, 2001) for the
-    smallest eigenpair of the pencil, preconditioned with the dual-norm
-    factorization of K + M_w, the only factorization it makes (for
-    beta == 1 it is the LU of A_beta). Each step takes fresh products
-    A_beta x and M_w x of the iterate x, its Rayleigh quotient mu, the
-    residual r = A_beta x - mu M_w x and one solve z = (K + M_w)^{-1} r,
-    which gives both the dual residual sqrt(r^H z) the row records and the
-    new search direction. The next iterate is the lowest Ritz vector on
-    span{x, z, p}, p being the previous move, orthonormalized column by
-    column in M_w with two Gram-Schmidt passes; a direction that the passes
-    shrink below :data:`BREAKDOWN_TOL` of its length is dropped.
+    smallest eigenpair of the pencil. Each step takes fresh products
+    A_beta x and M_w x of the iterate x and its Rayleigh quotient mu, then
+    moves to the lowest Ritz vector on span{x, z, p}, p being the previous
+    move, orthonormalized column by column in M_w with two Gram-Schmidt
+    passes; a direction that the passes shrink below :data:`DROP_TOL` of
+    its length is dropped. The products of p are carried along from the
+    previous projection, so a step applies A_beta and M_w to x and z only.
+
+    Without ``residual_fn`` the preconditioner is the dual-norm
+    factorization of K + M_w, the only factorization the leg makes (for
+    beta == 1 it is the LU of A_beta): one solve z = (K + M_w)^{-1} r of the
+    residual r = A_beta x - mu M_w x gives both the dual residual
+    sqrt(r^H z) the row records and the search direction z.
+
+    With ``residual_fn(x, mu)`` that function gives the row's residual (the
+    linearized rational solver reports the residual of the *nonlinear*
+    problem) and the search direction is the inverse step
+    z = ``pencil.step(x)``: span{x, A_beta^{-1} M_w x, p} equals
+    span{x, A_beta^{-1} r, p}. The step is taken after the row is recorded,
+    so the row that meets ``tol`` costs no solve, and ``pencil.dual`` is
+    never built.
 
     The first row is the start's own residual. Stops once the residual is at
     most ``tol``; a stall on the rounding floor and ``max_steps`` rows
-    without reaching ``tol`` raise :class:`NonConvergenceError` with the
-    partial trace attached (:func:`iterate`).
+    without reaching ``tol`` raise :class:`NonConvergenceError` (``LOPCG did
+    not reach ...``) with the partial trace attached (:func:`iterate`).
 
     Returns ``(trace, x)``; the last row is the residual of x as returned.
     """
-    return iterate(_lopcg_rows(pencil, u0), pencil.n, trace, mesh_level,
-                   tol=tol, max_steps=max_steps, name="LOPCG")
+    return iterate(_lopcg_rows(pencil, u0, residual_fn), pencil.n, trace,
+                   mesh_level, tol=tol, max_steps=max_steps, name="LOPCG")
 
 
-def _lopcg_rows(pencil, u0):
+def _lopcg_rows(pencil, u0, residual_fn):
     x = pencil.normalized(_start_vector(pencil, u0))
     p = None
     while True:
         Ax, Mx = pencil.A_beta @ x, pencil.M_w @ x
         mu = np.vdot(x, Ax).real / np.vdot(x, Mx).real
-        res, z = pencil.dual.norm_and_solve(Ax - mu * Mx)
-        yield x, mu, mu - pencil.beta, res
-        x, p = _ritz_step(pencil, x, Ax, Mx, (z, p))
+        if residual_fn is None:
+            res, z = pencil.dual.norm_and_solve(Ax - mu * Mx)
+            yield x, mu, mu - pencil.beta, res
+        else:
+            yield x, mu, mu - pencil.beta, residual_fn(x, mu)
+            z = pencil.step(x)
+        x, p = _ritz_step(pencil, x, Ax, Mx, z, p)
 
 
-def _ritz_step(pencil, x, Ax, Mx, directions):
-    """Lowest Ritz vector on span{x, directions} and the move that reaches it.
+def _ritz_step(pencil, x, Ax, Mx, z, p):
+    """Lowest Ritz vector on span{x, z, p} and the move that reaches it.
 
-    x is M_w-normalized, with the products ``Ax`` and ``Mx``; a direction
-    may be None.
+    x is M_w-normalized, with the products ``Ax`` and ``Mx``; ``p`` is None
+    or the previous move with its products ``(p, A_beta p, M_w p)``, which
+    Gram-Schmidt updates with the coefficients it applies to p, so that
+    only z is multiplied. Returns the new iterate and the new move with its
+    products.
     """
     V, AV, MV = [x], [Ax], [Mx]
-    for w in directions:
+    for w, Aw, Mw in ((z, None, None), p or (None, None, None)):
         if w is None:
             continue
         length = np.linalg.norm(w)
         for _pass in range(2):
-            for v, Mv in zip(V, MV):
-                w = w - v * np.vdot(Mv, w)
-        if not np.linalg.norm(w) > BREAKDOWN_TOL * length:
+            for v, Av, Mv in zip(V, AV, MV):
+                c = np.vdot(Mv, w)
+                w = w - v * c
+                if Aw is not None:
+                    Aw, Mw = Aw - Av * c, Mw - Mv * c
+        if not np.linalg.norm(w) > DROP_TOL * length:
             continue
-        Mw = pencil.M_w @ w
+        if Aw is None:
+            Aw, Mw = pencil.A_beta @ w, pencil.M_w @ w
         nrm = np.sqrt(np.vdot(w, Mw).real)
-        w = w / nrm
-        V.append(w)
-        AV.append(pencil.A_beta @ w)
+        V.append(w / nrm)
+        AV.append(Aw / nrm)
         MV.append(Mw / nrm)
     V, AV, MV = (np.column_stack(cols) for cols in (V, AV, MV))
     K_small = V.conj().T @ AV
@@ -324,7 +357,7 @@ def _ritz_step(pencil, x, Ax, Mx, directions):
         subset_by_index=[0, 0],
     )
     y = vecs[:, 0]
-    return V @ y, V[:, 1:] @ y[1:]
+    return V @ y, tuple(B[:, 1:] @ y[1:] for B in (V, AV, MV))
 
 
 @dataclass

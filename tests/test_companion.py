@@ -1,11 +1,14 @@
 """Rational linearization: block structure, exact elimination, scalar oracle."""
 
+import dataclasses
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from scipy.optimize import brentq
 
-from blochfem import dispersion
+from blochfem import dispersion, driver
 from blochfem.companion import (
     EliminatedPencil,
     build_companion,
@@ -14,10 +17,11 @@ from blochfem.companion import (
     shift_lower_bound,
     solve_linearized,
 )
-from blochfem.eigeniter import arnoldi
+from blochfem.eigeniter import arnoldi, inverse_power_rq
 from blochfem.errors import ShiftBoundError
 from blochfem.mesh import build_mesh
 
+EXPERIMENT2 = pathlib.Path(__file__).resolve().parent.parent / "configs" / "experiment2.ini"
 K_POINT = (np.pi / 2, np.pi)
 ETA2 = (55.2698, 63.1655)
 XI2 = (98.6960, 197.3921)
@@ -262,3 +266,74 @@ def test_xspace_from_raw_matrix(sys1):
     # build_xspace accepts the plain scipy matrix as well as the wrapper
     xs = build_xspace(sys1.forms.M2.mat)
     assert np.array_equal(xs.xdofs, sys1.xspace.xdofs)
+
+
+# ---------------------------------------------------------------------------
+# LOPCG on the tolerance legs
+
+
+def experiment2_config(**changes):
+    cfg = driver.RunConfig.from_ini(EXPERIMENT2)
+    return dataclasses.replace(cfg, out=None, **changes)
+
+
+@pytest.fixture(scope="module")
+def exp2_sys1():
+    cfg = experiment2_config()
+    return build_companion(
+        build_mesh(1), cfg.k, cfg.model, alpha1=cfg.alpha1, beta=cfg.resolved_beta()
+    )
+
+
+def test_lopcg_leg_matches_the_power_leg_on_experiment2_level1(exp2_sys1):
+    cs = exp2_sys1
+    sol = solve_linearized(cs, tol=1e-10, mesh_level=1)
+    resid = cs.nonlinear_residual()
+    power, _ = inverse_power_rq(
+        cs.pencil(), default_big_start(cs), tol=1e-10,
+        residual_fn=lambda q, mu: resid(cs.split(q)[0], mu - cs.beta),
+    )
+    assert sol.trace[-1].residual_dual <= 1e-10
+    assert sol.lam == pytest.approx(power[-1].lam, rel=1e-12)
+    assert 2 * len(sol.trace) < len(power)
+    mus = sol.trace.mus()
+    assert np.all(np.diff(mus) <= 1e-12 * np.abs(mus[1:]))
+
+
+def test_lopcg_leg_reaches_the_power_floor(exp2_sys1):
+    # the inverse step is parallel to x up to the residual; dropping it at
+    # 1e-12 of its length stopped this leg at a residual of 3.6e-12
+    sol = solve_linearized(exp2_sys1, tol=1e-13, mesh_level=1)
+    assert sol.trace[-1].residual_dual <= 1e-13
+
+
+def test_schedule_never_builds_the_extended_dual(monkeypatch):
+    # factoring the extended matrix would take in its near-singular M_X blocks
+    def refuse(self):
+        raise AssertionError("the extended pencil's dual norm was built")
+
+    monkeypatch.setattr(EliminatedPencil, "dual", property(refuse))
+    tr = driver.run_schedule(experiment2_config(max_level=1))
+    assert tr[-1].residual_dual <= 1e-10
+
+
+def test_the_converged_row_makes_no_solve(monkeypatch):
+    # coarse power rows make one step each; the LOPCG leg steps after every
+    # row but its last, and its first row is the start's own residual
+    steps = []
+    step = EliminatedPencil.step
+    monkeypatch.setattr(
+        EliminatedPencil, "step", lambda self, q: steps.append(1) or step(self, q)
+    )
+    tr = driver.run_schedule(experiment2_config(max_level=1))
+    assert len(steps) == len(tr) - 1
+
+
+def test_fine_only_from_the_default_start_converges():
+    cfg = experiment2_config(max_level=1)
+    fine = driver.run_schedule(dataclasses.replace(cfg, fine_only=True))
+    sched = driver.run_schedule(cfg)
+    assert set(fine.levels()) == {1}
+    assert fine[-1].residual_dual <= cfg.tol
+    assert fine.monotone_mu_violation() <= 1e-12
+    assert fine[-1].lam == pytest.approx(sched[-1].lam, rel=1e-12)

@@ -17,6 +17,7 @@ from blochfem.eigeniter import (
     inverse_power_plain,
     inverse_power_rq,
     iterate,
+    _ritz_step,
     lopcg,
 )
 from blochfem.errors import NonConvergenceError
@@ -315,6 +316,18 @@ def test_lopcg_eigenvector_start_returns_after_its_first_row():
                HermitianSparse(sp.identity(6, format="csr")), beta=1.0)
     trace, x = lopcg(p, Q[:, 0], tol=1e-13)
     assert len(trace) == 1 and trace[0].lam == pytest.approx(1.0, rel=1e-14)
+
+
+def test_ritz_step_carries_the_products_of_the_move(disk_pencil):
+    p = disk_pencil
+    x, move = p.normalized(default_start(p.n)), None
+    for _ in range(4):
+        Ax, Mx = p.A_beta @ x, p.M_w @ x
+        z = p.step(x)
+        x, move = _ritz_step(p, x, Ax, Mx, z, move)
+        w, Aw, Mw = move
+        assert np.linalg.norm(Aw - p.A_beta @ w) <= 1e-13 * np.linalg.norm(Aw)
+        assert np.linalg.norm(Mw - p.M_w @ w) <= 1e-13 * np.linalg.norm(Mw)
 
 
 def test_lopcg_drops_a_dependent_direction():
