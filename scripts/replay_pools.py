@@ -1,0 +1,148 @@
+#!/usr/bin/env python3
+"""Replay every benchmark pool point in-process and gate it.
+
+    python3 scripts/replay_pools.py --out replay.json [--workload W ...]
+    python3 scripts/replay_pools.py --compare parent.json child.json
+
+Solves each point of ``perfbench/expected/<workload>.json`` with the pool's
+own settings through ``driver.run_schedule`` (plus ``compute_reference`` on
+the schedule's final state for ``linear_refined``, as ``blochfem run`` does
+with ``use_reference``), checks it with ``perfbench/gate.check`` and writes,
+per point, the status, the gate margin (|lambda - stored| over the gate's
+allowance) and ``float.hex`` of lambda and of mu_ref. BLAS runs on one
+thread, so two trees that compute the same bits write the same hex.
+
+``--compare`` diffs two such files point by point: status and hex values.
+It exits 1 when they differ. Only ``perfbench/`` is read, never written.
+"""
+
+import argparse
+import json
+import os
+import pathlib
+import sys
+import tempfile
+import time
+from dataclasses import replace
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+HERE = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(HERE / "src"))
+sys.path.insert(0, str(HERE / "perfbench"))
+
+import gate  # noqa: E402
+
+WORKLOADS = ("rational_companion", "lossy_newton", "linear_refined")
+
+
+def _allowance(workload, tol, point):
+    """The |lambda - stored| that ``gate.check`` accepts at ``point``."""
+    exp = point["lam1"]
+    if workload == "lossy_newton":
+        return gate.NEWTON_FACTOR * (1.0 + abs(exp)) * max(tol, point.get("residual", tol))
+    return gate.REL_TOL * abs(exp)
+
+
+def _replay_point(driver, errors, workload, cfg, point):
+    cfg = replace(cfg, kx=point["kx"], ky=point["ky"], out=None)
+    out = {"lam_hex": None, "mu_ref_hex": None, "margin": None}
+    try:
+        trace = driver.run_schedule(cfg)
+        if workload == "linear_refined":
+            mu_ref = driver.compute_reference(cfg, trace.final).mu_ref
+            trace.fill_rel_err(mu_ref)
+            out["mu_ref_hex"] = float(mu_ref).hex()
+    except errors.BlochFEMError as err:
+        out.update(status="failed", error=str(err))
+        partial = getattr(err, "trace", None)
+        if partial is not None and len(partial):
+            out["lam_hex"] = float(partial[-1].lam).hex()
+        return out
+    last = trace[-1]
+    lam = float(last.lam)
+    record = {"lam1": lam, "mu": last.mu, "rel_err": last.rel_err}
+    reason = gate.check(workload, cfg.tol, record, point)
+    out.update(
+        status="pass" if reason is None else "wrong",
+        lam_hex=lam.hex(),
+        margin=abs(lam - point["lam1"]) / _allowance(workload, cfg.tol, point),
+    )
+    if reason is not None:
+        out["error"] = reason
+    return out
+
+
+def replay(workloads):
+    from blochfem import driver, errors
+
+    result = {}
+    for workload in workloads:
+        pool = json.loads((HERE / "perfbench" / "expected" / (workload + ".json"))
+                          .read_text(encoding="utf-8"))
+        with tempfile.TemporaryDirectory() as tmp:
+            ini = pathlib.Path(tmp) / "pool.ini"
+            ini.write_text(pool["ini"], encoding="utf-8")
+            cfg = driver.RunConfig.from_ini(ini)
+        t0 = time.perf_counter()
+        points = []
+        for i, point in enumerate(pool["points"]):
+            rec = _replay_point(driver, errors, workload, cfg, point)
+            rec["index"] = i
+            points.append(rec)
+        result[workload] = points
+        bad = [p["index"] for p in points if p["status"] != "pass"]
+        margins = sorted(((p["margin"], p["index"]) for p in points
+                          if p["margin"] is not None), reverse=True)
+        print("%s: %d of %d pass in %.1fs; not passing %s; largest margins %s"
+              % (workload, len(points) - len(bad), len(points),
+                 time.perf_counter() - t0, bad,
+                 ", ".join("%.3g (point %d)" % m for m in margins[:2])))
+    return result
+
+
+def compare(a, b):
+    """Lines naming every point whose status or hex values differ."""
+    diffs = []
+    for workload in sorted(set(a) | set(b)):
+        pa, pb = a.get(workload, []), b.get(workload, [])
+        if len(pa) != len(pb):
+            diffs.append("%s: %d points vs %d" % (workload, len(pa), len(pb)))
+            continue
+        same = 0
+        for x, y in zip(pa, pb):
+            fields = [f for f in ("status", "lam_hex", "mu_ref_hex") if x.get(f) != y.get(f)]
+            if fields:
+                diffs.append("%s point %d: %s" % (workload, x["index"], ", ".join(
+                    "%s %s -> %s" % (f, x.get(f), y.get(f)) for f in fields)))
+            else:
+                same += 1
+        print("%s: %d of %d points identical" % (workload, same, len(pa)))
+    return diffs
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(prog="replay_pools.py")
+    p.add_argument("--workload", action="append", choices=WORKLOADS,
+                   help="replay only this pool (repeatable; default all)")
+    p.add_argument("--out", help="JSON file for the per-point results")
+    p.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                   help="diff two result files instead of replaying")
+    args = p.parse_args(argv)
+    if args.compare:
+        a, b = (json.loads(pathlib.Path(f).read_text(encoding="utf-8"))
+                for f in args.compare)
+        diffs = compare(a, b)
+        for line in diffs:
+            print(line)
+        return 1 if diffs else 0
+    result = replay(args.workload or WORKLOADS)
+    if args.out:
+        pathlib.Path(args.out).write_text(json.dumps(result, indent=1) + "\n",
+                                          encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,7 +3,7 @@
 Modules
 -------
 mesh        periodic quad meshes, prolongation
-assembly    Bloch-shifted stiffness and weighted mass matrices (TM / TE);
+assembly    Bloch-shifted stiffness and weighted mass matrices (TM);
             checks the Hermiticity of its region pieces once per build
 linalg      wrapper for matrices Hermitian by construction (unchecked),
             factorization, Rayleigh quotients, dual-norm residuals

@@ -11,19 +11,21 @@ which discretizes (row = test function) to
 
 with convection matrices Cx[a, b] = int phi_a d/dx phi_b. The i-times-
 antisymmetric cross term makes K(k) Hermitian *by construction* in floating
-point. The TE form carries the weight 1/eps(x) in every term and an
-unweighted mass as pivot.
+point. The permittivity enters only through the weighted mass.
 
-Since eps is piecewise constant on the two regions, every matrix is a linear
-combination of region-restricted pieces (chi_1- and chi_2-weighted), which
-are assembled once per mesh with the material indicator evaluated at
+Every matrix is built from region-restricted pieces (chi_1- and chi_2-
+weighted), assembled once per mesh with the disk indicator evaluated at
 quadrature points: 3x3 Gauss per cell, upgraded to 4x4 on interface-cut
-cells (cells whose corners disagree on classification).
+cells (cells whose corners disagree on classification). The k-independent
+sums K0, Dx = Cx^T - Cx and Dy = Cy^T - Cy are formed once per mesh too,
+so a call at a new k only adds the k-dependent terms.
 
 Quadrature rounding can make only the stiffness and mass pieces
 non-Hermitian, so they are checked once, when they are built; everything
 combined from them is Hermitian by construction and not checked again.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -36,7 +38,6 @@ from .q2 import tensor_rule
 __all__ = [
     "AssembledForms",
     "assemble_tm",
-    "assemble_te",
     "weighted_mass",
     "max_asymmetry",
 ]
@@ -49,22 +50,16 @@ QUAD_CUT = 4
 HERMITIAN_RTOL = 1e-13
 
 
+@dataclass
 class AssembledForms:
-    """Assembled matrices of one Bloch problem on one mesh.
+    """Assembled matrices of one Bloch problem on one mesh: K (Hermitian
+    stiffness at the given k), M (plain mass) and M1 / M2 (masses restricted
+    to regions 1 / 2; M = M1 + M2 exactly)."""
 
-    Fields: K (Hermitian stiffness at the given k), M (plain mass),
-    M1 / M2 (masses restricted to regions 1 / 2; M = M1 + M2 exactly),
-    dof_count; the mesh and k are kept for provenance.
-    """
-
-    def __init__(self, K, M, M1, M2, mesh, k):
-        self.K = K
-        self.M = M
-        self.M1 = M1
-        self.M2 = M2
-        self.dof_count = mesh.dof_count
-        self.mesh = mesh
-        self.k = (float(k[0]), float(k[1]))
+    K: HermitianSparse
+    M: HermitianSparse
+    M1: HermitianSparse
+    M2: HermitianSparse
 
 
 def _scatter(mesh, cells_idx, el):
@@ -96,14 +91,16 @@ def _check_hermitian(pieces):
 
 
 class _RegionPieces:
-    """Region-restricted raw matrices of one mesh (chi-weighted quadrature).
+    """The k-independent matrices of one mesh (chi-weighted quadrature).
 
-    K1/K2: stiffness, C{x,y}{1,2}: convection, M1/M2: mass, each restricted
-    to region 1 / region 2. Everything downstream is a linear combination.
+    K1/K2 (stiffness), Cx1/Cx2, Cy1/Cy2 (convection) and M1/M2 (mass) are
+    each restricted to region 1 / region 2; the TM forms keep the region
+    masses M1, M2 and the sums K0 = K1 + K2, Dx = Cx^T - Cx and
+    Dy = Cy^T - Cy, with Cx = Cx1 + Cx2 and Cy = Cy1 + Cy2.
     """
 
-    def __init__(self, mesh, material):
-        corner_tags = material.classify(mesh.nodes[mesh.cells])   # (ncell, 4)
+    def __init__(self, mesh):
+        corner_tags = DISK.classify(mesh.nodes[mesh.cells])   # (ncell, 4)
         cut = np.any(corner_tags != corner_tags[:, :1], axis=1)
         h = mesh.h
         origins = mesh.cell_origin()
@@ -117,7 +114,7 @@ class _RegionPieces:
                 continue
             pts, w, B, Gx, Gy = tensor_rule(rule_pts)
             phys = origins[idx][:, None, :] + pts[None, :, :] * h  # (nc, nq, 2)
-            chi2 = material.chi2(phys)                             # (nc, nq)
+            chi2 = DISK.chi2(phys)                                 # (nc, nq)
             for slot, chi in ((0, 1.0 - chi2), (1, chi2)):
                 wq = chi * w[None, :]
                 # physical scalings: mass h^2, stiffness h^2 * h^-2,
@@ -131,107 +128,78 @@ class _RegionPieces:
                 acc["M"][slot] = acc["M"][slot] + _scatter(mesh, idx, mel)
                 acc["Cx"][slot] = acc["Cx"][slot] + _scatter(mesh, idx, cxel)
                 acc["Cy"][slot] = acc["Cy"][slot] + _scatter(mesh, idx, cyel)
-        self.K = tuple(acc["K"])
-        self.M = tuple(acc["M"])
-        self.Cx = tuple(acc["Cx"])
-        self.Cy = tuple(acc["Cy"])
-        _check_hermitian(self.K + self.M)
+        _check_hermitian(acc["K"] + acc["M"])
+        # drop each pair as soon as its sum exists, so that the next sum can
+        # reuse its memory (holding every pair to the end put about 30 MB on
+        # the peak RSS of an experiment1 run)
+        self.M1, self.M2 = acc.pop("M")
+        self.K0 = _region_sum(acc.pop("K"))
+        self.Dx = _antisymmetric(_region_sum(acc.pop("Cx")))
+        self.Dy = _antisymmetric(_region_sum(acc.pop("Cy")))
+
+
+def _region_sum(pair):
+    return pair[0] + pair[1]
+
+
+def _antisymmetric(C):
+    """C^T - C, the convection part of the Bloch cross term."""
+    return (C.T - C).tocsr()
 
 
 _PIECES_CACHE = {}
 _PIECES_CACHE_CAP = 4
 
 
-def _pieces(mesh, material):
-    key = (mesh.ncell_side, material.center, material.radius)
-    if key not in _PIECES_CACHE:
+def _pieces(mesh):
+    if mesh.level not in _PIECES_CACHE:
         if len(_PIECES_CACHE) >= _PIECES_CACHE_CAP:
             _PIECES_CACHE.pop(next(iter(_PIECES_CACHE)))
-        _PIECES_CACHE[key] = _RegionPieces(mesh, material)
-    return _PIECES_CACHE[key]
+        _PIECES_CACHE[mesh.level] = _RegionPieces(mesh)
+    return _PIECES_CACHE[mesh.level]
 
 
-def _combine(pieces, w1, w2):
-    """w1 * piece_region1 + w2 * piece_region2 for every matrix kind."""
-    def mix(pair):
-        if w1 == 1.0 and w2 == 1.0:
-            return pair[0] + pair[1]
-        return w1 * pair[0] + w2 * pair[1]
-    return mix(pieces.K), mix(pieces.Cx), mix(pieces.Cy), mix(pieces.M)
+def assemble_tm(mesh, k):
+    """TM-mode forms: M = M1 + M2 and the Bloch stiffness
 
+        K = K0 + |k|^2 M + i kx Dx + i ky Dy,
 
-def _bloch_stiffness(K0, Cx, Cy, Mw, k):
-    """K0 + |k|^2 Mw + i kx (Cx^T - Cx) + i ky (Cy^T - Cy), exact Hermitian."""
+    Hermitian by construction. The permittivity enters TM problems only
+    through the weighted mass (pivot inner product), built by weighted_mass.
+    """
     kx, ky = float(k[0]), float(k[1])
     if not (np.isfinite(kx) and np.isfinite(ky)):
         raise ValueError("wave vector components must be finite")
-    K = K0 + (kx * kx + ky * ky) * Mw
-    if kx == 0.0 and ky == 0.0:
-        return K.tocsr()
-    K = K.astype(complex)
-    if kx != 0.0:
-        K = K + (1j * kx) * (Cx.T - Cx)
-    if ky != 0.0:
-        K = K + (1j * ky) * (Cy.T - Cy)
-    return K.tocsr()
-
-
-def assemble_tm(mesh, k, material=DISK):
-    """TM-mode forms: unweighted Bloch stiffness, plain and region masses.
-
-    The permittivity enters TM problems only through the weighted mass
-    (pivot inner product), built separately via weighted_mass.
-    """
-    p = _pieces(mesh, material)
-    M1 = p.M[0]
-    M2 = p.M[1]
-    M = M1 + M2
-    K0, Cx, Cy, _ = _combine(p, 1.0, 1.0)
-    K = _bloch_stiffness(K0, Cx, Cy, M, k)
+    p = _pieces(mesh)
+    M = p.M1 + p.M2
+    K = p.K0 + (kx * kx + ky * ky) * M
+    if kx != 0.0 or ky != 0.0:
+        K = K.astype(complex)
+        if kx != 0.0:
+            K = K + (1j * kx) * p.Dx
+        if ky != 0.0:
+            K = K + (1j * ky) * p.Dy
     return AssembledForms(
         K=HermitianSparse(K),
         M=HermitianSparse(M),
-        M1=HermitianSparse(M1),
-        M2=HermitianSparse(M2),
-        mesh=mesh,
-        k=k,
+        M1=HermitianSparse(p.M1),
+        M2=HermitianSparse(p.M2),
     )
 
 
-def assemble_te(mesh, k, eps1, eps2, material=DISK):
-    """TE-mode forms: every stiffness term carries the weight 1/eps(x);
-    the mass (pivot) is unweighted."""
-    if eps1 <= 0 or eps2 <= 0:
-        raise ValueError("permittivities must be positive, got (%r, %r)" % (eps1, eps2))
-    p = _pieces(mesh, material)
-    M1 = p.M[0]
-    M2 = p.M[1]
-    M = M1 + M2
-    K0, Cx, Cy, Minv_eps = _combine(p, 1.0 / eps1, 1.0 / eps2)
-    K = _bloch_stiffness(K0, Cx, Cy, Minv_eps, k)
-    return AssembledForms(
-        K=HermitianSparse(K),
-        M=HermitianSparse(M),
-        M1=HermitianSparse(M1),
-        M2=HermitianSparse(M2),
-        mesh=mesh,
-        k=k,
-    )
-
-
-def weighted_mass(mesh, w1, w2, forms=None, material=DISK):
+def weighted_mass(mesh, w1, w2, forms=None):
     """w1 * M1 + w2 * M2 (the weighted pivot inner product).
 
-    Reuses the region masses of ``forms`` when given; otherwise assembles
-    them for the mesh.
+    Reuses the region masses of ``forms`` when given; otherwise takes them
+    from the mesh's cached pieces.
     """
     if not (np.isfinite(w1) and np.isfinite(w2)):
         raise ValueError("mass weights must be finite")
     if forms is not None:
         M1, M2 = forms.M1.mat, forms.M2.mat
     else:
-        p = _pieces(mesh, material)
-        M1, M2 = p.M
+        p = _pieces(mesh)
+        M1, M2 = p.M1, p.M2
     if w1 == 1.0 and w2 == 1.0:
         return HermitianSparse(M1 + M2)
     return HermitianSparse(w1 * M1 + w2 * M2)

@@ -42,7 +42,6 @@ def build_parser():
     def common(p):
         p.add_argument("--config", required=True, help="INI run configuration")
         p.add_argument("--out", help="output CSV path (overrides the config)")
-        p.add_argument("--seed", type=int, help="seed override (accepted; no solver uses it)")
         p.add_argument("--threads", type=int, help="BLAS/OpenMP thread count")
 
     p_run = sub.add_parser("run", help="run one experiment schedule")
@@ -65,10 +64,6 @@ def _load_config(args):
     from .driver import RunConfig
 
     cfg = RunConfig.from_ini(args.config)
-    if args.seed is not None:
-        from dataclasses import replace
-
-        cfg = replace(cfg, seed=args.seed)
     if args.out is not None:
         from dataclasses import replace
 

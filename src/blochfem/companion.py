@@ -55,6 +55,7 @@ __all__ = [
     "build_xspace",
     "build_companion",
     "default_big_start",
+    "lifted_big_start",
     "solve_linearized",
     "shift_lower_bound",
 ]
@@ -107,8 +108,6 @@ class CompanionSystem:
     beta: float
     xspace: XSpace
     realization: dispersion.Realization
-    model: object
-    alpha1: float
     forms: object  # the V-space AssembledForms this system was built from
     M_alpha: HermitianSparse
 
@@ -176,8 +175,7 @@ class EliminatedPencil(Pencil):
         """Factorization of the V-space Schur complement S (built lazily)."""
         if self._schur is None:
             cs = self.system
-            eta2 = np.asarray(cs.realization.A, dtype=float)
-            b = np.asarray(cs.realization.b, dtype=float)
+            eta2, b = cs.realization.A, cs.realization.b
             weight = cs.realization.Xi - np.sum(b * b / (eta2 + cs.beta))
             S = (
                 cs.forms.K.mat
@@ -190,8 +188,7 @@ class EliminatedPencil(Pencil):
     def step(self, q):
         cs = self.system
         u, x = cs.split(np.asarray(q, dtype=complex))
-        eta2 = np.asarray(cs.realization.A, dtype=float)
-        b = np.asarray(cs.realization.b, dtype=float)
+        eta2, b = cs.realization.A, cs.realization.b
         rhs = cs.M_alpha @ u
         if cs.realization.order:
             rhs = rhs + cs.xspace.R @ ((b / (eta2 + cs.beta)) @ x)
@@ -260,8 +257,6 @@ def build_companion(mesh, k, model, alpha1=1.0, beta=None, forms=None):
         beta=beta,
         xspace=xspace,
         realization=realization,
-        model=model,
-        alpha1=alpha1,
         forms=forms,
         M_alpha=M_alpha,
     )
@@ -272,6 +267,14 @@ def default_big_start(cs):
     z = np.zeros(cs.n_big, dtype=complex)
     z[: cs.n_v] = 1.0
     return z
+
+
+def lifted_big_start(cs, u, lam):
+    """The physical field ``u`` with its auxiliary blocks at eigenvalue
+    ``lam``, from their defining relation x_l = b_l / (eta2_l - lam) * u|_X."""
+    eta2, b = cs.realization.A, cs.realization.b
+    x = (b / (eta2 - lam))[:, None] * u[cs.xspace.xdofs][None, :]
+    return np.concatenate([u, x.ravel()])
 
 
 class NonlinearResidual:

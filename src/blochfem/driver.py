@@ -35,7 +35,13 @@ import numpy as np
 
 from . import dispersion
 from .assembly import assemble_tm, weighted_mass
-from .companion import build_companion, default_big_start, shift_lower_bound, solve_linearized
+from .companion import (
+    build_companion,
+    default_big_start,
+    lifted_big_start,
+    shift_lower_bound,
+    solve_linearized,
+)
 from .eigeniter import Pencil, inverse_power_rq, iterate, lopcg
 from .errors import BlochFEMError, NonConvergenceError
 from .mesh import build_mesh, prolongate
@@ -346,14 +352,10 @@ def _companion_level(config, mesh, coarse, trace, leg):
     if coarse is None:
         z = default_big_start(cs)
     else:
-        # prolongate the physical field; reseed the auxiliary blocks from
-        # their defining relation at the current eigenvalue
+        # prolongate the physical field; reseed the auxiliary blocks at the
+        # current eigenvalue
         coarse_mesh, sol = coarse
-        u = prolongate(sol.u, coarse_mesh, mesh)
-        eta2 = np.asarray(cs.realization.A, dtype=float)
-        b = np.asarray(cs.realization.b, dtype=float)
-        x = (b / (eta2 - sol.lam))[:, None] * u[cs.xspace.xdofs][None, :]
-        z = np.concatenate([u, x.ravel()])
+        z = lifted_big_start(cs, prolongate(sol.u, coarse_mesh, mesh), sol.lam)
     return solve_linearized(cs, z, mesh_level=mesh.level, trace=trace, **leg)
 
 

@@ -146,12 +146,9 @@ class Pencil:
         return self.factorization.solve(self.M_w @ q)
 
 
-def default_start(n, seed=None):
-    """All-ones start (overlaps the sign-definite ground mode), or seeded noise."""
-    if seed is None:
-        return np.ones(n, dtype=complex)
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+def default_start(n):
+    """All-ones start (overlaps the sign-definite ground mode)."""
+    return np.ones(n, dtype=complex)
 
 
 def _start_vector(pencil, u0):

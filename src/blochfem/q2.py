@@ -8,10 +8,6 @@ here.
 
 import numpy as np
 
-#: number of 1D nodes / 2D local DOFs
-NODES_1D = 3
-NODES_2D = 9
-
 
 def q2_values(t):
     """Values of the three 1D quadratic Lagrange functions at points ``t``.

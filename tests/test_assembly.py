@@ -2,8 +2,7 @@
 
 The strongest checks here are the ones that hold to machine precision by
 construction and would catch sign or transpose mistakes immediately:
-M = M1 + M2 bitwise, K(-k) = conj(K(k)), K(k) 1 = |k|^2 M 1, and the
-TE/TM coincidence at unit permittivity.
+M = M1 + M2 bitwise, K(-k) = conj(K(k)) and K(k) 1 = |k|^2 M 1.
 """
 
 import numpy as np
@@ -58,7 +57,7 @@ def test_hermitian_validation_rejects_asymmetry(monkeypatch):
 
     monkeypatch.setattr(asm, "_scatter", skewed)
     with pytest.raises(HermitianViolationError, match="symmetry"):
-        asm._RegionPieces(msh.build_mesh(0), msh.DISK)
+        asm._RegionPieces(msh.build_mesh(0))
 
 
 def test_pieces_are_checked_once_per_build(monkeypatch):
@@ -144,33 +143,6 @@ def test_plane_wave_rayleigh_quotients(level1):
         ) ** 2
         assert rq == pytest.approx(exact, rel=tol)
         assert rq >= fourier_lambda1(K_GENERIC) * (1 - 1e-12)
-
-
-# --- TE forms ----------------------------------------------------------------
-
-
-def test_te_at_unit_permittivity_matches_tm(level1):
-    mesh, tm = level1
-    te = asm.assemble_te(mesh, K_GENERIC, 1.0, 1.0)
-    assert (te.K.mat - tm.K.mat).nnz == 0
-    assert (te.M.mat - tm.M.mat).nnz == 0
-
-
-def test_te_scaling_with_constant_permittivity(level1):
-    # constant eps = 4 scales every stiffness term by exactly 1/4 (a power
-    # of two, so even the floating-point data agree bitwise)
-    mesh, tm = level1
-    te = asm.assemble_te(mesh, K_GENERIC, 4.0, 4.0)
-    assert np.abs(te.K.mat - 0.25 * tm.K.mat).max() == 0.0
-    assert (te.M.mat - tm.M.mat).nnz == 0  # pivot mass stays unweighted
-
-
-def test_te_rejects_nonpositive_permittivity():
-    mesh = msh.build_mesh(0)
-    with pytest.raises(ValueError, match="positive"):
-        asm.assemble_te(mesh, K_GENERIC, 0.0, 2.0)
-    with pytest.raises(ValueError, match="positive"):
-        asm.assemble_te(mesh, K_GENERIC, 2.0, -1.0)
 
 
 # --- weighted masses and region measure --------------------------------------

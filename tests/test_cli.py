@@ -88,21 +88,14 @@ def test_check_passes(capsys):
 
 
 def test_seed_override(tmp_path):
+    # the [run] seed key is still read (old configs carry it)
     ini = tmp_path / "run.ini"
     ini.write_text(FAST_LINEAR)
     from blochfem.driver import RunConfig
 
-    cfg = RunConfig.from_ini(ini)
-    assert cfg.seed == 0
-    # the flag must override the file
-    import blochfem.cli as cli
-
-    class Args:
-        config = str(ini)
-        seed = 7
-        out = None
-
-    assert cli._load_config(Args()).seed == 7
+    assert RunConfig.from_ini(ini).seed == 0
+    ini.write_text(FAST_LINEAR.replace("[run]\n", "[run]\nseed = 7\n"))
+    assert RunConfig.from_ini(ini).seed == 7
 
 
 def test_reference_failure_exits_two_without_traceback(tmp_path, capsys, monkeypatch):
