@@ -16,9 +16,14 @@ point. The permittivity enters only through the weighted mass.
 Every matrix is built from region-restricted pieces (chi_1- and chi_2-
 weighted), assembled once per mesh with the disk indicator evaluated at
 quadrature points: 3x3 Gauss per cell, upgraded to 4x4 on interface-cut
-cells (cells whose corners disagree on classification). The k-independent
-sums K0, Dx = Cx^T - Cx and Dy = Cy^T - Cy are formed once per mesh too,
-so a call at a new k only adds the k-dependent terms.
+cells (cells whose corners disagree on classification). Only the cells
+whose Gauss points straddle the interface run the weighted quadrature; a
+cell wholly on one side takes its rule's reference element there. Each of
+the two cell sets is scattered in the entry order of scipy's COO -> CSR
+conversion, captured once per mesh, so the pieces are bitwise the matrices
+that conversion builds. The k-independent sums K0, Dx = Cx^T - Cx and
+Dy = Cy^T - Cy are formed once per mesh too, so a call at a new k only
+adds the k-dependent terms.
 
 Quadrature rounding can make only the stiffness and mass pieces
 non-Hermitian, so they are checked once, when they are built; everything
@@ -62,15 +67,6 @@ class AssembledForms:
     M2: HermitianSparse
 
 
-def _scatter(mesh, cells_idx, el):
-    """Accumulate a batch of 9x9 element matrices into a global CSR matrix."""
-    dofs = mesh.cell_dofs[cells_idx]                     # (nc, 9)
-    rows = np.repeat(dofs[:, :, None], 9, axis=2).ravel()
-    cols = np.repeat(dofs[:, None, :], 9, axis=1).ravel()
-    n = mesh.dof_count
-    return sparse.coo_matrix((el.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-
-
 def max_asymmetry(A):
     """max |A - A^H| over the entries of a sparse matrix."""
     diff = A - A.getH()
@@ -90,6 +86,95 @@ def _check_hermitian(pieces):
             )
 
 
+def _element_matrices(wq, h, B, Gx, Gy):
+    """Stiffness, mass, x- and y-convection element matrices, (c, 9, 9)
+    each, of c cells whose quadrature weights are the rows of ``wq``."""
+    # physical scalings: mass h^2, stiffness h^2 * h^-2, convection h^2 * h^-1
+    return (np.einsum("cq,qa,qb->cab", wq, Gx, Gx)
+            + np.einsum("cq,qa,qb->cab", wq, Gy, Gy),
+            h * h * np.einsum("cq,qa,qb->cab", wq, B, B),
+            h * np.einsum("cq,qa,qb->cab", wq, B, Gx),
+            h * np.einsum("cq,qa,qb->cab", wq, B, Gy))
+
+
+class _Scatter:
+    """Sums the 9x9 element matrices of one set of cells into a CSR matrix.
+
+    ``coo_matrix(...).tocsr()`` orders the entries by a counting sort on the
+    row and ``csr_sort_indices`` on the column, then adds duplicates left to
+    right. That order depends only on the indices, so it is captured once,
+    by converting the entry numbers 0..nnz-1 with the summing switched off.
+    A matrix is then one gather into that order and one ``np.bincount``,
+    which also adds left to right: bitwise the matrix scipy would build,
+    up to the sign of exact zeros, which the region sums drop.
+    """
+
+    def __init__(self, mesh, cells):
+        dofs = mesh.cell_dofs[cells]                     # (nc, 9)
+        rows = np.repeat(dofs[:, :, None], 9, axis=2).ravel()
+        cols = np.repeat(dofs[:, None, :], 9, axis=1).ravel()
+        n = mesh.dof_count
+        order = sparse.coo_matrix((np.arange(rows.size), (rows, cols)),
+                                  shape=(n, n))
+        order.has_canonical_format = True                # order, do not sum
+        order = order.tocsr()
+        order.sort_indices()
+        self.perm = order.data
+        # an entry opens a new (row, column) slot where its column changes;
+        # row starts need no mark of their own, because the pattern is
+        # symmetric and holds the diagonal, so no row ends on the column
+        # that the next nonempty row starts with
+        ip, cols = order.indptr, order.indices
+        first = np.ones(cols.size, dtype=bool)
+        first[1:] = cols[1:] != cols[:-1]
+        starts = np.flatnonzero(first)
+        self.slot = np.cumsum(first)
+        self.slot -= 1
+        self.indices = cols[starts]
+        self.indptr = np.searchsorted(starts, ip).astype(ip.dtype)
+        self.shape = (n, n)
+
+    def __call__(self, el):
+        data = np.bincount(self.slot, weights=el.ravel()[self.perm],
+                           minlength=self.indices.size)
+        return sparse.csr_matrix((data, self.indices, self.indptr),
+                                 shape=self.shape)
+
+
+class _CellSet:
+    """One quadrature rule's cells, split by their Gauss-point indicator.
+
+    A cell whose chi_2 is 0 (or 1) at every point takes the reference
+    element, the same quadrature with the plain weights, in region 1 (or
+    2) and nothing in the other region; only the mixed cells, which meet
+    the interface, run the batched quadrature.
+    """
+
+    def __init__(self, mesh, cells, rule_pts):
+        pts, w, B, Gx, Gy = tensor_rule(rule_pts)
+        phys = mesh.cell_origin()[cells][:, None, :] + pts[None, :, :] * mesh.h
+        chi2 = DISK.chi2(phys)                           # (nc, nq)
+        inside = chi2.all(axis=1)
+        # within[r]: the cells whose every Gauss point lies in region r
+        self.within = (~(inside | chi2.any(axis=1)), inside)
+        self.mixed = ~(self.within[0] | self.within[1])
+        self.scatter = _Scatter(mesh, cells)
+        self.ncell = cells.size
+        self.reference = _element_matrices(w[None, :], mesh.h, B, Gx, Gy)
+        mixed = chi2[self.mixed]
+        self.batch = tuple(
+            _element_matrices(chi * w[None, :], mesh.h, B, Gx, Gy)
+            for chi in (1.0 - mixed, mixed))
+
+    def piece(self, kind, region):
+        """The CSR sum of element matrices ``kind`` (0 K, 1 M, 2 Cx, 3 Cy)
+        over these cells, weighted by region ``region`` (0 or 1)."""
+        el = np.zeros((self.ncell, 9, 9))
+        el[self.within[region]] = self.reference[kind]
+        el[self.mixed] = self.batch[region][kind]
+        return self.scatter(el)
+
+
 class _RegionPieces:
     """The k-independent matrices of one mesh (chi-weighted quadrature).
 
@@ -97,45 +182,30 @@ class _RegionPieces:
     each restricted to region 1 / region 2; the TM forms keep the region
     masses M1, M2 and the sums K0 = K1 + K2, Dx = Cx^T - Cx and
     Dy = Cy^T - Cy, with Cx = Cx1 + Cx2 and Cy = Cy1 + Cy2.
+
+    Each region piece is the sum of a plain-cell and a cut-cell matrix;
+    the addition drops the exact zeros that cells outside the region leave.
     """
 
     def __init__(self, mesh):
         corner_tags = DISK.classify(mesh.nodes[mesh.cells])   # (ncell, 4)
         cut = np.any(corner_tags != corner_tags[:, :1], axis=1)
-        h = mesh.h
-        origins = mesh.cell_origin()
+        sets = [_CellSet(mesh, np.flatnonzero(~cut), QUAD_PLAIN),
+                _CellSet(mesh, np.flatnonzero(cut), QUAD_CUT)]
 
-        n = mesh.dof_count
-        acc = {name: [sparse.csr_matrix((n, n)), sparse.csr_matrix((n, n))]
-               for name in ("K", "M", "Cx", "Cy")}
-        for rule_pts, idx in ((QUAD_PLAIN, np.flatnonzero(~cut)),
-                              (QUAD_CUT, np.flatnonzero(cut))):
-            if idx.size == 0:
-                continue
-            pts, w, B, Gx, Gy = tensor_rule(rule_pts)
-            phys = origins[idx][:, None, :] + pts[None, :, :] * h  # (nc, nq, 2)
-            chi2 = DISK.chi2(phys)                                 # (nc, nq)
-            for slot, chi in ((0, 1.0 - chi2), (1, chi2)):
-                wq = chi * w[None, :]
-                # physical scalings: mass h^2, stiffness h^2 * h^-2,
-                # convection h^2 * h^-1
-                kel = (np.einsum("cq,qa,qb->cab", wq, Gx, Gx)
-                       + np.einsum("cq,qa,qb->cab", wq, Gy, Gy))
-                mel = h * h * np.einsum("cq,qa,qb->cab", wq, B, B)
-                cxel = h * np.einsum("cq,qa,qb->cab", wq, B, Gx)
-                cyel = h * np.einsum("cq,qa,qb->cab", wq, B, Gy)
-                acc["K"][slot] = acc["K"][slot] + _scatter(mesh, idx, kel)
-                acc["M"][slot] = acc["M"][slot] + _scatter(mesh, idx, mel)
-                acc["Cx"][slot] = acc["Cx"][slot] + _scatter(mesh, idx, cxel)
-                acc["Cy"][slot] = acc["Cy"][slot] + _scatter(mesh, idx, cyel)
-        _check_hermitian(acc["K"] + acc["M"])
-        # drop each pair as soon as its sum exists, so that the next sum can
-        # reuse its memory (holding every pair to the end put about 30 MB on
-        # the peak RSS of an experiment1 run)
-        self.M1, self.M2 = acc.pop("M")
-        self.K0 = _region_sum(acc.pop("K"))
-        self.Dx = _antisymmetric(_region_sum(acc.pop("Cx")))
-        self.Dy = _antisymmetric(_region_sum(acc.pop("Cy")))
+        def pair(kind):
+            return [sets[0].piece(kind, r) + sets[1].piece(kind, r)
+                    for r in (0, 1)]
+
+        K, M = pair(0), pair(1)
+        _check_hermitian(K + M)
+        # a sum keeps its arrays in buffers sized for both summands (M1's
+        # is 38 % longer at L3); the cache holds compact copies
+        self.M1, self.M2 = (A.copy() for A in M)
+        self.K0 = _region_sum(K)
+        del K, M    # free them before the convection pairs are built
+        self.Dx = _antisymmetric(_region_sum(pair(2)))
+        self.Dy = _antisymmetric(_region_sum(pair(3)))
 
 
 def _region_sum(pair):

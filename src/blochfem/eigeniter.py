@@ -120,9 +120,9 @@ class Pencil:
             self._dual = DualNorm.from_factorization(fact)
         return self._dual
 
-    def norm_m(self, u):
-        """M_w-norm of a coefficient vector."""
-        val = np.vdot(u, self.M_w @ u).real
+    def norm_m(self, u, Mu=None):
+        """M_w-norm of a coefficient vector; ``Mu`` is M_w u if already known."""
+        val = np.vdot(u, self.M_w @ u if Mu is None else Mu).real
         return float(np.sqrt(max(val, 0.0)))
 
     def normalized(self, u):
@@ -223,13 +223,14 @@ def _power_rows(pencil, u0, scale_by_mu, residual_fn):
     while True:
         w = pencil.step(q)
         raw = mu * w if scale_by_mu else w
-        nrm = pencil.norm_m(raw)
+        Mraw = pencil.M_w @ raw
+        nrm = pencil.norm_m(raw, Mraw)
         if nrm == 0.0 or not np.isfinite(nrm):
             raise NonConvergenceError(
                 "iterate collapsed to zero (start vector numerically "
                 "orthogonal to the whole spectrum?)"
             )
-        mu = rayleigh_quotient(raw, pencil.A_beta, pencil.M_w)
+        mu = rayleigh_quotient(raw, pencil.A_beta, pencil.M_w, Bu=Mraw)
         q = raw / nrm
         yield raw, mu, mu - pencil.beta, residual_fn(q, mu)
 

@@ -147,10 +147,11 @@ class Factorization:
         return x
 
 
-def rayleigh_quotient(u, A, B):
+def rayleigh_quotient(u, A, B, Bu=None):
     """(u^H A u) / (u^H B u) for a Hermitian pencil; returns a real number.
 
-    The imaginary parts of numerator and denominator are checked against a
+    ``Bu`` is the product B u when the caller already holds it. The
+    imaginary parts of numerator and denominator are checked against a
     1e-12 relative threshold and then discarded; exceedances bump the
     module-level diagnostics counter.
     """
@@ -158,7 +159,7 @@ def rayleigh_quotient(u, A, B):
     if not np.any(u):
         raise ValueError("Rayleigh quotient of the zero vector")
     num = np.vdot(u, _as_csr(A) @ u)
-    den = np.vdot(u, _as_csr(B) @ u)
+    den = np.vdot(u, _as_csr(B) @ u if Bu is None else Bu)
     if abs(num.imag) > 1e-12 * abs(num) or abs(den.imag) > 1e-12 * abs(den):
         _bump_imag_warnings()
     if den.real == 0.0:

@@ -15,6 +15,7 @@ from blochfem import assembly as asm, mesh as msh
 from blochfem.eigeniter import Pencil
 from blochfem.errors import HermitianViolationError
 from blochfem.linalg import rayleigh_quotient
+from blochfem.q2 import tensor_rule
 
 K_GENERIC = (np.pi / 2, np.pi)
 
@@ -48,14 +49,17 @@ def test_hermitian_validation_rejects_asymmetry(monkeypatch):
     asm._check_hermitian((A + A.T,))
 
     # a piece that comes out of quadrature asymmetric is refused when built
-    scatter = asm._scatter
+    elements = asm._element_matrices
 
-    def skewed(mesh, cells_idx, el):
-        el = el.copy()
-        el[:, 0, 1] += 1e-6 * np.abs(el).max()
-        return scatter(mesh, cells_idx, el)
+    def skewed(*args):
+        out = []
+        for el in elements(*args):
+            el = el.copy()
+            el[:, 0, 1] += 1e-6 * np.abs(el).max(initial=0.0)
+            out.append(el)
+        return tuple(out)
 
-    monkeypatch.setattr(asm, "_scatter", skewed)
+    monkeypatch.setattr(asm, "_element_matrices", skewed)
     with pytest.raises(HermitianViolationError, match="symmetry"):
         asm._RegionPieces(msh.build_mesh(0))
 
@@ -69,12 +73,65 @@ def test_pieces_are_checked_once_per_build(monkeypatch):
     asm.assemble_tm(mesh, K_GENERIC)
     assert len(calls) == 1
     # K and M of both regions
-    assert len(calls[0]) == 4
+    K1, K2, M1, M2 = calls[0]
+    pieces = asm._PIECES_CACHE[mesh.level]
+    for checked, kept in ((K1 + K2, pieces.K0), (M1, pieces.M1), (M2, pieces.M2)):
+        assert (checked != kept).nnz == 0
     forms = asm.assemble_tm(mesh, (0.3, -1.1))
     Mw = asm.weighted_mass(mesh, 1.0, 8.0, forms=forms)
     asm.weighted_mass(mesh, 2.0, 3.0)
     Pencil.from_stiffness(forms.K, Mw, beta=1.0)
     assert len(calls) == 1
+
+
+def _oracle_pieces(mesh):
+    """The region pieces as one COO -> CSR scatter per cell set and piece
+    built them: every cell of a set through one batched quadrature."""
+    tags = asm.DISK.classify(mesh.nodes[mesh.cells])
+    cut = np.any(tags != tags[:, :1], axis=1)
+    n, h = mesh.dof_count, mesh.h
+    acc = [[sparse.csr_matrix((n, n)), sparse.csr_matrix((n, n))] for _ in range(4)]
+    for rule_pts, idx in ((asm.QUAD_PLAIN, np.flatnonzero(~cut)),
+                          (asm.QUAD_CUT, np.flatnonzero(cut))):
+        if idx.size == 0:
+            continue
+        pts, w, B, Gx, Gy = tensor_rule(rule_pts)
+        chi2 = asm.DISK.chi2(mesh.cell_origin()[idx][:, None, :] + pts[None] * h)
+        dofs = mesh.cell_dofs[idx]
+        rows = np.repeat(dofs[:, :, None], 9, axis=2).ravel()
+        cols = np.repeat(dofs[:, None, :], 9, axis=1).ravel()
+        for region, chi in enumerate((1.0 - chi2, chi2)):
+            wq = chi * w[None, :]
+            els = (np.einsum("cq,qa,qb->cab", wq, Gx, Gx)
+                   + np.einsum("cq,qa,qb->cab", wq, Gy, Gy),
+                   h * h * np.einsum("cq,qa,qb->cab", wq, B, B),
+                   h * np.einsum("cq,qa,qb->cab", wq, B, Gx),
+                   h * np.einsum("cq,qa,qb->cab", wq, B, Gy))
+            for kind, el in enumerate(els):
+                coo = sparse.coo_matrix((el.ravel(), (rows, cols)), shape=(n, n))
+                acc[kind][region] = acc[kind][region] + coo.tocsr()
+    (K1, K2), (M1, M2), Cx, Cy = acc
+    Cx, Cy = Cx[0] + Cx[1], Cy[0] + Cy[1]
+    return dict(M1=M1, M2=M2, K0=K1 + K2, Dx=(Cx.T - Cx).tocsr(), Dy=(Cy.T - Cy).tocsr())
+
+
+@pytest.mark.parametrize("level, disk", [
+    (0, None), (1, None), (2, None), (3, None),
+    # inside one level-0 cell: one cell meets the disk at a Gauss point
+    # only, no cell corner disagrees, so the cut set is empty
+    (0, msh.MaterialMap(center=(0.5625, 0.5625), radius=0.03)),
+])
+def test_pieces_match_the_coo_scatter_bitwise(monkeypatch, level, disk):
+    if disk is not None:
+        monkeypatch.setattr(asm, "DISK", disk)
+    mesh = msh.build_mesh(level)
+    pieces = asm._RegionPieces(mesh)
+    for name, want in _oracle_pieces(mesh).items():
+        got = getattr(pieces, name)
+        assert type(got) is type(want), name
+        for attr in ("data", "indices", "indptr"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, attr)
 
 
 def test_mass_splits_exactly(level1):
