@@ -4,7 +4,7 @@
     python3 scripts/time_assembly.py
 
 Cold: five fresh ``assembly._RegionPieces(mesh)`` builds at L0-L5 (the
-one-time work of a level: quadrature, scatter and the Hermitian check);
+one-time work of a level: quadrature, symmetry check and scatter);
 prints the fastest build and the tracemalloc peak of one more build.
 Warm: five ``assemble_tm(mesh, k)`` calls on the cached pieces at L2-L4
 (the work of each new wave vector); prints the fastest call. BLAS runs on

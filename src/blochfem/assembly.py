@@ -14,20 +14,21 @@ antisymmetric cross term makes K(k) Hermitian *by construction* in floating
 point. The permittivity enters only through the weighted mass.
 
 Every matrix is built from region-restricted pieces (chi_1- and chi_2-
-weighted), assembled once per mesh with the disk indicator evaluated at
-quadrature points: 3x3 Gauss per cell, upgraded to 4x4 on interface-cut
-cells (cells whose corners disagree on classification). Only the cells
-whose Gauss points straddle the interface run the weighted quadrature; a
-cell wholly on one side takes its rule's reference element there. Each of
-the two cell sets is scattered in the entry order of scipy's COO -> CSR
-conversion, captured once per mesh, so the pieces are bitwise the matrices
-that conversion builds. The k-independent sums K0, Dx = Cx^T - Cx and
-Dy = Cy^T - Cy are formed once per mesh too, so a call at a new k only
-adds the k-dependent terms.
+weighted), assembled once per mesh level and kept for every level a process
+touches, with the disk indicator evaluated at quadrature points: 3x3 Gauss
+per cell, upgraded to 4x4 on interface-cut cells (cells whose corners
+disagree on classification). Only the cells whose Gauss points straddle the
+interface run the weighted quadrature; a cell wholly on one side takes its
+rule's reference element there. Each of the two cell sets is scattered in
+the entry order of scipy's COO -> CSR conversion, captured once per mesh,
+so the pieces are bitwise the matrices that conversion builds. The
+k-independent sums K0, Dx = Cx^T - Cx and Dy = Cy^T - Cy are formed once
+per mesh too, so a call at a new k only adds the k-dependent terms.
 
-Quadrature rounding can make only the stiffness and mass pieces
-non-Hermitian, so they are checked once, when they are built; everything
-combined from them is Hermitian by construction and not checked again.
+Quadrature rounding is the one place where symmetry can break, so the
+stiffness and mass element matrices are checked once per build. The scatter
+adds (i, j) and (j, i) from the same cells in the same order, so nothing
+built from those elements is checked again.
 """
 
 from dataclasses import dataclass
@@ -51,7 +52,7 @@ __all__ = [
 QUAD_PLAIN = 3
 QUAD_CUT = 4
 
-#: relative entrywise tolerance for the Hermiticity check of the pieces
+#: relative entrywise tolerance for the symmetry check of the elements
 HERMITIAN_RTOL = 1e-13
 
 
@@ -73,19 +74,6 @@ def max_asymmetry(A):
     return np.abs(diff.data).max() if diff.nnz else 0.0
 
 
-def _check_hermitian(pieces):
-    """Raise HermitianViolationError unless every piece is Hermitian to
-    HERMITIAN_RTOL relative to its largest entry."""
-    for A in pieces:
-        scale = np.abs(A.data).max() if A.nnz else 0.0
-        worst = max_asymmetry(A)
-        if scale > 0 and worst > HERMITIAN_RTOL * scale:
-            raise HermitianViolationError(
-                "region piece violates symmetry: "
-                "max|A - A^H| = %.3e vs max|A| = %.3e" % (worst, scale)
-            )
-
-
 def _element_matrices(wq, h, B, Gx, Gy):
     """Stiffness, mass, x- and y-convection element matrices, (c, 9, 9)
     each, of c cells whose quadrature weights are the rows of ``wq``."""
@@ -97,19 +85,46 @@ def _element_matrices(wq, h, B, Gx, Gy):
             h * np.einsum("cq,qa,qb->cab", wq, B, Gy))
 
 
-class _Scatter:
-    """Sums the 9x9 element matrices of one set of cells into a CSR matrix.
+class _CellSet:
+    """One quadrature rule's cells: their element matrices, checked for
+    symmetry, and the order in which those scatter into CSR.
+
+    A cell whose chi_2 is 0 (or 1) at every Gauss point takes the reference
+    element, the same quadrature with the plain weights, in region 1 (or
+    2) and nothing in the other region; only the mixed cells, which meet
+    the interface, run the batched quadrature.
 
     ``coo_matrix(...).tocsr()`` orders the entries by a counting sort on the
     row and ``csr_sort_indices`` on the column, then adds duplicates left to
     right. That order depends only on the indices, so it is captured once,
     by converting the entry numbers 0..nnz-1 with the summing switched off.
-    A matrix is then one gather into that order and one ``np.bincount``,
+    A piece is then one gather into that order and one ``np.bincount``,
     which also adds left to right: bitwise the matrix scipy would build,
     up to the sign of exact zeros, which the region sums drop.
     """
 
-    def __init__(self, mesh, cells):
+    def __init__(self, mesh, cells, rule_pts):
+        pts, w, B, Gx, Gy = tensor_rule(rule_pts)
+        phys = mesh.cell_origin()[cells][:, None, :] + pts[None, :, :] * mesh.h
+        chi2 = DISK.chi2(phys)                           # (nc, nq)
+        inside = chi2.all(axis=1)
+        # within[r]: the cells whose every Gauss point lies in region r
+        self.within = (~(inside | chi2.any(axis=1)), inside)
+        self.mixed = ~(self.within[0] | self.within[1])
+        self.reference = _element_matrices(w[None, :], mesh.h, B, Gx, Gy)
+        mixed = chi2[self.mixed]
+        self.batch = tuple(
+            _element_matrices(chi * w[None, :], mesh.h, B, Gx, Gy)
+            for chi in (1.0 - mixed, mixed))
+        for el in (els[kind] for els in (self.reference,) + self.batch
+                   for kind in (0, 1)):
+            worst = np.abs(el - el.transpose(0, 2, 1)).max(initial=0.0)
+            scale = np.abs(el).max(initial=0.0)
+            if worst > HERMITIAN_RTOL * scale:
+                raise HermitianViolationError(
+                    "element matrices violate symmetry: "
+                    "max|A - A^T| = %.3e vs max|A| = %.3e" % (worst, scale))
+
         dofs = mesh.cell_dofs[cells]                     # (nc, 9)
         rows = np.repeat(dofs[:, :, None], 9, axis=2).ravel()
         cols = np.repeat(dofs[:, None, :], 9, axis=1).ravel()
@@ -134,45 +149,16 @@ class _Scatter:
         self.indptr = np.searchsorted(starts, ip).astype(ip.dtype)
         self.shape = (n, n)
 
-    def __call__(self, el):
+    def piece(self, kind, region):
+        """The CSR sum of element matrices ``kind`` (0 K, 1 M, 2 Cx, 3 Cy)
+        over these cells, weighted by region ``region`` (0 or 1)."""
+        el = np.zeros(self.mixed.shape + (9, 9))
+        el[self.within[region]] = self.reference[kind]
+        el[self.mixed] = self.batch[region][kind]
         data = np.bincount(self.slot, weights=el.ravel()[self.perm],
                            minlength=self.indices.size)
         return sparse.csr_matrix((data, self.indices, self.indptr),
                                  shape=self.shape)
-
-
-class _CellSet:
-    """One quadrature rule's cells, split by their Gauss-point indicator.
-
-    A cell whose chi_2 is 0 (or 1) at every point takes the reference
-    element, the same quadrature with the plain weights, in region 1 (or
-    2) and nothing in the other region; only the mixed cells, which meet
-    the interface, run the batched quadrature.
-    """
-
-    def __init__(self, mesh, cells, rule_pts):
-        pts, w, B, Gx, Gy = tensor_rule(rule_pts)
-        phys = mesh.cell_origin()[cells][:, None, :] + pts[None, :, :] * mesh.h
-        chi2 = DISK.chi2(phys)                           # (nc, nq)
-        inside = chi2.all(axis=1)
-        # within[r]: the cells whose every Gauss point lies in region r
-        self.within = (~(inside | chi2.any(axis=1)), inside)
-        self.mixed = ~(self.within[0] | self.within[1])
-        self.scatter = _Scatter(mesh, cells)
-        self.ncell = cells.size
-        self.reference = _element_matrices(w[None, :], mesh.h, B, Gx, Gy)
-        mixed = chi2[self.mixed]
-        self.batch = tuple(
-            _element_matrices(chi * w[None, :], mesh.h, B, Gx, Gy)
-            for chi in (1.0 - mixed, mixed))
-
-    def piece(self, kind, region):
-        """The CSR sum of element matrices ``kind`` (0 K, 1 M, 2 Cx, 3 Cy)
-        over these cells, weighted by region ``region`` (0 or 1)."""
-        el = np.zeros((self.ncell, 9, 9))
-        el[self.within[region]] = self.reference[kind]
-        el[self.mixed] = self.batch[region][kind]
-        return self.scatter(el)
 
 
 class _RegionPieces:
@@ -197,19 +183,15 @@ class _RegionPieces:
             return [sets[0].piece(kind, r) + sets[1].piece(kind, r)
                     for r in (0, 1)]
 
-        K, M = pair(0), pair(1)
-        _check_hermitian(K + M)
-        # a sum keeps its arrays in buffers sized for both summands (M1's
-        # is 38 % longer at L3); the cache holds compact copies
-        self.M1, self.M2 = (A.copy() for A in M)
-        self.K0 = _region_sum(K)
-        del K, M    # free them before the convection pairs are built
-        self.Dx = _antisymmetric(_region_sum(pair(2)))
-        self.Dy = _antisymmetric(_region_sum(pair(3)))
+        def total(kind):
+            C1, C2 = pair(kind)
+            return C1 + C2
 
-
-def _region_sum(pair):
-    return pair[0] + pair[1]
+        # compact copies: a sum's buffers are sized for both summands
+        self.M1, self.M2 = (A.copy() for A in pair(1))
+        self.K0 = total(0)
+        self.Dx = _antisymmetric(total(2))
+        self.Dy = _antisymmetric(total(3))
 
 
 def _antisymmetric(C):
@@ -217,14 +199,12 @@ def _antisymmetric(C):
     return (C.T - C).tocsr()
 
 
+#: region pieces by mesh level, kept for every level a process touches
 _PIECES_CACHE = {}
-_PIECES_CACHE_CAP = 4
 
 
 def _pieces(mesh):
     if mesh.level not in _PIECES_CACHE:
-        if len(_PIECES_CACHE) >= _PIECES_CACHE_CAP:
-            _PIECES_CACHE.pop(next(iter(_PIECES_CACHE)))
         _PIECES_CACHE[mesh.level] = _RegionPieces(mesh)
     return _PIECES_CACHE[mesh.level]
 

@@ -148,14 +148,6 @@ class PeriodicMesh:
         """(ncell, 2) lower-left corner coordinates of every cell."""
         return self.nodes[self.cells[:, 0]]
 
-    def __repr__(self):
-        return "PeriodicMesh(level=%d, %dx%d cells, %d dofs)" % (
-            self.level,
-            self.ncell_side,
-            self.ncell_side,
-            self.dof_count,
-        )
-
 
 def build_mesh(level):
     """Build the uniform periodic mesh at the given refinement level."""

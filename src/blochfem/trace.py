@@ -87,9 +87,6 @@ class IterationTrace:
     def mus(self):
         return np.array([r.mu for r in self.rows])
 
-    def lams(self):
-        return np.array([r.lam for r in self.rows])
-
     def residuals(self):
         return np.array([r.residual_dual for r in self.rows])
 

@@ -5,6 +5,8 @@ construction and would catch sign or transpose mistakes immediately:
 M = M1 + M2 bitwise, K(-k) = conj(K(k)) and K(k) 1 = |k|^2 M 1.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,46 +44,69 @@ def test_stiffness_is_hermitian(level1):
     assert (diff.max() if diff.size else 0.0) <= 1e-13 * np.abs(K.data).max()
 
 
-def test_hermitian_validation_rejects_asymmetry(monkeypatch):
-    A = sparse.csr_matrix(np.array([[1.0, 2.0], [0.5, 1.0]]))
-    with pytest.raises(HermitianViolationError, match="symmetry"):
-        asm._check_hermitian((A,))
-    asm._check_hermitian((A + A.T,))
-
-    # a piece that comes out of quadrature asymmetric is refused when built
-    elements = asm._element_matrices
+def _skewing(elements, call=None, kind=None):
+    """``elements`` with entry (0, 1) of every cell raised by 1e-6 of the
+    batch's largest entry: in output ``kind`` of the ``call``-th call only,
+    or everywhere when both are None."""
+    calls = itertools.count()
 
     def skewed(*args):
-        out = []
-        for el in elements(*args):
-            el = el.copy()
-            el[:, 0, 1] += 1e-6 * np.abs(el).max(initial=0.0)
-            out.append(el)
+        out, n = list(elements(*args)), next(calls)
+        for i, el in enumerate(out):
+            if call is None or (n, i) == (call, kind):
+                out[i] = el.copy()
+                out[i][:, 0, 1] += 1e-6 * np.abs(el).max(initial=0.0)
         return tuple(out)
+    return skewed
 
-    monkeypatch.setattr(asm, "_element_matrices", skewed)
+
+def test_hermitian_validation_rejects_asymmetry(monkeypatch):
+    # an element matrix that comes out of quadrature asymmetric is refused
+    # when the pieces are built
+    monkeypatch.setattr(asm, "_element_matrices", _skewing(asm._element_matrices))
     with pytest.raises(HermitianViolationError, match="symmetry"):
         asm._RegionPieces(msh.build_mesh(0))
 
 
+#: a disk whose plain and cut cell sets both hold mixed cells at L0 (1 and 5)
+BOTH_SETS_MIXED = msh.MaterialMap(center=(0.5625, 0.67), radius=0.1)
+
+
 def test_pieces_are_checked_once_per_build(monkeypatch):
-    calls = []
-    check = asm._check_hermitian
-    monkeypatch.setattr(asm, "_check_hermitian", lambda p: calls.append(p) or check(p))
+    monkeypatch.setattr(asm, "DISK", BOTH_SETS_MIXED)
     monkeypatch.setattr(asm, "_PIECES_CACHE", {})
-    mesh = msh.build_mesh(1)
+    mesh = msh.build_mesh(0)
+    elements, batches = asm._element_matrices, []
+    monkeypatch.setattr(asm, "_element_matrices",
+                        lambda wq, *a: batches.append(len(wq)) or elements(wq, *a))
+    monkeypatch.setattr(asm, "max_asymmetry",
+                        lambda A: pytest.fail("an assembled matrix was checked"))
     asm.assemble_tm(mesh, K_GENERIC)
-    assert len(calls) == 1
-    # K and M of both regions
-    K1, K2, M1, M2 = calls[0]
-    pieces = asm._PIECES_CACHE[mesh.level]
-    for checked, kept in ((K1 + K2, pieces.K0), (M1, pieces.M1), (M2, pieces.M2)):
-        assert (checked != kept).nnz == 0
+    # per cell set: the reference element, then the mixed cells per region
+    assert batches == [1, 1, 1, 1, 5, 5]
     forms = asm.assemble_tm(mesh, (0.3, -1.1))
     Mw = asm.weighted_mass(mesh, 1.0, 8.0, forms=forms)
     asm.weighted_mass(mesh, 2.0, 3.0)
     Pencil.from_stiffness(forms.K, Mw, beta=1.0)
-    assert len(calls) == 1
+    assert len(batches) == 6
+    # the stiffness and the mass of each of the six batches are checked;
+    # the convection elements are not symmetric, so they cannot be
+    for call in range(6):
+        for kind in (0, 1):
+            monkeypatch.setattr(asm, "_element_matrices",
+                                _skewing(elements, call, kind))
+            with pytest.raises(HermitianViolationError, match="symmetry"):
+                asm._RegionPieces(mesh)
+
+
+def test_pieces_are_kept_for_every_level(monkeypatch):
+    builds = []
+    monkeypatch.setattr(asm, "_RegionPieces", lambda mesh: builds.append(mesh.level))
+    monkeypatch.setattr(asm, "_PIECES_CACHE", {})
+    for _ in range(2):
+        for level in range(5):
+            asm._pieces(msh.build_mesh(level))
+    assert builds == [0, 1, 2, 3, 4]
 
 
 def _oracle_pieces(mesh):

@@ -345,7 +345,7 @@ def test_lopcg_drops_a_dependent_direction():
     trace = err.value.trace
     assert len(trace) == 6
     assert np.all(trace.residuals()[1:] < 1e-15)
-    assert trace.lams()[1:] == pytest.approx(1.0, rel=1e-15)
+    assert [r.lam for r in trace][1:] == pytest.approx([1.0] * 5, rel=1e-15)
 
 
 def test_lopcg_below_the_floor_raises_with_the_partial_trace(disk_pencil):

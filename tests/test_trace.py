@@ -59,7 +59,7 @@ def test_trace_accessors():
     assert tr[0].j == 1
     assert [r.j for r in tr] == [1, 2]
     assert np.allclose(tr.mus(), [3.0, 2.5])
-    assert np.allclose(tr.lams(), [2.0, 1.5])
+    assert [r.lam for r in tr] == [2.0, 1.5]
     assert np.allclose(tr.residuals(), [1e-2, 1e-4])
     assert np.array_equal(tr.levels(), [0, 1])
     assert tr.total_wall() == pytest.approx(0.75)
