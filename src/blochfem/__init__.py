@@ -2,15 +2,17 @@
 
 Modules
 -------
-mesh        periodic quad meshes, prolongation
+mesh        periodic Q2 DOF lattice, disk indicator, prolongation
 assembly    Bloch-shifted stiffness and weighted mass matrices (TM);
-            checks the Hermiticity of its region pieces once per build
+            checks the symmetry of its element matrices once per build
 linalg      wrapper for matrices Hermitian by construction (unchecked),
             factorization, Rayleigh quotients, dual-norm residuals
 dispersion  permittivity models and their rational-function realizations
-eigeniter   inverse power iteration (with/without Rayleigh scaling), Arnoldi
+eigeniter   inverse power iteration (with/without Rayleigh scaling), LOPCG,
+            Arnoldi, and ``iterate``, the one loop every solver leg runs in
 companion   linearized extended eigenproblem for rational permittivities
-newton      bordered Newton iteration for the nonlinear eigenproblem
+newton      bordered Newton iteration and residual inverse iteration for
+            the nonlinear eigenproblem
 driver      run configs, refinement schedules, trace CSV output, k-sweeps
 """
 

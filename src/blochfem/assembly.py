@@ -17,7 +17,7 @@ Every matrix is built from region-restricted pieces (chi_1- and chi_2-
 weighted), assembled once per mesh level and kept for every level a process
 touches, with the disk indicator evaluated at quadrature points: 3x3 Gauss
 per cell, upgraded to 4x4 on interface-cut cells (cells whose corners
-disagree on classification). Only the cells whose Gauss points straddle the
+disagree on chi_2). Only the cells whose Gauss points straddle the
 interface run the weighted quadrature; a cell wholly on one side takes its
 rule's reference element there. Each of the two cell sets is scattered in
 the entry order of scipy's COO -> CSR conversion, captured once per mesh,
@@ -174,8 +174,8 @@ class _RegionPieces:
     """
 
     def __init__(self, mesh):
-        corner_tags = DISK.classify(mesh.nodes[mesh.cells])   # (ncell, 4)
-        cut = np.any(corner_tags != corner_tags[:, :1], axis=1)
+        corners = DISK.chi2(mesh.cell_corners())             # (ncell, 4)
+        cut = np.any(corners != corners[:, :1], axis=1)
         sets = [_CellSet(mesh, np.flatnonzero(~cut), QUAD_PLAIN),
                 _CellSet(mesh, np.flatnonzero(cut), QUAD_CUT)]
 
@@ -250,6 +250,4 @@ def weighted_mass(mesh, w1, w2, forms=None):
     else:
         p = _pieces(mesh)
         M1, M2 = p.M1, p.M2
-    if w1 == 1.0 and w2 == 1.0:
-        return HermitianSparse(M1 + M2)
     return HermitianSparse(w1 * M1 + w2 * M2)

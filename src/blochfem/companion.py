@@ -237,23 +237,17 @@ def build_companion(mesh, k, model, alpha1=1.0, beta=None, forms=None):
         + beta * M_alpha.mat
     ).tocsr()
     L = realization.order
-    if L == 0:
-        ABig = HermitianSparse(A00)
-        IBig = M_alpha
-    else:
-        blocks = [[A00] + [-b_l * xspace.R for b_l in realization.b]]
-        for ell in range(L):
-            row = [None] * (L + 1)
-            row[0] = -realization.b[ell] * xspace.R.conj().T
-            row[ell + 1] = (realization.A[ell] + beta) * xspace.M_X
-            blocks.append(row)
-        ABig = HermitianSparse(sparse.bmat(blocks, format="csr"))
-        IBig = HermitianSparse(
-            sparse.block_diag([M_alpha.mat] + [xspace.M_X] * L, format="csr")
-        )
+    blocks = [[A00] + [-b_l * xspace.R for b_l in realization.b]]
+    for ell in range(L):
+        row = [None] * (L + 1)
+        row[0] = -realization.b[ell] * xspace.R.conj().T
+        row[ell + 1] = (realization.A[ell] + beta) * xspace.M_X
+        blocks.append(row)
     return CompanionSystem(
-        ABig=ABig,
-        IBig=IBig,
+        ABig=HermitianSparse(sparse.bmat(blocks, format="csr")),
+        IBig=HermitianSparse(
+            sparse.block_diag([M_alpha.mat] + [xspace.M_X] * L, format="csr")
+        ),
         beta=beta,
         xspace=xspace,
         realization=realization,

@@ -169,24 +169,31 @@ class Realization:
 
 
 # ---------------------------------------------------------------------------
-# pole bookkeeping
+# evaluation (internally in lam = omega^2)
+
+
+def _parts(model):
+    """(offset, terms): eps(lam) is the offset plus one summand per term."""
+    if isinstance(model, Constant):
+        return model.c, ()
+    if isinstance(model, SimplifiedDL):
+        return model.alpha2, model.terms
+    if isinstance(model, RealDL):
+        return model.alpha, model.terms
+    raise TypeError(f"not a dispersion model: {type(model).__name__}")
 
 
 def real_poles(model):
-    """Real poles of the model in the variable lam = omega^2, as a sorted array."""
-    if isinstance(model, Constant):
-        poles = []
-    elif isinstance(model, SimplifiedDL):
-        poles = [t.eta2 for t in model.terms]
-    elif isinstance(model, RealDL):
-        poles = [t.eta2 for t in model.terms if t.gamma == 0.0]
-    else:
-        raise TypeError(f"not a dispersion model: {type(model).__name__}")
-    return np.sort(np.asarray(poles, dtype=float))
+    """Real poles of the model in the variable lam = omega^2, as a sorted array.
+
+    Only undamped terms have one; the lossless variant has no other kind.
+    """
+    _, terms = _parts(model)
+    return np.sort(np.asarray([t.eta2 for t in terms if t.gamma == 0.0], dtype=float))
 
 
-def _guard_poles(model, lam):
-    for p in real_poles(model):
+def _guard_poles(poles, lam):
+    for p in poles:
         if abs(lam - p) < POLE_GUARD * max(1.0, abs(p)):
             raise NearPoleError(
                 f"evaluation at omega^2 = {lam!r} is within the guard window "
@@ -194,75 +201,43 @@ def _guard_poles(model, lam):
             )
 
 
-# ---------------------------------------------------------------------------
-# evaluation (internally in lam = omega^2)
-
-
-def _eval_lam(model, lam):
-    if isinstance(model, Constant):
-        return model.c
-    if isinstance(model, SimplifiedDL):
-        acc = model.alpha2
-        for t in model.terms:
-            acc += t.xi2 / (t.eta2 - lam)
-        return acc
-    if isinstance(model, RealDL):
-        acc = model.alpha
-        for t in model.terms:
-            s = t.eta2 - lam
-            if t.gamma == 0.0:
-                # undamped term: evaluate without squaring s, which both
-                # avoids needless rounding and makes the gamma -> 0 limit
-                # agree bitwise with the lossless model
-                acc += t.xi2 / s
-            else:
-                acc += t.xi2 * s / (s * s + t.gamma * t.gamma * lam)
-        return acc
-    raise TypeError(f"not a dispersion model: {type(model).__name__}")
-
-
-def _dlam(model, lam):
-    if isinstance(model, Constant):
-        return 0.0
-    if isinstance(model, SimplifiedDL):
-        acc = 0.0
-        for t in model.terms:
-            s = t.eta2 - lam
-            acc += t.xi2 / (s * s)
-        return acc
-    if isinstance(model, RealDL):
-        acc = 0.0
-        for t in model.terms:
-            s = t.eta2 - lam
-            if t.gamma == 0.0:
-                acc += t.xi2 / (s * s)
-                continue
-            den = s * s + t.gamma * t.gamma * lam
-            # d/dlam [xi2*s/den]; the numerator collapses to s^2 - gamma^2*eta2
-            acc += t.xi2 * (s * s - t.gamma * t.gamma * t.eta2) / (den * den)
-        return acc
-    raise TypeError(f"not a dispersion model: {type(model).__name__}")
-
-
 def eval(model, omega):
     """eps(omega).  Raises NearPoleError inside the guard window of a real pole."""
-    lam = float(omega) ** 2
-    _guard_poles(model, lam)
-    return _eval_lam(model, lam)
-
-
-def eval_dlambda(model, lam):
-    """d eps / d lam at lam = omega^2 (what the Newton residual actually needs)."""
-    lam = float(lam)
-    _guard_poles(model, lam)
-    return _dlam(model, lam)
+    return eval_lambda(model, float(omega) ** 2)
 
 
 def eval_lambda(model, lam):
     """eps evaluated at lam = omega^2 directly (no square root round trip)."""
     lam = float(lam)
-    _guard_poles(model, lam)
-    return _eval_lam(model, lam)
+    acc, terms = _parts(model)
+    _guard_poles(real_poles(model), lam)
+    for t in terms:
+        s = t.eta2 - lam
+        if t.gamma == 0.0:
+            # undamped term: evaluate without squaring s, which both avoids
+            # needless rounding and makes the gamma -> 0 limit agree bitwise
+            # with the lossless model
+            acc += t.xi2 / s
+        else:
+            acc += t.xi2 * s / (s * s + t.gamma * t.gamma * lam)
+    return acc
+
+
+def eval_dlambda(model, lam):
+    """d eps / d lam at lam = omega^2 (what the Newton residual actually needs)."""
+    lam = float(lam)
+    _, terms = _parts(model)
+    _guard_poles(real_poles(model), lam)
+    acc = 0.0
+    for t in terms:
+        s = t.eta2 - lam
+        if t.gamma == 0.0:
+            acc += t.xi2 / (s * s)
+        else:
+            den = s * s + t.gamma * t.gamma * lam
+            # d/dlam [xi2*s/den]; the numerator collapses to s^2 - gamma^2*eta2
+            acc += t.xi2 * (s * s - t.gamma * t.gamma * t.eta2) / (den * den)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +269,5 @@ def transfer(realization, lam):
     entry (those are exactly the poles).
     """
     lam = float(lam)
-    for p in realization.A:
-        if abs(lam - p) < POLE_GUARD * max(1.0, abs(p)):
-            raise NearPoleError(
-                f"transfer function evaluated at lam = {lam!r} within the "
-                f"guard window of the pole at {p!r}"
-            )
+    _guard_poles(realization.A, lam)
     return float(np.sum(realization.b ** 2 / (realization.A - lam)))

@@ -2,13 +2,14 @@
 
 The unit cell carries a disk inclusion (region 2) inside a background
 (region 1). Meshes are uniform axis-aligned square grids with n0 * 2^level
-cells per side. Degree-2 (Q2) nodes live on a half-step grid; periodic
-identification glues the right/top boundary nodes to their left/bottom
-partners, so the independent DOFs form a (2N) x (2N) periodic lattice.
+cells per side. Degree-2 (Q2) nodes live on a half-step grid taken modulo
+the period, so the DOFs form a (2N) x (2N) periodic lattice and a cell's
+right / top nodes are the left / bottom nodes of its neighbour, the last
+cell of a row or column wrapping round to the first.
 
-The circular interface is *not* meshed: material queries happen pointwise
-(at quadrature points during assembly), so cells stay perfect squares at
-every level and refinement is exactly nested.
+The circular interface is *not* meshed: the disk indicator is evaluated
+pointwise (at quadrature points during assembly), so cells stay perfect
+squares at every level and refinement is exactly nested.
 """
 
 import numpy as np
@@ -17,8 +18,6 @@ from scipy import sparse
 from .q2 import PROLONG_STENCILS, q2_values
 
 __all__ = [
-    "OMEGA1",
-    "OMEGA2",
     "BASE_RESOLUTION",
     "MAX_LEVEL",
     "MaterialMap",
@@ -29,73 +28,66 @@ __all__ = [
     "evaluate",
 ]
 
-#: material tags
-OMEGA1 = 1
-OMEGA2 = 2
-
 #: cells per side on the coarsest mesh
 BASE_RESOLUTION = 8
 
 #: refinement guard (memory)
 MAX_LEVEL = 10
 
+#: lattice offsets of a cell's corners, counterclockwise from the lower left
+_CORNERS = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
+
 
 class MaterialMap:
-    """Pointwise material classifier: a disk inclusion in the unit cell.
+    """A disk inclusion in the unit cell.
 
-    classify(x) returns OMEGA2 iff |x - center| <= radius (boundary ties go
-    to region 2), else OMEGA1. The squared-distance comparison carries a
-    1e-12 absolute guard so that points constructed to sit exactly on the
-    interface (e.g. (0.5, 0.8) for the default disk) classify as region 2
-    despite roundoff.
+    chi2(x) is 1.0 iff |x - center| <= radius (boundary ties go to region
+    2), else 0.0. The squared-distance comparison carries a 1e-12 absolute
+    guard so that points constructed to sit exactly on the interface (e.g.
+    (0.5, 0.8) for the default disk) count as region 2 despite roundoff.
     """
 
     def __init__(self, center=(0.5, 0.5), radius=0.3):
         self.center = (float(center[0]), float(center[1]))
         self.radius = float(radius)
 
-    def classify(self, points):
-        """Vectorized classification; points is (..., 2). Returns int tags."""
+    def chi2(self, points):
+        """Indicator of region 2 at points (..., 2), as floats 0.0 / 1.0."""
         points = np.asarray(points, dtype=float)
         dx = points[..., 0] - self.center[0]
         dy = points[..., 1] - self.center[1]
-        inside = dx * dx + dy * dy <= self.radius * self.radius + 1e-12
-        return np.where(inside, OMEGA2, OMEGA1)
-
-    def chi2(self, points):
-        """Indicator of region 2 at points, as floats 0.0 / 1.0."""
-        return (self.classify(points) == OMEGA2).astype(float)
+        return (dx * dx + dy * dy <= self.radius * self.radius + 1e-12).astype(float)
 
 
 #: the default geometry used throughout: disk of radius 0.3 at the center
 DISK = MaterialMap()
 
 
+def _lattice(n):
+    """(n*n, 2) integer points (i, j) of an n x n lattice, id j*n + i."""
+    j, i = np.divmod(np.arange(n * n), n)
+    return np.column_stack([i, j])
+
+
 class PeriodicMesh:
-    """Uniform N x N periodic quad mesh of the unit cell with Q2 node layout.
+    """Uniform N x N periodic quad mesh of the unit cell with Q2 DOFs.
 
     Attributes
     ----------
     level : int
         refinement level; N = BASE_RESOLUTION * 2**level cells per side.
+    ncell_side : int
+        N.
     h : float
         cell side length 1/N.
-    nodes : (n_geo, 2) float array
-        geometric Q2 node coordinates on the closed square, a
-        (2N+1) x (2N+1) grid with spacing h/2; node id = iy*(2N+1) + ix.
-    cells : (N*N, 4) int array
-        corner geometric node ids per cell, counterclockwise from the
-        lower-left; cell id = J*N + I for cell (I, J).
-    periodic_map : dict
-        geometric node id on the right/top boundary -> partner id on the
-        left/bottom boundary (unit-square corners all collapse to node 0).
-    dof_of_node : (n_geo,) int array
-        geometric node id -> independent DOF id after identification.
     dof_count : int
-        number of independent DOFs, (2N)^2.
+        number of DOFs, (2N)^2.
     cell_dofs : (N*N, 9) int array
         the 9 DOF ids of each cell's Q2 nodes, local index 3*b + a for the
-        node at (2I+a, 2J+b) on the DOF grid.
+        node at (2I+a, 2J+b) mod 2N on the DOF lattice; cell id = J*N + I
+        for cell (I, J), DOF id = y*2N + x for lattice point (x, y).
+    dof_coords : (dof_count, 2) float array
+        coordinates of every DOF, (x, y) / 2N.
     """
 
     def __init__(self, level):
@@ -107,46 +99,21 @@ class PeriodicMesh:
         N = BASE_RESOLUTION * 2 ** self.level
         self.ncell_side = N
         self.h = 1.0 / N
-        d = 2 * N            # DOF grid points per side
-        g = 2 * N + 1        # geometric grid points per side
-
-        ix, iy = np.meshgrid(np.arange(g), np.arange(g), indexing="xy")
-        self.nodes = np.column_stack([ix.ravel() / d, iy.ravel() / d])
-
-        # DOF id of each geometric node: wrap the closed grid onto the torus
-        self.dof_of_node = ((iy % d) * d + (ix % d)).ravel()
+        d = 2 * N            # DOF lattice points per side
         self.dof_count = d * d
-
-        # periodic partners for right/top boundary nodes
-        self.periodic_map = {}
-        for j in range(g):
-            self.periodic_map[j * g + (g - 1)] = j * g            # right -> left
-        for i in range(g):
-            self.periodic_map[(g - 1) * g + i] = i                # top -> bottom
-        self.periodic_map[(g - 1) * g + (g - 1)] = 0              # far corner
-
-        # cells and their corner / Q2 node ids
-        I, J = np.meshgrid(np.arange(N), np.arange(N), indexing="xy")
-        I = I.ravel()
-        J = J.ravel()
-        ll = 2 * J * g + 2 * I
-        self.cells = np.column_stack([ll, ll + 2, ll + 2 * g + 2, ll + 2 * g])
-
-        local = np.empty((N * N, 9), dtype=np.int64)
-        for b in range(3):
-            for a in range(3):
-                gx = (2 * I + a) % d
-                gy = (2 * J + b) % d
-                local[:, 3 * b + a] = gy * d + gx
-        self.cell_dofs = local
-
-        # coordinates of every independent DOF (row-major on the open grid)
-        dx, dy = np.meshgrid(np.arange(d), np.arange(d), indexing="xy")
-        self.dof_coords = np.column_stack([dx.ravel() / d, dy.ravel() / d])
+        node = (2 * _lattice(N)[:, None, :] + _lattice(3)[None, :, :]) % d
+        self.cell_dofs = node[..., 1] * d + node[..., 0]
+        self.dof_coords = _lattice(d) / d
 
     def cell_origin(self):
         """(ncell, 2) lower-left corner coordinates of every cell."""
-        return self.nodes[self.cells[:, 0]]
+        return _lattice(self.ncell_side) / self.ncell_side
+
+    def cell_corners(self):
+        """(ncell, 4, 2) corner coordinates of every cell, counterclockwise
+        from the lower left."""
+        N = self.ncell_side
+        return (_lattice(N)[:, None, :] + _CORNERS) / N
 
 
 def build_mesh(level):

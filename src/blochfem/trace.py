@@ -93,9 +93,6 @@ class IterationTrace:
     def levels(self):
         return np.array([r.mesh_level for r in self.rows], dtype=int)
 
-    def total_wall(self):
-        return float(sum(r.wall_seconds for r in self.rows))
-
     def monotone_mu_violation(self):
         """Largest relative increase of mu within a fixed mesh level.
 

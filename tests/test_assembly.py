@@ -112,16 +112,19 @@ def test_pieces_are_kept_for_every_level(monkeypatch):
 def _oracle_pieces(mesh):
     """The region pieces as one COO -> CSR scatter per cell set and piece
     built them: every cell of a set through one batched quadrature."""
-    tags = asm.DISK.classify(mesh.nodes[mesh.cells])
-    cut = np.any(tags != tags[:, :1], axis=1)
-    n, h = mesh.dof_count, mesh.h
+    N, n, h = mesh.ncell_side, mesh.dof_count, mesh.h
+    I, J = np.meshgrid(np.arange(N), np.arange(N), indexing="xy")
+    origin = np.column_stack([I.ravel(), J.ravel()])
+    corners = asm.DISK.chi2(np.stack([(origin + ab) / N for ab in
+                                      ((0, 0), (1, 0), (1, 1), (0, 1))], axis=1))
+    cut = np.any(corners != corners[:, :1], axis=1)
     acc = [[sparse.csr_matrix((n, n)), sparse.csr_matrix((n, n))] for _ in range(4)]
     for rule_pts, idx in ((asm.QUAD_PLAIN, np.flatnonzero(~cut)),
                           (asm.QUAD_CUT, np.flatnonzero(cut))):
         if idx.size == 0:
             continue
         pts, w, B, Gx, Gy = tensor_rule(rule_pts)
-        chi2 = asm.DISK.chi2(mesh.cell_origin()[idx][:, None, :] + pts[None] * h)
+        chi2 = asm.DISK.chi2((origin[idx] / N)[:, None, :] + pts[None] * h)
         dofs = mesh.cell_dofs[idx]
         rows = np.repeat(dofs[:, :, None], 9, axis=2).ravel()
         cols = np.repeat(dofs[:, None, :], 9, axis=1).ravel()

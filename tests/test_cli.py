@@ -1,6 +1,8 @@
 """Exit codes and plumbing of the console entry point (all in-process)."""
 
 import pathlib
+import re
+import time
 
 import pytest
 
@@ -136,6 +138,24 @@ def test_run_with_reference_runs_the_schedule_once(tmp_path, monkeypatch):
     for row in rows:
         mu, rel_err = float(row[3]), float(row[5])
         assert rel_err == pytest.approx(abs(mu - mu_ref) / mu_ref, rel=1e-12, abs=1e-300)
+
+
+def test_run_prints_the_measured_wall_time(tmp_path, monkeypatch, capsys):
+    # the summary's seconds cover the reference too, not only the trace rows
+    from blochfem import driver
+
+    compute_reference = driver.compute_reference
+
+    def slow(*args, **kwargs):
+        time.sleep(0.3)
+        return compute_reference(*args, **kwargs)
+
+    ini = tmp_path / "run.ini"
+    ini.write_text(FAST_LINEAR.replace("tol = 1e-8", "tol = 1e-8\nuse_reference = true"))
+    monkeypatch.setattr(driver, "compute_reference", slow)
+    assert main(["run", "--config", str(ini)]) == 0
+    seconds = re.search(r"residual \S+, ([0-9.]+)s\)", capsys.readouterr().out)
+    assert float(seconds.group(1)) >= 0.3
 
 
 @pytest.mark.parametrize("model", [

@@ -15,10 +15,10 @@ def test_counts_level0():
     m = MESH0
     assert m.ncell_side == msh.BASE_RESOLUTION == 8
     assert m.h == pytest.approx(1.0 / 8)
-    assert m.nodes.shape == (17 * 17, 2)
     assert m.dof_count == 256
-    assert m.cells.shape == (64, 4)
+    assert m.dof_coords.shape == (256, 2)
     assert m.cell_dofs.shape == (64, 9)
+    assert m.cell_corners().shape == (64, 4, 2)
 
 
 def test_dof_count_grows_fourfold():
@@ -41,19 +41,30 @@ def test_refine_increments_level():
 
 def test_periodic_identification():
     m = MESH0
-    assert m.periodic_map, "boundary map should not be empty"
-    for src, dst in m.periodic_map.items():
-        assert m.dof_of_node[src] == m.dof_of_node[dst]
-        # partners sit a whole period apart in each direction
-        gap = np.abs(m.nodes[src] - m.nodes[dst])
-        assert np.all((gap == 0.0) | (gap == 1.0))
-    g = 2 * m.ncell_side + 1
-    assert m.dof_of_node[g * g - 1] == 0  # far corner collapses onto the origin
+    N = m.ncell_side
+    # [J, I, b, a]: node (a, b) of cell (I, J)
+    c = m.cell_dofs.reshape(N, N, 3, 3)
+    # a cell's right node column is its right neighbour's left one, the last
+    # cell of each row wrapping to the first; likewise top row to bottom row
+    assert np.array_equal(c[:, :, :, 2], np.roll(c, -1, axis=1)[:, :, :, 0])
+    assert np.array_equal(c[:, :, 2, :], np.roll(c, -1, axis=0)[:, :, 0, :])
+    assert np.array_equal(np.unique(m.cell_dofs), np.arange(m.dof_count))
 
 
-def test_dof_coords_match_wrapped_nodes():
+def test_dof_coords_match_cell_origins():
     m = MESH0
-    assert np.array_equal(m.dof_coords[m.dof_of_node], np.mod(m.nodes, 1.0))
+    assert np.array_equal(m.dof_coords[m.cell_dofs[:, 0]], m.cell_origin())
+
+
+def test_cell_corners_are_lattice_points():
+    m = msh.build_mesh(1)
+    N = m.ncell_side
+    I, J = np.meshgrid(np.arange(N), np.arange(N), indexing="xy")
+    I, J = I.ravel(), J.ravel()
+    expected = np.stack([np.column_stack([(I + a) / N, (J + b) / N])
+                         for a, b in ((0, 0), (1, 0), (1, 1), (0, 1))], axis=1)
+    assert np.array_equal(m.cell_corners(), expected)
+    assert np.array_equal(m.cell_corners()[:, 0], m.cell_origin())
 
 
 def test_cell_center_dof_coordinates():
@@ -63,28 +74,28 @@ def test_cell_center_dof_coordinates():
     assert np.allclose(centers, m.cell_origin() + m.h / 2.0, atol=1e-15)
 
 
-# --- material classification -------------------------------------------------
+# --- disk indicator ----------------------------------------------------------
 
 
-def test_classify_center_and_corner():
-    assert msh.DISK.classify(np.array([0.5, 0.5])) == msh.OMEGA2
-    assert msh.DISK.classify(np.array([0.0, 0.0])) == msh.OMEGA1
+def test_chi2_center_and_corner():
+    assert msh.DISK.chi2(np.array([0.5, 0.5])) == 1.0
+    assert msh.DISK.chi2(np.array([0.0, 0.0])) == 0.0
 
 
-def test_classify_interface_tie_goes_to_inclusion():
+def test_chi2_interface_tie_goes_to_inclusion():
     # (0.5, 0.8) sits exactly on the circle; the absolute guard keeps it inside
-    assert msh.DISK.classify(np.array([0.5, 0.8])) == msh.OMEGA2
-    assert msh.DISK.classify(np.array([0.8, 0.5])) == msh.OMEGA2
-    assert msh.DISK.classify(np.array([0.5, 0.8 + 1e-5])) == msh.OMEGA1
+    assert msh.DISK.chi2(np.array([0.5, 0.8])) == 1.0
+    assert msh.DISK.chi2(np.array([0.8, 0.5])) == 1.0
+    assert msh.DISK.chi2(np.array([0.5, 0.8 + 1e-5])) == 0.0
 
 
-def test_classify_vectorized_and_chi2():
+def test_chi2_vectorized():
     pts = RNG.random((7, 5, 2))
-    tags = msh.DISK.classify(pts)
-    assert tags.shape == (7, 5)
     chi = msh.DISK.chi2(pts)
+    assert chi.shape == (7, 5)
     assert set(np.unique(chi)) <= {0.0, 1.0}
-    assert np.array_equal(chi == 1.0, tags == msh.OMEGA2)
+    r2 = ((pts - 0.5) ** 2).sum(axis=-1)
+    assert np.array_equal(chi == 1.0, r2 <= 0.3 * 0.3 + 1e-12)
 
 
 # --- point evaluation --------------------------------------------------------

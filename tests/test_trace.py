@@ -62,7 +62,6 @@ def test_trace_accessors():
     assert [r.lam for r in tr] == [2.0, 1.5]
     assert np.allclose(tr.residuals(), [1e-2, 1e-4])
     assert np.array_equal(tr.levels(), [0, 1])
-    assert tr.total_wall() == pytest.approx(0.75)
 
 
 def test_notes_are_kept_out_of_rows():
