@@ -12,7 +12,8 @@ per point, the status, the gate margin (|lambda - stored| over the gate's
 allowance) and ``float.hex`` of lambda and of mu_ref. BLAS runs on one
 thread, so two trees that compute the same bits write the same hex.
 
-``--compare`` diffs two such files point by point: status and hex values.
+``--compare`` diffs two such files point by point: status and hex values,
+and prints per workload the largest relative shift of lambda and of mu_ref.
 It exits 1 when they differ. Only ``perfbench/`` is read, never written.
 """
 
@@ -102,8 +103,22 @@ def replay(workloads):
     return result
 
 
+def _largest_shift(pa, pb, field):
+    """(relative shift, point index) of the largest |b - a| / |a| of a hex
+    field over the points where both files have it, or None."""
+    shifts = [(abs(float.fromhex(y[field]) - float.fromhex(x[field]))
+               / abs(float.fromhex(x[field])), x["index"])
+              for x, y in zip(pa, pb) if x.get(field) and y.get(field)]
+    return max(shifts, key=lambda s: s[0]) if shifts else None
+
+
 def compare(a, b):
-    """Lines naming every point whose status or hex values differ."""
+    """Lines naming every point whose status or hex values differ.
+
+    Prints per workload the count of identical points and the largest
+    relative shift of lambda and of mu_ref, with the point it comes from,
+    so that aim 1's 1e-12 rule can be read when the bits move.
+    """
     diffs = []
     for workload in sorted(set(a) | set(b)):
         pa, pb = a.get(workload, []), b.get(workload, [])
@@ -118,7 +133,13 @@ def compare(a, b):
                     "%s %s -> %s" % (f, x.get(f), y.get(f)) for f in fields)))
             else:
                 same += 1
-        print("%s: %d of %d points identical" % (workload, same, len(pa)))
+        shifts = []
+        for field, name in (("lam_hex", "lambda"), ("mu_ref_hex", "mu_ref")):
+            largest = _largest_shift(pa, pb, field)
+            if largest is not None:
+                shifts.append("%s %.3g (point %d)" % ((name,) + largest))
+        print("%s: %d of %d points identical; largest relative shift: %s"
+              % (workload, same, len(pa), ", ".join(shifts) or "none"))
     return diffs
 
 

@@ -15,8 +15,9 @@ Every variant is even in omega.  We hard-wire that by evaluating all models
 in the variable ``lam = omega**2``; ``eval(model, -w) == eval(model, w)``
 holds bitwise, not just to roundoff.  Derivatives are taken in lam too.
 
-Evaluation is refused within a small relative guard of any real pole
-(``NearPoleError``) instead of letting values silently blow up.
+Evaluation is refused within a small relative guard of any real pole, and
+at the omega = 0 pole of a damped Drude term (``NearPoleError``), instead of
+letting values silently blow up or divide by zero.
 """
 
 from dataclasses import dataclass
@@ -201,6 +202,21 @@ def _guard_poles(poles, lam):
             )
 
 
+def _damped_denominator(term, s, lam):
+    """(eta2 - lam)^2 + gamma^2 lam of a damped term, refused where it is zero.
+
+    It vanishes at lam = eta2 = 0, the pole of a Drude term (eta2 = 0) at
+    omega = 0, where the real part is 0/0.
+    """
+    den = s * s + term.gamma * term.gamma * lam
+    if den == 0.0:
+        raise NearPoleError(
+            f"evaluation at omega^2 = {lam!r} hits the pole of the damped term "
+            f"with eta2 = {term.eta2!r}, gamma = {term.gamma!r}"
+        )
+    return den
+
+
 def eval(model, omega):
     """eps(omega).  Raises NearPoleError inside the guard window of a real pole."""
     return eval_lambda(model, float(omega) ** 2)
@@ -219,7 +235,7 @@ def eval_lambda(model, lam):
             # with the lossless model
             acc += t.xi2 / s
         else:
-            acc += t.xi2 * s / (s * s + t.gamma * t.gamma * lam)
+            acc += t.xi2 * s / _damped_denominator(t, s, lam)
     return acc
 
 
@@ -234,7 +250,7 @@ def eval_dlambda(model, lam):
         if t.gamma == 0.0:
             acc += t.xi2 / (s * s)
         else:
-            den = s * s + t.gamma * t.gamma * lam
+            den = _damped_denominator(t, s, lam)
             # d/dlam [xi2*s/den]; the numerator collapses to s^2 - gamma^2*eta2
             acc += t.xi2 * (s * s - t.gamma * t.gamma * t.eta2) / (den * den)
     return acc

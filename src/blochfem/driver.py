@@ -45,6 +45,7 @@ from .companion import (
 from .eigeniter import Pencil, inverse_power_rq, iterate, lopcg
 from .errors import BlochFEMError, NonConvergenceError
 from .mesh import build_mesh, prolongate
+from .multigrid import VCycle
 from .newton import (
     NewtonState,
     NonlinearPencil,
@@ -408,12 +409,14 @@ def compute_reference(config, final=None, tol=REFERENCE_TOL):
     Starts from ``final``, the ``(mesh, state)`` a schedule of ``config``
     ended on (``trace.final``); without it, the schedule runs first. The
     state is lifted onto the finer mesh and solved there by the family's
-    level function, as one more level of the schedule; the power family
+    level function, as one more level of the schedule. The power family
     instead runs :func:`~blochfem.eigeniter.lopcg` on the beta-pencil,
-    preconditioned with the dual-norm factorization, so that level makes
-    one factorization and ``mu_ref`` is the pencil's own Rayleigh quotient.
-    ``homogeneous_check`` returns the analytic Fourier value and solves
-    nothing.
+    preconditioned by one multigrid V-cycle on K + M_w
+    (:class:`~blochfem.multigrid.VCycle`), whose only factorization is on
+    level 0; the row that stops the leg records a dual norm verified by
+    V-cycle conjugate gradients, never the V-cycle's own estimate, and
+    ``mu_ref`` is the pencil's own Rayleigh quotient. ``homogeneous_check``
+    returns the analytic Fourier value and solves nothing.
     """
     config.validate()
     if config.experiment == "homogeneous_check":
@@ -433,7 +436,8 @@ def compute_reference(config, final=None, tol=REFERENCE_TOL):
         _newton_level(config, mesh, final, trace, leg)
     else:
         pencil, u = _power_pencil(config, mesh, final)
-        lopcg(pencil, u, mesh_level=mesh.level, trace=trace, **leg)
+        dual = VCycle(pencil.dual_operator(), mesh, tol)
+        lopcg(pencil, u, dual=dual, mesh_level=mesh.level, trace=trace, **leg)
     last = trace[-1]
     return ReferenceSolution(
         mu_ref=last.mu,

@@ -16,8 +16,10 @@ in the dual norm induced by K + M_w.
 
 :func:`lopcg` iterates a good start (a coarser mesh's eigenvector) down to a
 tolerance, a three-vector Rayleigh-Ritz projection taking the place of the
-power step. On the plain pencil it runs on the dual-norm factorization
-alone: one solve per step gives both the residual and the next search
+power step. On the plain pencil it runs on a dual-norm preconditioner it is
+given, the exact :class:`~blochfem.linalg.DualNorm` or the multigrid
+:class:`~blochfem.multigrid.VCycle` of the power-family reference: one
+application per step gives both the residual and the next search
 direction. Given a ``residual_fn`` (the linearized rational solver reports
 the nonlinear residual) its search direction is the inverse step instead,
 taken after the row is recorded.
@@ -109,14 +111,19 @@ class Pencil:
             self._fact = Factorization(self.A_beta)
         return self._fact
 
+    def dual_operator(self):
+        """K + M_w as CSR: A_beta itself for beta == 1."""
+        if self.beta == 1.0:
+            return self.A_beta.mat
+        return (self.A_beta.mat + (1.0 - self.beta) * self.M_w.mat).tocsr()
+
     @property
     def dual(self):
         if self._dual is None:
             if self.beta == 1.0:
                 fact = self.factorization
             else:
-                KM = (self.A_beta.mat + (1.0 - self.beta) * self.M_w.mat).tocsr()
-                fact = Factorization(KM)
+                fact = Factorization(self.dual_operator())
             self._dual = DualNorm.from_factorization(fact)
         return self._dual
 
@@ -267,7 +274,7 @@ def inverse_power_plain(pencil, v0, steps=None, tol=None, mesh_level=0,
 
 
 def lopcg(pencil, u0, tol, max_steps=10000, mesh_level=0, trace=None,
-          residual_fn=None):
+          dual=None, residual_fn=None):
     """Locally optimal preconditioned conjugate gradient from ``u0`` to ``tol``.
 
     Knyazev's LOPCG (SIAM J. Sci. Comput. 23(2):517-541, 2001) for the
@@ -279,19 +286,21 @@ def lopcg(pencil, u0, tol, max_steps=10000, mesh_level=0, trace=None,
     its length is dropped. The products of p are carried along from the
     previous projection, so a step applies A_beta and M_w to x and z only.
 
-    Without ``residual_fn`` the preconditioner is the dual-norm
-    factorization of K + M_w, the only factorization the leg makes (for
-    beta == 1 it is the LU of A_beta): one solve z = (K + M_w)^{-1} r of the
-    residual r = A_beta x - mu M_w x gives both the dual residual
-    sqrt(r^H z) the row records and the search direction z.
+    Exactly one of ``dual`` and ``residual_fn`` is given. ``dual`` is a
+    preconditioner for K + M_w with the contract of
+    :meth:`~blochfem.linalg.DualNorm.norm_and_solve`: the exact
+    :class:`~blochfem.linalg.DualNorm`, or the multigrid
+    :class:`~blochfem.multigrid.VCycle`, whose norm is exact enough to stop
+    the leg only where it is at most ``tol``. One call on the residual
+    r = A_beta x - mu M_w x gives both the residual the row records and the
+    search direction z; this branch factorizes nothing itself.
 
     With ``residual_fn(x, mu)`` that function gives the row's residual (the
     linearized rational solver reports the residual of the *nonlinear*
     problem) and the search direction is the inverse step
     z = ``pencil.step(x)``: span{x, A_beta^{-1} M_w x, p} equals
     span{x, A_beta^{-1} r, p}. The step is taken after the row is recorded,
-    so the row that meets ``tol`` costs no solve, and ``pencil.dual`` is
-    never built.
+    so the row that meets ``tol`` costs no solve.
 
     The first row is the start's own residual. Stops once the residual is at
     most ``tol``; a stall on the rounding floor and ``max_steps`` rows
@@ -300,18 +309,20 @@ def lopcg(pencil, u0, tol, max_steps=10000, mesh_level=0, trace=None,
 
     Returns ``(trace, x)``; the last row is the residual of x as returned.
     """
-    return iterate(_lopcg_rows(pencil, u0, residual_fn), pencil.n, trace,
+    if (dual is None) == (residual_fn is None):
+        raise ValueError("need exactly one of dual and residual_fn")
+    return iterate(_lopcg_rows(pencil, u0, dual, residual_fn), pencil.n, trace,
                    mesh_level, tol=tol, max_steps=max_steps, name="LOPCG")
 
 
-def _lopcg_rows(pencil, u0, residual_fn):
+def _lopcg_rows(pencil, u0, dual, residual_fn):
     x = pencil.normalized(_start_vector(pencil, u0))
     p = None
     while True:
         Ax, Mx = pencil.A_beta @ x, pencil.M_w @ x
         mu = np.vdot(x, Ax).real / np.vdot(x, Mx).real
         if residual_fn is None:
-            res, z = pencil.dual.norm_and_solve(Ax - mu * Mx)
+            res, z = dual.norm_and_solve(Ax - mu * Mx)
             yield x, mu, mu - pencil.beta, res
         else:
             yield x, mu, mu - pencil.beta, residual_fn(x, mu)

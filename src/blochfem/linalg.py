@@ -10,7 +10,10 @@ the contracts the eigensolvers rely on:
   1e-10 backward-error guarantee (one step of iterative refinement),
 * real Rayleigh quotients with an imaginary-residue diagnostics counter,
 * dual-norm residual evaluation sqrt(r^H (K+M)^{-1} r) with a cached
-  factorization of K+M.
+  factorization of K+M. :meth:`DualNorm.norm_and_solve` is the contract a
+  preconditioner of :func:`~blochfem.eigeniter.lopcg` meets; the power-family
+  reference meets it with :class:`~blochfem.multigrid.VCycle` instead, which
+  factors level 0 only.
 """
 
 import numpy as np

@@ -178,7 +178,6 @@ def evaluate(mesh, coeffs, points):
     coeffs = np.asarray(coeffs)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     N = mesh.ncell_side
-    d = 2 * N
     xy = np.mod(pts, 1.0)
     I = np.minimum((xy[:, 0] * N).astype(np.int64), N - 1)
     J = np.minimum((xy[:, 1] * N).astype(np.int64), N - 1)
@@ -186,10 +185,9 @@ def evaluate(mesh, coeffs, points):
     ty = xy[:, 1] * N - J
     Lx = q2_values(tx)      # (npts, 3)
     Ly = q2_values(ty)
+    dofs = mesh.cell_dofs[J * N + I]    # (npts, 9), local index 3*b + a
     vals = np.zeros(pts.shape[0], dtype=coeffs.dtype)
     for b in range(3):
-        gy = (2 * J + b) % d
         for a in range(3):
-            gx = (2 * I + a) % d
-            vals = vals + coeffs[gy * d + gx] * Lx[:, a] * Ly[:, b]
+            vals = vals + coeffs[dofs[:, 3 * b + a]] * Lx[:, a] * Ly[:, b]
     return vals if np.asarray(points).ndim > 1 else vals[0]

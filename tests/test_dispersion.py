@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blochfem import dispersion as dp
-from blochfem.errors import NearPoleError
+from blochfem.errors import BlochFEMError, NearPoleError
 
 
 # Lossless two-oscillator silicon-like material used throughout the suite.
@@ -208,6 +208,16 @@ def test_guard_triggers_at_pole():
         dp.eval_lambda(m, 55.2698)
     with pytest.raises(NearPoleError):
         dp.transfer(dp.realize(m), 63.1655 * (1.0 + 1e-10))
+
+
+def test_drude_term_at_zero_is_a_package_error():
+    # eta2 = 0 with damping: (eta2 - lam)^2 + gamma^2 lam vanishes at lam = 0
+    m = dp.RealDL(alpha=1.0, terms=(dp.LorentzTerm(xi2=2.0, eta2=0.0, gamma=0.5),))
+    for f in (dp.eval_lambda, dp.eval_dlambda):
+        with pytest.raises(NearPoleError, match="damped term"):
+            f(m, 0.0)
+        assert np.isfinite(f(m, 1e-3))
+    assert issubclass(NearPoleError, BlochFEMError)
 
 
 def test_divergence_is_monotone_up_to_the_guard():

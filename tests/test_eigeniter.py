@@ -279,7 +279,7 @@ def unit_shift_diag_pencil(lams):
 
 def test_lopcg_takes_fewer_steps_than_inverse_power():
     p = unit_shift_diag_pencil(np.arange(1.0, 31.0))
-    trace, x = lopcg(p, np.ones(p.n), tol=1e-10)
+    trace, x = lopcg(p, np.ones(p.n), tol=1e-10, dual=p.dual)
     power, _ = inverse_power_rq(p, np.ones(p.n), tol=1e-10)
     assert trace[-1].residual_dual <= 1e-10
     assert trace[-1].lam == pytest.approx(1.0, rel=1e-12)
@@ -288,10 +288,10 @@ def test_lopcg_takes_fewer_steps_than_inverse_power():
 
 def test_lopcg_rows_are_the_residuals_of_their_iterates(disk_pencil):
     u0 = default_start(disk_pencil.n)
-    full, _ = lopcg(disk_pencil, u0, tol=1e-12)
+    full, _ = lopcg(disk_pencil, u0, tol=1e-12, dual=disk_pencil.dual)
     for row in full:
         # stopping at a row's residual returns that row's iterate
-        trace, x = lopcg(disk_pencil, u0, tol=row.residual_dual)
+        trace, x = lopcg(disk_pencil, u0, tol=row.residual_dual, dual=disk_pencil.dual)
         assert np.array_equal(trace.mus(), full.mus()[:row.j])
         assert np.array_equal(trace.residuals(), full.residuals()[:row.j])
         assert trace[-1].residual_dual == disk_pencil.residual_dual(x, trace[-1].mu)
@@ -302,7 +302,7 @@ def test_lopcg_mu_never_rises(level):
     mesh = build_mesh(level)
     forms = assemble_tm(mesh, K_POINT)
     p = Pencil.from_stiffness(forms.K, weighted_mass(mesh, 1.0, 8.0, forms=forms), 1.0)
-    trace, _ = lopcg(p, default_start(p.n), tol=1e-13)
+    trace, _ = lopcg(p, default_start(p.n), tol=1e-13, dual=p.dual)
     mus = trace.mus()
     assert trace[-1].residual_dual <= 1e-13
     assert np.all(np.diff(mus) <= 1e-12 * np.abs(mus[1:]))
@@ -311,7 +311,7 @@ def test_lopcg_mu_never_rises(level):
 def test_lopcg_eigenvector_start_returns_after_its_first_row():
     # the residual, and so the search direction, is exactly zero
     p = unit_shift_diag_pencil([1.0, 2.0, 3.0])
-    trace, x = lopcg(p, np.array([0.0, 3.0, 0.0]), tol=1e-14)
+    trace, x = lopcg(p, np.array([0.0, 3.0, 0.0]), tol=1e-14, dual=p.dual)
     assert len(trace) == 1
     assert trace[0].residual_dual == 0.0 and trace[0].lam == 2.0
     # a rotated pencil leaves a rounding-level residual
@@ -320,7 +320,7 @@ def test_lopcg_eigenvector_start_returns_after_its_first_row():
     A = Q @ np.diag(np.arange(2.0, 8.0)) @ Q.T
     p = Pencil(HermitianSparse(sp.csr_matrix(0.5 * (A + A.T))),
                HermitianSparse(sp.identity(6, format="csr")), beta=1.0)
-    trace, x = lopcg(p, Q[:, 0], tol=1e-13)
+    trace, x = lopcg(p, Q[:, 0], tol=1e-13, dual=p.dual)
     assert len(trace) == 1 and trace[0].lam == pytest.approx(1.0, rel=1e-14)
 
 
@@ -341,7 +341,7 @@ def test_lopcg_drops_a_dependent_direction():
     # the second step on the previous move lies in span{x, z}
     p = unit_shift_diag_pencil([1.0, 2.0])
     with pytest.raises(NonConvergenceError, match="LOPCG did not reach") as err:
-        lopcg(p, np.array([1.0, 1.0]), tol=0.0, max_steps=6)
+        lopcg(p, np.array([1.0, 1.0]), tol=0.0, max_steps=6, dual=p.dual)
     trace = err.value.trace
     assert len(trace) == 6
     assert np.all(trace.residuals()[1:] < 1e-15)
@@ -352,10 +352,10 @@ def test_lopcg_below_the_floor_raises_with_the_partial_trace(disk_pencil):
     # the level-0 residual floor is about 2e-15
     u0 = default_start(disk_pencil.n)
     with pytest.raises(NonConvergenceError, match="has not halved") as err:
-        lopcg(disk_pencil, u0, tol=1e-16, max_steps=200)
+        lopcg(disk_pencil, u0, tol=1e-16, max_steps=200, dual=disk_pencil.dual)
     assert FLOOR_STEPS < len(err.value.trace) < 200
     with pytest.raises(NonConvergenceError, match="within 3 steps") as err:
-        lopcg(disk_pencil, u0, tol=1e-16, max_steps=3)
+        lopcg(disk_pencil, u0, tol=1e-16, max_steps=3, dual=disk_pencil.dual)
     assert len(err.value.trace) == 3
 
 
