@@ -111,7 +111,7 @@ def main():
     for name in ("simplified_empty", "simplified_two"):
         cs = companion.build_companion(mesh, K, MODELS[name])
         lines.append(("L2.companion.%s" % name,
-                      _sparse(cs.ABig.mat) + _sparse(cs.IBig.mat)))
+                      _sparse(cs.A_beta.mat) + _sparse(cs.M_w.mat)))
 
     lams = _lambda_grid()
     omegas = np.concatenate([np.sqrt(lams[lams >= 0.0]), -np.sqrt(lams[lams >= 0.0])])

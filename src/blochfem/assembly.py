@@ -237,17 +237,10 @@ def assemble_tm(mesh, k):
     )
 
 
-def weighted_mass(mesh, w1, w2, forms=None):
-    """w1 * M1 + w2 * M2 (the weighted pivot inner product).
-
-    Reuses the region masses of ``forms`` when given; otherwise takes them
-    from the mesh's cached pieces.
-    """
+def weighted_mass(mesh, w1, w2):
+    """w1 * M1 + w2 * M2 (the weighted pivot inner product), from the
+    mesh's cached region masses."""
     if not (np.isfinite(w1) and np.isfinite(w2)):
         raise ValueError("mass weights must be finite")
-    if forms is not None:
-        M1, M2 = forms.M1.mat, forms.M2.mat
-    else:
-        p = _pieces(mesh)
-        M1, M2 = p.M1, p.M2
-    return HermitianSparse(w1 * M1 + w2 * M2)
+    p = _pieces(mesh)
+    return HermitianSparse(w1 * p.M1 + w2 * p.M2)

@@ -161,7 +161,7 @@ def _cmd_check(args):
     asym = max_asymmetry(forms.K.mat)
     check("stiffness Hermitian", asym <= 1e-12, "asym %.2e" % asym)
 
-    pencil = Pencil.from_stiffness(forms.K, weighted_mass(mesh, 1.0, 1.0, forms=forms), 1.0)
+    pencil = Pencil.from_stiffness(forms.K, weighted_mass(mesh, 1.0, 1.0), 1.0)
     tr, _ = inverse_power_rq(pencil, np.ones(pencil.n, complex), tol=1e-10)
     lam = tr[-1].lam
     exact = fourier_lambda1(k)

@@ -28,6 +28,9 @@ spread max(eta2) - min(eta2); smaller shifts are rejected up front
 (ShiftBoundError) because every positivity statement downstream relies on
 that bound.
 
+:func:`build_companion` returns that pencil as one
+:class:`EliminatedPencil`: the extended matrices, the subspace X, the Schur
+complement its steps solve with and the nonlinear residual its rows record.
 :func:`solve_linearized` takes the paper's inverse power steps on a leg of
 fixed length and runs LOPCG on span{x, step(x), p} on a leg to a
 tolerance. The rate of the power steps is (lam1 + beta)/(lam2 + beta), slow
@@ -44,51 +47,18 @@ from . import dispersion
 from .assembly import assemble_tm, weighted_mass
 from .errors import ShiftBoundError
 from .eigeniter import Pencil, inverse_power_rq, lopcg
-from .linalg import DualNorm, Factorization, HermitianSparse, _as_csr
+from .linalg import DualNorm, Factorization, HermitianSparse
 
 __all__ = [
-    "XSpace",
-    "CompanionSystem",
     "CompanionSolution",
     "EliminatedPencil",
     "NonlinearResidual",
-    "build_xspace",
     "build_companion",
     "default_big_start",
     "lifted_big_start",
     "solve_linearized",
     "shift_lower_bound",
 ]
-
-
-@dataclass
-class XSpace:
-    """Disk-supported subspace bookkeeping.
-
-    ``xdofs`` lists the V-DOFs whose basis functions overlap the disk (the
-    criterion is an exactly-positive diagonal in the disk mass M2 -- the
-    diagonal is a sum of nonnegative quadrature contributions, so it is zero
-    precisely for basis functions the disk quadrature never sees). ``R`` is
-    M2 restricted to those columns (full V rows), and ``M_X`` is the square
-    restriction; by construction ``R[xdofs, :] == M_X`` entry for entry.
-    """
-
-    xdofs: np.ndarray
-    R: sparse.csr_matrix
-    M_X: sparse.csr_matrix
-
-    @property
-    def n_x(self):
-        return self.xdofs.shape[0]
-
-
-def build_xspace(M2):
-    mat = _as_csr(M2)
-    diag = mat.diagonal().real
-    xdofs = np.flatnonzero(diag > 0.0)
-    R = mat.tocsc()[:, xdofs].tocsr()
-    M_X = R[xdofs, :]
-    return XSpace(xdofs=xdofs, R=R, M_X=M_X)
 
 
 def shift_lower_bound(model):
@@ -99,43 +69,17 @@ def shift_lower_bound(model):
     return max(eta2) - min(eta2)
 
 
-@dataclass
-class CompanionSystem:
-    """Assembled extended pencil plus everything needed to interpret it."""
-
-    ABig: HermitianSparse
-    IBig: HermitianSparse
-    beta: float
-    xspace: XSpace
-    realization: dispersion.Realization
-    forms: object  # the V-space AssembledForms this system was built from
-    M_alpha: HermitianSparse
-
-    @property
-    def n_v(self):
-        return self.forms.K.n
-
-    @property
-    def n_big(self):
-        return self.ABig.n
-
-    def split(self, z):
-        """Split an extended vector into (u, x) with x of shape (L, n_x)."""
-        n_v, n_x = self.n_v, self.xspace.n_x
-        u = z[:n_v]
-        L = self.realization.order
-        x = z[n_v:].reshape(L, n_x) if L else np.zeros((0, n_x), dtype=z.dtype)
-        return u, x
-
-    def pencil(self):
-        return EliminatedPencil(self)
-
-    def nonlinear_residual(self):
-        return NonlinearResidual(self.forms, self.M_alpha, self.realization)
-
-
 class EliminatedPencil(Pencil):
     """Extended pencil whose inverse steps eliminate the auxiliary fields.
+
+    ``xdofs`` lists the V-DOFs whose basis functions overlap the disk (the
+    criterion is an exactly-positive diagonal in the disk mass M2 -- the
+    diagonal is a sum of nonnegative quadrature contributions, so it is zero
+    precisely for basis functions the disk quadrature never sees). ``R`` is
+    M2 restricted to those columns (full V rows), and ``M_X`` is the square
+    restriction; by construction ``R[xdofs, :] == M_X`` entry for entry.
+    The pencil also keeps the V-space ``forms`` it was built from, the
+    pivot mass ``M_alpha`` and the model's ``realization``.
 
     Solving with the assembled extended matrix directly is numerically
     hopeless: a basis function whose support meets the disk only in a thin
@@ -163,41 +107,90 @@ class EliminatedPencil(Pencil):
     matrix; in floating point it is the difference between a mu-trace that
     wanders at 1e-10 near the fixed point and one that is monotone to
     working precision.
+
+    For the same reason a row never takes the extended pencil's dual norm:
+    :meth:`residual_dual` is the residual of the *nonlinear* problem, the
+    quantity the linearization exists to drive down.
     """
 
-    def __init__(self, system):
-        super().__init__(system.ABig, system.IBig, system.beta)
-        self.system = system
+    def __init__(self, forms, M_alpha, realization, beta):
+        M2 = forms.M2.mat
+        self.xdofs = np.flatnonzero(M2.diagonal().real > 0.0)
+        self.R = M2.tocsc()[:, self.xdofs].tocsr()
+        self.M_X = self.R[self.xdofs, :]
+        self.forms = forms
+        self.M_alpha = M_alpha
+        self.realization = realization
+        A00 = (forms.K.mat + realization.Xi * M2 + beta * M_alpha.mat).tocsr()
+        L = realization.order
+        blocks = [[A00] + [-b_l * self.R for b_l in realization.b]]
+        for ell in range(L):
+            row = [None] * (L + 1)
+            row[0] = -realization.b[ell] * self.R.conj().T
+            row[ell + 1] = (realization.A[ell] + beta) * self.M_X
+            blocks.append(row)
+        super().__init__(
+            HermitianSparse(sparse.bmat(blocks, format="csr")),
+            HermitianSparse(
+                sparse.block_diag([M_alpha.mat] + [self.M_X] * L, format="csr")
+            ),
+            beta,
+        )
+        self._residual = None
         self._schur = None
+
+    @property
+    def n_v(self):
+        return self.forms.K.n
+
+    def split(self, z):
+        """Split an extended vector into (u, x) with x of shape (L, n_x)."""
+        n_v, n_x = self.n_v, self.xdofs.shape[0]
+        u = z[:n_v]
+        L = self.realization.order
+        x = z[n_v:].reshape(L, n_x) if L else np.zeros((0, n_x), dtype=z.dtype)
+        return u, x
+
+    @property
+    def nonlinear_residual(self):
+        """The :class:`NonlinearResidual` its rows record (built lazily)."""
+        if self._residual is None:
+            self._residual = NonlinearResidual(
+                self.forms, self.M_alpha, self.realization
+            )
+        return self._residual
 
     @property
     def schur(self):
         """Factorization of the V-space Schur complement S (built lazily)."""
         if self._schur is None:
-            cs = self.system
-            eta2, b = cs.realization.A, cs.realization.b
-            weight = cs.realization.Xi - np.sum(b * b / (eta2 + cs.beta))
+            eta2, b = self.realization.A, self.realization.b
+            weight = self.realization.Xi - np.sum(b * b / (eta2 + self.beta))
             S = (
-                cs.forms.K.mat
-                + weight * cs.forms.M2.mat
-                + cs.beta * cs.M_alpha.mat
+                self.forms.K.mat
+                + weight * self.forms.M2.mat
+                + self.beta * self.M_alpha.mat
             ).tocsr()
             self._schur = Factorization(S)
         return self._schur
 
     def step(self, q):
-        cs = self.system
-        u, x = cs.split(np.asarray(q, dtype=complex))
-        eta2, b = cs.realization.A, cs.realization.b
-        rhs = cs.M_alpha @ u
-        if cs.realization.order:
-            rhs = rhs + cs.xspace.R @ ((b / (eta2 + cs.beta)) @ x)
+        u, x = self.split(np.asarray(q, dtype=complex))
+        eta2, b = self.realization.A, self.realization.b
+        rhs = self.M_alpha @ u
+        if self.realization.order:
+            rhs = rhs + self.R @ ((b / (eta2 + self.beta)) @ x)
         z_u = self.schur.solve(rhs)
-        z_x = (x + np.outer(b, z_u[cs.xspace.xdofs])) / (eta2 + cs.beta)[:, None]
+        z_x = (x + np.outer(b, z_u[self.xdofs])) / (eta2 + self.beta)[:, None]
         return np.concatenate([z_u, z_x.ravel()])
 
+    def residual_dual(self, q, mu):
+        """Nonlinear residual of the field of ``q`` at lam = mu - beta."""
+        u, _ = self.split(q)
+        return self.nonlinear_residual(u, mu - self.beta)
 
-def build_companion(mesh, k, model, alpha1=1.0, beta=None, forms=None):
+
+def build_companion(mesh, k, model, alpha1=1.0, beta=None):
     """Assemble the extended Hermitian pencil for a lossless rational model.
 
     ``beta`` defaults to the resonance spread plus one. Shifts at or below
@@ -225,49 +218,24 @@ def build_companion(mesh, k, model, alpha1=1.0, beta=None, forms=None):
             "matrix is not guaranteed below that bound"
         )
 
-    if forms is None:
-        forms = assemble_tm(mesh, k)
+    forms = assemble_tm(mesh, k)
     realization = dispersion.realize(model)
-    xspace = build_xspace(forms.M2)
-    M_alpha = weighted_mass(mesh, alpha1, model.alpha2, forms=forms)
-
-    A00 = (
-        forms.K.mat
-        + realization.Xi * forms.M2.mat
-        + beta * M_alpha.mat
-    ).tocsr()
-    L = realization.order
-    blocks = [[A00] + [-b_l * xspace.R for b_l in realization.b]]
-    for ell in range(L):
-        row = [None] * (L + 1)
-        row[0] = -realization.b[ell] * xspace.R.conj().T
-        row[ell + 1] = (realization.A[ell] + beta) * xspace.M_X
-        blocks.append(row)
-    return CompanionSystem(
-        ABig=HermitianSparse(sparse.bmat(blocks, format="csr")),
-        IBig=HermitianSparse(
-            sparse.block_diag([M_alpha.mat] + [xspace.M_X] * L, format="csr")
-        ),
-        beta=beta,
-        xspace=xspace,
-        realization=realization,
-        forms=forms,
-        M_alpha=M_alpha,
-    )
+    M_alpha = weighted_mass(mesh, alpha1, model.alpha2)
+    return EliminatedPencil(forms, M_alpha, realization, beta)
 
 
-def default_big_start(cs):
+def default_big_start(pencil):
     """All-ones on the physical field, zero on the auxiliary blocks."""
-    z = np.zeros(cs.n_big, dtype=complex)
-    z[: cs.n_v] = 1.0
+    z = np.zeros(pencil.n, dtype=complex)
+    z[: pencil.n_v] = 1.0
     return z
 
 
-def lifted_big_start(cs, u, lam):
+def lifted_big_start(pencil, u, lam):
     """The physical field ``u`` with its auxiliary blocks at eigenvalue
     ``lam``, from their defining relation x_l = b_l / (eta2_l - lam) * u|_X."""
-    eta2, b = cs.realization.A, cs.realization.b
-    x = (b / (eta2 - lam))[:, None] * u[cs.xspace.xdofs][None, :]
+    eta2, b = pencil.realization.A, pencil.realization.b
+    x = (b / (eta2 - lam))[:, None] * u[pencil.xdofs][None, :]
     return np.concatenate([u, x.ravel()])
 
 
@@ -308,7 +276,7 @@ class CompanionSolution:
     mu: float
 
 
-def solve_linearized(cs, z0=None, steps=None, tol=None, mesh_level=0,
+def solve_linearized(pencil, z0=None, steps=None, tol=None, mesh_level=0,
                      trace=None, max_steps=10000):
     """Inverse iteration, or LOPCG to a tolerance, on the extended pencil.
 
@@ -318,40 +286,31 @@ def solve_linearized(cs, z0=None, steps=None, tol=None, mesh_level=0,
     start's own residual, and it fails as ``LOPCG did not reach ...``. Both
     solve with the Schur complement and never factor the extended matrix.
 
-    Trace rows (and the ``tol`` stop) use the dual-norm residual of the
-    recovered field in the *nonlinear* problem -- that is the quantity the
-    linearization exists to drive down; the extended-space linear residual
-    is available from the returned pencil if needed.
+    Trace rows (and the ``tol`` stop) use the pencil's
+    :meth:`~EliminatedPencil.residual_dual`, the dual-norm residual of the
+    recovered field in the *nonlinear* problem.
 
     Returns a :class:`CompanionSolution` with the M_alpha-normalized field
     ``u``, the auxiliary blocks ``x`` (shape (L, n_x)) taken from the same
     extended iterate, and ``lam = mu - beta``.
     """
     if z0 is None:
-        z0 = default_big_start(cs)
+        z0 = default_big_start(pencil)
     z0 = np.asarray(z0, dtype=complex)
-    if not np.any(z0[: cs.n_v]):
+    if not np.any(z0[: pencil.n_v]):
         raise ValueError("start vector has a zero physical component")
-    pencil = cs.pencil()
-    resid = cs.nonlinear_residual()
-
-    def residual_fn(q, mu):
-        u, _ = cs.split(q)
-        return resid(u, mu - cs.beta)
-
+    # factor K + M_alpha before the first step factors the Schur complement;
+    # built earlier, it raised experiment2's peak RSS by 2 MB (heap layout)
+    pencil.nonlinear_residual
     if steps is None:
-        trace, z = lopcg(
-            pencil, z0, tol, max_steps=max_steps, mesh_level=mesh_level,
-            trace=trace, residual_fn=residual_fn,
-        )
+        trace, z = lopcg(pencil, z0, tol, max_steps=max_steps,
+                         mesh_level=mesh_level, trace=trace)
     else:
-        trace, z = inverse_power_rq(
-            pencil, z0, steps=steps, tol=tol, mesh_level=mesh_level,
-            trace=trace, residual_fn=residual_fn,
-        )
+        trace, z = inverse_power_rq(pencil, z0, steps=steps, tol=tol,
+                                    mesh_level=mesh_level, trace=trace)
     mu = trace[-1].mu
-    u, x = cs.split(z)
-    nrm = np.sqrt(np.vdot(u, cs.M_alpha @ u).real)
+    u, x = pencil.split(z)
+    nrm = np.sqrt(np.vdot(u, pencil.M_alpha @ u).real)
     return CompanionSolution(
-        trace=trace, u=u / nrm, x=x / nrm, lam=mu - cs.beta, mu=mu
+        trace=trace, u=u / nrm, x=x / nrm, lam=mu - pencil.beta, mu=mu
     )

@@ -334,7 +334,7 @@ def _power_pencil(config, mesh, coarse):
     # K and M are dropped on return, before anything is factorized
     forms = assemble_tm(mesh, config.k)
     pencil = Pencil.from_stiffness(
-        forms.K, weighted_mass(mesh, config.alpha1, config.model.c, forms=forms),
+        forms.K, weighted_mass(mesh, config.alpha1, config.model.c),
         config.resolved_beta(),
     )
     return pencil, u
@@ -347,17 +347,17 @@ def _power_level(config, mesh, coarse, trace, leg):
 
 
 def _companion_level(config, mesh, coarse, trace, leg):
-    cs = build_companion(
+    pencil = build_companion(
         mesh, config.k, config.model, alpha1=config.alpha1, beta=config.resolved_beta()
     )
     if coarse is None:
-        z = default_big_start(cs)
+        z = default_big_start(pencil)
     else:
         # prolongate the physical field; reseed the auxiliary blocks at the
         # current eigenvalue
         coarse_mesh, sol = coarse
-        z = lifted_big_start(cs, prolongate(sol.u, coarse_mesh, mesh), sol.lam)
-    return solve_linearized(cs, z, mesh_level=mesh.level, trace=trace, **leg)
+        z = lifted_big_start(pencil, prolongate(sol.u, coarse_mesh, mesh), sol.lam)
+    return solve_linearized(pencil, z, mesh_level=mesh.level, trace=trace, **leg)
 
 
 def _newton_level(config, mesh, coarse, trace, leg):

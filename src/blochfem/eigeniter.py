@@ -20,9 +20,9 @@ power step. On the plain pencil it runs on a dual-norm preconditioner it is
 given, the exact :class:`~blochfem.linalg.DualNorm` or the multigrid
 :class:`~blochfem.multigrid.VCycle` of the power-family reference: one
 application per step gives both the residual and the next search
-direction. Given a ``residual_fn`` (the linearized rational solver reports
-the nonlinear residual) its search direction is the inverse step instead,
-taken after the row is recorded.
+direction. Without one its search direction is the pencil's inverse step,
+taken after the row records :meth:`Pencil.residual_dual` (which the
+linearized rational pencil overrides with the nonlinear residual).
 
 Every solver leg, those of :mod:`blochfem.newton` too, is a generator of
 trace rows run by :func:`iterate`, which times and records the rows and
@@ -139,7 +139,12 @@ class Pencil:
         return u / nrm
 
     def residual_dual(self, q, mu):
-        """Dual norm of (K - lam*M_w) q = (A_beta - mu*M_w) q."""
+        """Dual norm of (K - lam*M_w) q = (A_beta - mu*M_w) q.
+
+        This is the residual a power or LOPCG row records and a leg stops
+        on. Like :meth:`step`, a subclass may override it (the rational
+        linearization reports the residual of the nonlinear problem).
+        """
         r = self.A_beta @ q - mu * (self.M_w @ q)
         return self.dual(r)
 
@@ -221,9 +226,7 @@ def iterate(rows, n, trace, mesh_level, steps=None, tol=None, max_steps=None,
         rows.close()
 
 
-def _power_rows(pencil, u0, scale_by_mu, residual_fn):
-    if residual_fn is None:
-        residual_fn = pencil.residual_dual
+def _power_rows(pencil, u0, scale_by_mu):
     u = _start_vector(pencil, u0)
     mu = rayleigh_quotient(u, pencil.A_beta, pencil.M_w)
     q = pencil.normalized(u)
@@ -239,42 +242,39 @@ def _power_rows(pencil, u0, scale_by_mu, residual_fn):
             )
         mu = rayleigh_quotient(raw, pencil.A_beta, pencil.M_w, Bu=Mraw)
         q = raw / nrm
-        yield raw, mu, mu - pencil.beta, residual_fn(q, mu)
+        yield raw, mu, mu - pencil.beta, pencil.residual_dual(q, mu)
 
 
 def inverse_power_rq(pencil, u0, steps=None, tol=None, mesh_level=0, trace=None,
-                     max_steps=10000, residual_fn=None):
+                     max_steps=10000):
     """Shifted inverse iteration with Rayleigh-quotient scaling.
 
     Runs ``u_j = mu_{j-1} * A_beta^{-1} M_w q_{j-1}`` starting from ``u0``
     and appends one :class:`TraceRow` per step (to ``trace`` if given).
     Takes ``steps`` solves, or iterates until the dual residual drops to
     ``tol`` under the budget and floor stop of :func:`iterate`, which raise
-    :class:`NonConvergenceError` with the partial trace attached.
-
-    ``residual_fn(q, mu)`` overrides the traced (and tol-checked) residual;
-    the linearized rational solver uses this to report residuals of the
-    *nonlinear* problem instead of the extended linear one.
+    :class:`NonConvergenceError` with the partial trace attached. Rows
+    record :meth:`Pencil.residual_dual` of the normalized iterate.
 
     Returns ``(trace, u)`` with ``u`` the raw (unnormalized) last iterate.
     """
-    return iterate(_power_rows(pencil, u0, True, residual_fn), pencil.n, trace,
+    return iterate(_power_rows(pencil, u0, True), pencil.n, trace,
                    mesh_level, steps=steps, tol=tol, max_steps=max_steps)
 
 
 def inverse_power_plain(pencil, v0, steps=None, tol=None, mesh_level=0,
-                        trace=None, max_steps=10000, residual_fn=None):
+                        trace=None, max_steps=10000):
     """Inverse iteration without the Rayleigh scaling: ``v_j = A_beta^{-1} M_w q_{j-1}``.
 
     Same mu/residual trace as :func:`inverse_power_rq` from the same start;
     only the raw iterate lengths differ (their M_w-norms converge to 1/mu).
     """
-    return iterate(_power_rows(pencil, v0, False, residual_fn), pencil.n, trace,
+    return iterate(_power_rows(pencil, v0, False), pencil.n, trace,
                    mesh_level, steps=steps, tol=tol, max_steps=max_steps)
 
 
 def lopcg(pencil, u0, tol, max_steps=10000, mesh_level=0, trace=None,
-          dual=None, residual_fn=None):
+          dual=None):
     """Locally optimal preconditioned conjugate gradient from ``u0`` to ``tol``.
 
     Knyazev's LOPCG (SIAM J. Sci. Comput. 23(2):517-541, 2001) for the
@@ -286,17 +286,16 @@ def lopcg(pencil, u0, tol, max_steps=10000, mesh_level=0, trace=None,
     its length is dropped. The products of p are carried along from the
     previous projection, so a step applies A_beta and M_w to x and z only.
 
-    Exactly one of ``dual`` and ``residual_fn`` is given. ``dual`` is a
-    preconditioner for K + M_w with the contract of
-    :meth:`~blochfem.linalg.DualNorm.norm_and_solve`: the exact
+    ``dual``, when given, is a preconditioner for K + M_w with the contract
+    of :meth:`~blochfem.linalg.DualNorm.norm_and_solve`: the exact
     :class:`~blochfem.linalg.DualNorm`, or the multigrid
     :class:`~blochfem.multigrid.VCycle`, whose norm is exact enough to stop
     the leg only where it is at most ``tol``. One call on the residual
     r = A_beta x - mu M_w x gives both the residual the row records and the
     search direction z; this branch factorizes nothing itself.
 
-    With ``residual_fn(x, mu)`` that function gives the row's residual (the
-    linearized rational solver reports the residual of the *nonlinear*
+    Without ``dual`` the row records ``pencil.residual_dual(x, mu)`` (the
+    linearized rational pencil reports the residual of the *nonlinear*
     problem) and the search direction is the inverse step
     z = ``pencil.step(x)``: span{x, A_beta^{-1} M_w x, p} equals
     span{x, A_beta^{-1} r, p}. The step is taken after the row is recorded,
@@ -309,24 +308,22 @@ def lopcg(pencil, u0, tol, max_steps=10000, mesh_level=0, trace=None,
 
     Returns ``(trace, x)``; the last row is the residual of x as returned.
     """
-    if (dual is None) == (residual_fn is None):
-        raise ValueError("need exactly one of dual and residual_fn")
-    return iterate(_lopcg_rows(pencil, u0, dual, residual_fn), pencil.n, trace,
+    return iterate(_lopcg_rows(pencil, u0, dual), pencil.n, trace,
                    mesh_level, tol=tol, max_steps=max_steps, name="LOPCG")
 
 
-def _lopcg_rows(pencil, u0, dual, residual_fn):
+def _lopcg_rows(pencil, u0, dual):
     x = pencil.normalized(_start_vector(pencil, u0))
     p = None
     while True:
         Ax, Mx = pencil.A_beta @ x, pencil.M_w @ x
         mu = np.vdot(x, Ax).real / np.vdot(x, Mx).real
-        if residual_fn is None:
+        if dual is None:
+            yield x, mu, mu - pencil.beta, pencil.residual_dual(x, mu)
+            z = pencil.step(x)
+        else:
             res, z = dual.norm_and_solve(Ax - mu * Mx)
             yield x, mu, mu - pencil.beta, res
-        else:
-            yield x, mu, mu - pencil.beta, residual_fn(x, mu)
-            z = pencil.step(x)
         x, p = _ritz_step(pencil, x, Ax, Mx, z, p)
 
 

@@ -375,7 +375,7 @@ def warm_start(mesh, k, const_eps2=2.0, rq_steps=8, alpha1=1.0, forms=None):
         raise ValueError(f"rq_steps must be >= 0, got {rq_steps}")
     if forms is None:
         forms = assemble_tm(mesh, k)
-    M_w = weighted_mass(mesh, alpha1, const_eps2, forms=forms)
+    M_w = weighted_mass(mesh, alpha1, const_eps2)
     pencil = Pencil.from_stiffness(forms.K, M_w, beta=1.0)
     u = np.ones(pencil.n, dtype=complex)
     if rq_steps == 0:

@@ -8,11 +8,11 @@ import pytest
 import scipy.linalg as sla
 from scipy.optimize import brentq
 
-from blochfem import dispersion, driver
+from blochfem import companion, dispersion, driver
 from blochfem.companion import (
     EliminatedPencil,
+    NonlinearResidual,
     build_companion,
-    build_xspace,
     default_big_start,
     shift_lower_bound,
     solve_linearized,
@@ -62,36 +62,36 @@ def sol1(sys1):
 
 
 def test_xspace_blocks_are_m2_subblocks(sys1):
-    xs = sys1.xspace
     dense = sys1.forms.M2.mat.toarray()
-    assert np.array_equal(xs.R.toarray(), dense[:, xs.xdofs])
-    assert np.array_equal(xs.M_X.toarray(), dense[np.ix_(xs.xdofs, xs.xdofs)])
+    assert np.array_equal(sys1.R.toarray(), dense[:, sys1.xdofs])
+    assert np.array_equal(sys1.M_X.toarray(), dense[np.ix_(sys1.xdofs, sys1.xdofs)])
     # the square block really is the X-rows of R
-    assert (xs.R[xs.xdofs, :] != xs.M_X).nnz == 0
+    assert (sys1.R[sys1.xdofs, :] != sys1.M_X).nnz == 0
 
 
 def test_m2_has_no_mass_outside_xspace(sys1):
     # every nonzero column of M2 belongs to X: this is what makes the
     # auxiliary elimination exact rather than approximate
     mat = sys1.forms.M2.mat.tocsc()
-    outside = np.setdiff1d(np.arange(sys1.n_v), sys1.xspace.xdofs)
+    outside = np.setdiff1d(np.arange(sys1.n_v), sys1.xdofs)
     assert mat[:, outside].nnz == 0
-    assert np.all(mat.diagonal().real[sys1.xspace.xdofs] > 0)
+    assert np.all(mat.diagonal().real[sys1.xdofs] > 0)
 
 
 def test_extended_dimensions_and_split(sys1):
     L = sys1.realization.order
     assert L == 2
-    assert sys1.n_big == sys1.n_v + L * sys1.xspace.n_x
-    z = np.arange(sys1.n_big, dtype=complex)
+    n_x = sys1.xdofs.size
+    assert sys1.n == sys1.n_v + L * n_x
+    z = np.arange(sys1.n, dtype=complex)
     u, x = sys1.split(z)
     assert u.shape == (sys1.n_v,)
-    assert x.shape == (L, sys1.xspace.n_x)
+    assert x.shape == (L, n_x)
     assert np.array_equal(np.concatenate([u, x.ravel()]), z)
 
 
 def test_extended_matrices_hermitian(sys1):
-    for H in (sys1.ABig, sys1.IBig):
+    for H in (sys1.A_beta, sys1.M_w):
         delta = (H.mat - H.mat.conj().T).tocoo()
         worst = np.abs(delta.data).max() if delta.nnz else 0.0
         assert worst <= 1e-14 * max(np.abs(H.mat.data).max(), 1.0)
@@ -130,13 +130,13 @@ def test_empty_model_degenerates_to_plain_pencil():
     mesh = build_mesh(0)
     model = dispersion.SimplifiedDL(alpha2=2.0, terms=())
     cs = build_companion(mesh, K_POINT, model, beta=1.0)
-    assert cs.n_big == cs.n_v
+    assert cs.n == cs.n_v
     expected = cs.forms.K.mat + 1.0 * cs.M_alpha.mat
-    assert abs(cs.ABig.mat - expected).max() == 0.0
-    assert (cs.IBig.mat != cs.M_alpha.mat).nnz == 0
+    assert abs(cs.A_beta.mat - expected).max() == 0.0
+    assert (cs.M_w.mat != cs.M_alpha.mat).nnz == 0
     sol = solve_linearized(cs, tol=1e-10, mesh_level=0)
     assert sol.lam > 0
-    assert sol.x.shape == (0, cs.xspace.n_x)
+    assert sol.x.shape == (0, cs.xdofs.size)
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +144,11 @@ def test_empty_model_degenerates_to_plain_pencil():
 
 
 def test_step_satisfies_extended_system(sys1):
-    p = sys1.pencil()
-    assert isinstance(p, EliminatedPencil)
-    q = p.normalized(default_big_start(sys1))
-    z = p.step(q)
-    r = sys1.ABig @ z - sys1.IBig @ q
-    assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(sys1.IBig @ q)
+    assert isinstance(sys1, EliminatedPencil)
+    q = sys1.normalized(default_big_start(sys1))
+    z = sys1.step(q)
+    r = sys1.A_beta @ z - sys1.M_w @ q
+    assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(sys1.M_w @ q)
     # the auxiliary rows cancel by construction, not just to solver accuracy
     assert np.abs(r[sys1.n_v:]).max() <= 1e-15
 
@@ -166,8 +165,24 @@ def test_schur_solve_inverts_nonlinear_operator_at_shift(sys1):
     )
     rng = np.random.default_rng(7)
     v = rng.standard_normal(sys1.n_v) + 1j * rng.standard_normal(sys1.n_v)
-    w = sys1.pencil().schur.solve(S @ v)
+    w = sys1.schur.solve(S @ v)
     assert np.linalg.norm(w - v) <= 1e-10 * np.linalg.norm(v)
+
+
+def test_a_power_leg_factors_the_dual_norm_before_the_schur_complement(monkeypatch):
+    # the first row's step needs the Schur complement before its residual
+    # needs K + M_alpha; the leg factors them in the other order, which
+    # keeps the process's heap layout, and with it its peak RSS
+    order = []
+    dual_init = companion.DualNorm.__init__
+    monkeypatch.setattr(companion.DualNorm, "__init__",
+                        lambda self, *a: order.append("dual") or dual_init(self, *a))
+    fact = companion.Factorization
+    monkeypatch.setattr(companion, "Factorization",
+                        lambda S: order.append("schur") or fact(S))
+    cs = build_companion(build_mesh(0), K_POINT, two_oscillator())
+    solve_linearized(cs, steps=2)
+    assert order == ["dual", "schur"]
 
 
 def test_mu_trace_monotone_to_working_precision(sol1):
@@ -180,24 +195,23 @@ def test_mu_trace_monotone_to_working_precision(sol1):
 
 
 def test_defining_relation_per_block(sys1, sol1):
-    xs = sys1.xspace
     for l in range(sys1.realization.order):
-        lhs = (sys1.realization.A[l] - sol1.lam) * (xs.M_X @ sol1.x[l])
-        rhs = sys1.realization.b[l] * (xs.R.conj().T @ sol1.u)
+        lhs = (sys1.realization.A[l] - sol1.lam) * (sys1.M_X @ sol1.x[l])
+        rhs = sys1.realization.b[l] * (sys1.R.conj().T @ sol1.u)
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
 def test_auxiliary_fields_are_scaled_field_restrictions(sys1, sol1):
     # the elimination pins the representative x_l = b_l/(eta2_l - lam) u|_X
     # pointwise, a stronger statement than the M_X-weighted relation above
-    uX = sol1.u[sys1.xspace.xdofs]
+    uX = sol1.u[sys1.xdofs]
     for l in range(sys1.realization.order):
         pred = sys1.realization.b[l] / (sys1.realization.A[l] - sol1.lam) * uX
         assert np.linalg.norm(sol1.x[l] - pred) <= 1e-9 * np.linalg.norm(pred)
 
 
 def test_nonlinear_residual_small_and_sharp(sys1, sol1):
-    resid = sys1.nonlinear_residual()
+    resid = sys1.nonlinear_residual
     at_pair = resid(sol1.u, sol1.lam)
     assert at_pair <= 1e-8
     assert resid(sol1.u, sol1.lam + 0.1) > 100 * at_pair
@@ -239,17 +253,16 @@ def test_level1_eigenvalue_regression_pin(sol1):
 
 
 def test_arnoldi_runs_through_elimination(sys1, sol1):
-    p = sys1.pencil()
-    coarse = arnoldi(p, default_big_start(sys1), 8)
-    fine = arnoldi(p, default_big_start(sys1), 14)
+    coarse = arnoldi(sys1, default_big_start(sys1), 8)
+    fine = arnoldi(sys1, default_big_start(sys1), 14)
     assert not coarse.breakdown and not fine.breakdown
     assert fine.mu <= coarse.mu + 1e-12
     assert fine.mu == pytest.approx(sol1.mu, abs=1e-10)
-    assert p.norm_m(fine.vector) == pytest.approx(1.0, rel=1e-12)
+    assert sys1.norm_m(fine.vector) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_zero_physical_start_rejected(sys1):
-    z0 = np.zeros(sys1.n_big, dtype=complex)
+    z0 = np.zeros(sys1.n, dtype=complex)
     z0[sys1.n_v:] = 1.0
     with pytest.raises(ValueError):
         solve_linearized(sys1, z0=z0)
@@ -257,15 +270,20 @@ def test_zero_physical_start_rejected(sys1):
 
 def test_default_start_layout(sys1):
     z = default_big_start(sys1)
-    assert z.shape == (sys1.n_big,)
+    assert z.shape == (sys1.n,)
     assert np.all(z[: sys1.n_v] == 1.0)
     assert np.all(z[sys1.n_v:] == 0.0)
 
 
-def test_xspace_from_raw_matrix(sys1):
-    # build_xspace accepts the plain scipy matrix as well as the wrapper
-    xs = build_xspace(sys1.forms.M2.mat)
-    assert np.array_equal(xs.xdofs, sys1.xspace.xdofs)
+def test_residual_dual_is_the_nonlinear_residual_of_the_field(sys1):
+    # a row records the nonlinear residual of split(z)[0] at mu - beta, not
+    # the extended linear residual
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal(sys1.n) + 1j * rng.standard_normal(sys1.n)
+    resid = NonlinearResidual(sys1.forms, sys1.M_alpha, sys1.realization)
+    for mu in (sys1.beta + 1.5, sys1.beta + 30.0):
+        expect = resid(sys1.split(z)[0], mu - sys1.beta)
+        assert sys1.residual_dual(z, mu) == expect
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +306,7 @@ def exp2_sys1():
 def test_lopcg_leg_matches_the_power_leg_on_experiment2_level1(exp2_sys1):
     cs = exp2_sys1
     sol = solve_linearized(cs, tol=1e-10, mesh_level=1)
-    resid = cs.nonlinear_residual()
-    power, _ = inverse_power_rq(
-        cs.pencil(), default_big_start(cs), tol=1e-10,
-        residual_fn=lambda q, mu: resid(cs.split(q)[0], mu - cs.beta),
-    )
+    power, _ = inverse_power_rq(cs, default_big_start(cs), tol=1e-10)
     assert sol.trace[-1].residual_dual <= 1e-10
     assert sol.lam == pytest.approx(power[-1].lam, rel=1e-12)
     assert 2 * len(sol.trace) < len(power)

@@ -52,7 +52,7 @@ def level0():
 def disk_pencil(level0):
     # experiment-style pencil: disk permittivity 8, unit shift
     mesh, forms = level0
-    Mw = weighted_mass(mesh, 1.0, 8.0, forms=forms)
+    Mw = weighted_mass(mesh, 1.0, 8.0)
     return Pencil.from_stiffness(forms.K, Mw, beta=1.0)
 
 
@@ -301,11 +301,20 @@ def test_lopcg_rows_are_the_residuals_of_their_iterates(disk_pencil):
 def test_lopcg_mu_never_rises(level):
     mesh = build_mesh(level)
     forms = assemble_tm(mesh, K_POINT)
-    p = Pencil.from_stiffness(forms.K, weighted_mass(mesh, 1.0, 8.0, forms=forms), 1.0)
+    p = Pencil.from_stiffness(forms.K, weighted_mass(mesh, 1.0, 8.0), 1.0)
     trace, _ = lopcg(p, default_start(p.n), tol=1e-13, dual=p.dual)
     mus = trace.mus()
     assert trace[-1].residual_dual <= 1e-13
     assert np.all(np.diff(mus) <= 1e-12 * np.abs(mus[1:]))
+
+
+def test_lopcg_without_dual_steps_with_the_inverse(disk_pencil):
+    # the rows record residual_dual and the search direction is step(x)
+    u0 = default_start(disk_pencil.n)
+    stepped, _ = lopcg(disk_pencil, u0, tol=1e-11)
+    dual, _ = lopcg(disk_pencil, u0, tol=1e-11, dual=disk_pencil.dual)
+    assert stepped[-1].residual_dual <= 1e-11
+    assert stepped[-1].lam == pytest.approx(dual[-1].lam, rel=1e-12)
 
 
 def test_lopcg_eigenvector_start_returns_after_its_first_row():

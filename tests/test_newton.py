@@ -195,7 +195,7 @@ def test_plain_mass_is_unweighted_sum(level1):
 
 def test_constant_model_matches_inverse_power(level1):
     mesh, forms = level1
-    Mw = weighted_mass(mesh, 1.0, 8.0, forms=forms)
+    Mw = weighted_mass(mesh, 1.0, 8.0)
     pencil = Pencil.from_stiffness(forms.K, Mw, beta=1.0)
     tr, _ = inverse_power_rq(pencil, np.ones(pencil.n, complex), tol=1e-12)
     lam_pow = tr[-1].lam
