@@ -9,8 +9,9 @@ the same bits can be compared with ``diff``:
 * the region pieces M1, M2, K0, Dx and Dy (data, indices, indptr) at L0-L5,
   the mesh's cell_dofs, dof_coords and cell origins;
 * ``assemble_tm`` at k = (0.7, 0.3), ``weighted_mass`` at weights (1, 1)
-  and (1, 8), and ``build_companion`` for an empty and a two-pole model
-  at L2;
+  and (1, 8), then at L2 the shifted operator A_beta (beta = 1) and the
+  dual operator K + M_w of a beta = 2.5 pencil on M_w = M1 + 8 M2, and
+  ``build_companion`` for an empty and a two-pole model;
 * ``eval``, ``eval_lambda``, ``eval_dlambda``, ``real_poles`` and
   ``transfer`` for seven models over a lambda grid that enters every pole's
   guard window. A refused evaluation (or a division by zero, as a damped
@@ -33,6 +34,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from blochfem import assembly, companion, dispersion as dp, mesh as msh  # noqa: E402
+from blochfem.eigeniter import Pencil  # noqa: E402
 
 K = (0.7, 0.3)
 LEVELS = range(6)
@@ -108,6 +110,12 @@ def main():
             A = assembly.weighted_mass(mesh, *w)
             lines.append(("L%d.weighted_mass%r" % (level, w), _sparse(A.mat)))
     mesh = msh.build_mesh(2)
+    forms = assembly.assemble_tm(mesh, K)
+    M_w = assembly.weighted_mass(mesh, 1.0, 8.0)
+    lines.append(("L2.A_beta(beta=1)", _sparse(
+        Pencil.from_stiffness(forms.K, M_w, 1.0).A_beta.mat)))
+    lines.append(("L2.dual_operator(beta=2.5)", _sparse(
+        Pencil.from_stiffness(forms.K, M_w, 2.5).dual_operator())))
     for name in ("simplified_empty", "simplified_two"):
         cs = companion.build_companion(mesh, K, MODELS[name])
         lines.append(("L2.companion.%s" % name,

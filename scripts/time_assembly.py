@@ -7,8 +7,11 @@ Cold: five fresh ``assembly._RegionPieces(mesh)`` builds at L0-L5 (the
 one-time work of a level: quadrature, symmetry check and scatter);
 prints the fastest build and the tracemalloc peak of one more build.
 Warm: five ``assemble_tm(mesh, k)`` calls on the cached pieces at L2-L4
-(the work of each new wave vector); prints the fastest call. BLAS runs on
-one thread, as in the benchmark's workers. Only ``src/`` is read.
+(the work of each new wave vector); prints the fastest call, and the
+tracemalloc peak of one warm pencil build, ``assemble_tm`` +
+``weighted_mass`` + ``Pencil.from_stiffness``, as a power level or the
+power reference makes it. BLAS runs on one thread, as in the benchmark's
+workers. Only ``src/`` is read.
 """
 
 import os
@@ -23,6 +26,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from blochfem import assembly, mesh as msh  # noqa: E402
+from blochfem.eigeniter import Pencil  # noqa: E402
 
 COLD_LEVELS = range(6)
 WARM_LEVELS = range(2, 5)
@@ -53,13 +57,19 @@ def main():
         tracemalloc.stop()
         print("%5d %8d %10.4f %10.1f" % (level, mesh.dof_count, best, peak / 2 ** 20))
 
-    print("assemble_tm (warm) at k = %s, fastest of %d" % (WARM_K, REPEAT))
-    print("%5s %8s %10s" % ("level", "dofs", "time_s"))
+    print("assemble_tm (warm) at k = %s, fastest of %d; peak of one warm "
+          "pencil build" % (WARM_K, REPEAT))
+    print("%5s %8s %10s %10s" % ("level", "dofs", "time_s", "peak_MiB"))
     for level in WARM_LEVELS:
         mesh = msh.build_mesh(level)
         assembly.assemble_tm(mesh, WARM_K)
         best = _fastest(lambda: assembly.assemble_tm(mesh, WARM_K))
-        print("%5d %8d %10.4f" % (level, mesh.dof_count, best))
+        tracemalloc.start()
+        Pencil.from_stiffness(assembly.assemble_tm(mesh, WARM_K).K,
+                              assembly.weighted_mass(mesh, 1.0, 8.0), 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        print("%5d %8d %10.4f %10.1f" % (level, mesh.dof_count, best, peak / 2 ** 20))
 
 
 if __name__ == "__main__":

@@ -21,9 +21,25 @@ disagree on chi_2). Only the cells whose Gauss points straddle the
 interface run the weighted quadrature; a cell wholly on one side takes its
 rule's reference element there. Each of the two cell sets is scattered in
 the entry order of scipy's COO -> CSR conversion, captured once per mesh,
-so the pieces are bitwise the matrices that conversion builds. The
-k-independent sums K0, Dx = Cx^T - Cx and Dy = Cy^T - Cy are formed once
-per mesh too, so a call at a new k only adds the k-dependent terms.
+so its sums are bitwise the ones that conversion builds.
+
+Every mesh has one read-only CSR pattern, the full Q2 coupling pattern
+(the union of the two cell sets' patterns, which is K0's). Each
+k-independent piece, the region masses M1 and M2 and the sums K0,
+Dx = Cx^T - Cx and Dy = Cy^T - Cy, is a float64 data vector on it, with
+0.0 where the piece has no entry. The position of each cell-set slot in
+the mesh pattern comes from one scipy sum of the two sets' patterns, each
+carrying its own slot numbers, worked out once per mesh; a set then
+scatters straight into those positions, still in its own captured order
+(scipy's per-row sort is not stable, so two sets' orders differ). The
+mirror map of the symmetric pattern comes from one transpose of an arange
+on it. So every per-k form, K(k), M, the weighted mass and the shifted
+and nonlinear operators built from them, is one numpy expression on data
+vectors, and all of them share the pattern's arrays. Adding 0.0 where a
+summand has no entry is exact, so those sums are bitwise scipy's sparse
+sums. scipy's would also drop an entry that cancels to exactly 0.0, which
+stays here as a stored zero; the tests find none in K, M, M_w or A_beta
+at four wave vectors on L0-L3.
 
 Quadrature rounding is the one place where symmetry can break, so the
 stiffness and mass element matrices are checked once per build. The scatter
@@ -37,7 +53,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import HermitianViolationError
-from .linalg import HermitianSparse
+from .linalg import HermitianSparse, compact
 from .mesh import DISK
 from .q2 import tensor_rule
 
@@ -60,7 +76,8 @@ HERMITIAN_RTOL = 1e-13
 class AssembledForms:
     """Assembled matrices of one Bloch problem on one mesh: K (Hermitian
     stiffness at the given k), M (plain mass) and M1 / M2 (masses restricted
-    to regions 1 / 2; M = M1 + M2 exactly)."""
+    to regions 1 / 2; M = M1 + M2 exactly), all on the mesh's one pattern,
+    where M1 and M2 store zeros outside their regions."""
 
     K: HermitianSparse
     M: HermitianSparse
@@ -100,7 +117,7 @@ class _CellSet:
     by converting the entry numbers 0..nnz-1 with the summing switched off.
     A piece is then one gather into that order and one ``np.bincount``,
     which also adds left to right: bitwise the matrix scipy would build,
-    up to the sign of exact zeros, which the region sums drop.
+    up to the sign of exact zeros, which the compact pieces drop.
     """
 
     def __init__(self, mesh, cells, rule_pts):
@@ -147,30 +164,51 @@ class _CellSet:
         self.slot -= 1
         self.indices = cols[starts]
         self.indptr = np.searchsorted(starts, ip).astype(ip.dtype)
-        self.shape = (n, n)
+        self.size = self.indices.size
 
     def piece(self, kind, region):
         """The CSR sum of element matrices ``kind`` (0 K, 1 M, 2 Cx, 3 Cy)
-        over these cells, weighted by region ``region`` (0 or 1)."""
+        over these cells, weighted by region ``region`` (0 or 1), as a data
+        vector on the pattern the slots point into."""
         el = np.zeros(self.mixed.shape + (9, 9))
         el[self.within[region]] = self.reference[kind]
         el[self.mixed] = self.batch[region][kind]
-        data = np.bincount(self.slot, weights=el.ravel()[self.perm],
-                           minlength=self.indices.size)
-        return sparse.csr_matrix((data, self.indices, self.indptr),
-                                 shape=self.shape)
+        return np.bincount(self.slot, weights=el.ravel()[self.perm],
+                           minlength=self.size)
+
+
+def _mesh_pattern(sets, n):
+    """The mesh's CSR pattern, the union of its cell sets' patterns; points
+    each set's slots at their positions in it.
+
+    One scipy sum of the two sets' patterns, with data 1 on the first and
+    2 on the second, does the merge. Both patterns and their union are
+    sorted by row and column, so a set's slots are, in order, the entries
+    of the union that carry its bit. A set's scatter then adds in its own
+    order, straight into the mesh's positions: bitwise its own sum.
+    """
+    flags = [sparse.csr_matrix((np.full(s.size, 1 << i, dtype=np.int8),
+                                s.indices, s.indptr), shape=(n, n))
+             for i, s in enumerate(sets)]
+    union = flags[0] + flags[1]
+    for i, s in enumerate(sets):
+        s.slot = np.flatnonzero(union.data & (1 << i))[s.slot]
+        s.size = union.nnz
+    return union.indices, union.indptr
 
 
 class _RegionPieces:
-    """The k-independent matrices of one mesh (chi-weighted quadrature).
+    """The k-independent matrices of one mesh (chi-weighted quadrature), as
+    data vectors on the mesh's one read-only CSR pattern.
 
     K1/K2 (stiffness), Cx1/Cx2, Cy1/Cy2 (convection) and M1/M2 (mass) are
     each restricted to region 1 / region 2; the TM forms keep the region
-    masses M1, M2 and the sums K0 = K1 + K2, Dx = Cx^T - Cx and
-    Dy = Cy^T - Cy, with Cx = Cx1 + Cx2 and Cy = Cy1 + Cy2.
-
-    Each region piece is the sum of a plain-cell and a cut-cell matrix;
-    the addition drops the exact zeros that cells outside the region leave.
+    masses m1, m2 and the sums k0 = K1 + K2, dx = Cx^T - Cx and
+    dy = Cy^T - Cy, with Cx = Cx1 + Cx2 and Cy = Cy1 + Cy2. Each region
+    piece is the sum of a plain-cell and a cut-cell piece. A vector holds
+    0.0 where its matrix has no entry; adding it there is exact, so every
+    sum is bitwise scipy's. ``M1``, ``M2``, ``K0``, ``Dx`` and ``Dy`` are
+    the compact CSR matrices, without those zeros, built on first read.
     """
 
     def __init__(self, mesh):
@@ -178,25 +216,47 @@ class _RegionPieces:
         cut = np.any(corners != corners[:, :1], axis=1)
         sets = [_CellSet(mesh, np.flatnonzero(~cut), QUAD_PLAIN),
                 _CellSet(mesh, np.flatnonzero(cut), QUAD_CUT)]
+        n = mesh.dof_count
+        self.shape = (n, n)
+        self.indices, self.indptr = _mesh_pattern(sets, n)
+        self.indices.flags.writeable = False
+        self.indptr.flags.writeable = False
 
-        def pair(kind):
-            return [sets[0].piece(kind, r) + sets[1].piece(kind, r)
-                    for r in (0, 1)]
+        def region(kind, r):
+            data = sets[0].piece(kind, r)
+            data += sets[1].piece(kind, r)
+            return data
 
         def total(kind):
-            C1, C2 = pair(kind)
-            return C1 + C2
+            data = region(kind, 0)
+            data += region(kind, 1)
+            return data
 
-        # compact copies: a sum's buffers are sized for both summands
-        self.M1, self.M2 = (A.copy() for A in pair(1))
-        self.K0 = total(0)
-        self.Dx = _antisymmetric(total(2))
-        self.Dy = _antisymmetric(total(3))
+        self.m1, self.m2 = region(1, 0), region(1, 1)
+        self.k0 = total(0)
+        cx, cy = total(2), total(3)
+        del sets
+        # the Q2 coupling pattern is symmetric: entry p of the transposed
+        # arange sits at the position of p's mirror
+        mirror = self._csr(np.arange(self.indices.size)).T.tocsr().data
+        self.dx = cx[mirror] - cx
+        del cx
+        self.dy = cy[mirror] - cy
 
+    def _csr(self, data):
+        return sparse.csr_matrix((data, self.indices, self.indptr),
+                                 shape=self.shape)
 
-def _antisymmetric(C):
-    """C^T - C, the convection part of the Bloch cross term."""
-    return (C.T - C).tocsr()
+    def form(self, data):
+        """The Hermitian matrix with entries ``data`` on the mesh's pattern."""
+        return HermitianSparse(self._csr(data))
+
+    def __getattr__(self, name):
+        if name not in ("M1", "M2", "K0", "Dx", "Dy"):
+            raise AttributeError(name)
+        A = compact(self._csr(getattr(self, name.lower())))
+        setattr(self, name, A)
+        return A
 
 
 #: region pieces by mesh level, kept for every level a process touches
@@ -221,26 +281,24 @@ def assemble_tm(mesh, k):
     if not (np.isfinite(kx) and np.isfinite(ky)):
         raise ValueError("wave vector components must be finite")
     p = _pieces(mesh)
-    M = p.M1 + p.M2
-    K = p.K0 + (kx * kx + ky * ky) * M
+    M = p.m1 + p.m2
+    K = p.k0 + (kx * kx + ky * ky) * M
     if kx != 0.0 or ky != 0.0:
         K = K.astype(complex)
+        # i kx Dx is imaginary: scipy's complex sum adds zeros to the real
+        # part, so adding kx Dx to the imaginary part gives its bits
         if kx != 0.0:
-            K = K + (1j * kx) * p.Dx
+            K.imag += kx * p.dx
         if ky != 0.0:
-            K = K + (1j * ky) * p.Dy
-    return AssembledForms(
-        K=HermitianSparse(K),
-        M=HermitianSparse(M),
-        M1=HermitianSparse(p.M1),
-        M2=HermitianSparse(p.M2),
-    )
+            K.imag += ky * p.dy
+    return AssembledForms(K=p.form(K), M=p.form(M), M1=p.form(p.m1),
+                          M2=p.form(p.m2))
 
 
 def weighted_mass(mesh, w1, w2):
     """w1 * M1 + w2 * M2 (the weighted pivot inner product), from the
-    mesh's cached region masses."""
+    mesh's cached region masses, on the mesh's pattern."""
     if not (np.isfinite(w1) and np.isfinite(w2)):
         raise ValueError("mass weights must be finite")
     p = _pieces(mesh)
-    return HermitianSparse(w1 * p.M1 + w2 * p.M2)
+    return p.form(w1 * p.m1 + w2 * p.m2)

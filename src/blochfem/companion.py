@@ -47,7 +47,8 @@ from . import dispersion
 from .assembly import assemble_tm, weighted_mass
 from .errors import ShiftBoundError
 from .eigeniter import Pencil, inverse_power_rq, lopcg
-from .linalg import DualNorm, Factorization, HermitianSparse
+from .linalg import (DualNorm, Factorization, HermitianSparse, compact,
+                     shared_data, with_data)
 
 __all__ = [
     "CompanionSolution",
@@ -114,14 +115,14 @@ class EliminatedPencil(Pencil):
     """
 
     def __init__(self, forms, M_alpha, realization, beta):
-        M2 = forms.M2.mat
+        M2 = compact(forms.M2.mat)
         self.xdofs = np.flatnonzero(M2.diagonal().real > 0.0)
         self.R = M2.tocsc()[:, self.xdofs].tocsr()
         self.M_X = self.R[self.xdofs, :]
         self.forms = forms
         self.M_alpha = M_alpha
         self.realization = realization
-        A00 = (forms.K.mat + realization.Xi * M2 + beta * M_alpha.mat).tocsr()
+        A00 = self._v_block(realization.Xi, beta)
         L = realization.order
         blocks = [[A00] + [-b_l * self.R for b_l in realization.b]]
         for ell in range(L):
@@ -166,13 +167,13 @@ class EliminatedPencil(Pencil):
         if self._schur is None:
             eta2, b = self.realization.A, self.realization.b
             weight = self.realization.Xi - np.sum(b * b / (eta2 + self.beta))
-            S = (
-                self.forms.K.mat
-                + weight * self.forms.M2.mat
-                + self.beta * self.M_alpha.mat
-            ).tocsr()
-            self._schur = Factorization(S)
+            self._schur = Factorization(self._v_block(weight, self.beta))
         return self._schur
+
+    def _v_block(self, weight, beta):
+        """K + weight*M2 + beta*M_alpha, on the forms' one pattern."""
+        K, M2, Ma = shared_data(self.forms.K, self.forms.M2, self.M_alpha)
+        return with_data(self.forms.K.mat, K + weight * M2 + beta * Ma)
 
     def step(self, q):
         u, x = self.split(np.asarray(q, dtype=complex))

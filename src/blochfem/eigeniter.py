@@ -36,7 +36,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NonConvergenceError
-from .linalg import DualNorm, Factorization, HermitianSparse, rayleigh_quotient
+from .linalg import (DualNorm, Factorization, HermitianSparse,
+                     rayleigh_quotient, shared_data, with_data)
 from .trace import IterationTrace
 
 __all__ = [
@@ -80,7 +81,9 @@ class Pencil:
     K + M_w = A_beta + (1-beta) M_w are built lazily and reused for every
     step. For beta == 1 the two matrices coincide bitwise, so one
     factorization serves both purposes. A_beta and M_w are
-    :class:`HermitianSparse`, Hermitian by construction.
+    :class:`HermitianSparse`, Hermitian by construction; built by
+    :meth:`from_stiffness` they share the forms' one pattern, so the dual
+    operator is a sum of their data vectors.
     """
 
     def __init__(self, A_beta, M_w, beta):
@@ -97,9 +100,11 @@ class Pencil:
 
     @classmethod
     def from_stiffness(cls, K, M_w, beta):
-        """Build (K + beta*M_w, M_w) from the unshifted stiffness."""
-        shifted = (K.mat + float(beta) * M_w.mat).tocsr()
-        return cls(HermitianSparse(shifted), M_w, beta)
+        """Build (K + beta*M_w, M_w) from the unshifted stiffness, on the
+        pattern K and M_w share."""
+        Kd, Md = shared_data(K, M_w)
+        return cls(HermitianSparse(with_data(K.mat, Kd + float(beta) * Md)),
+                   M_w, beta)
 
     @property
     def n(self):
@@ -115,7 +120,8 @@ class Pencil:
         """K + M_w as CSR: A_beta itself for beta == 1."""
         if self.beta == 1.0:
             return self.A_beta.mat
-        return (self.A_beta.mat + (1.0 - self.beta) * self.M_w.mat).tocsr()
+        Ad, Md = shared_data(self.A_beta, self.M_w)
+        return with_data(self.A_beta.mat, Ad + (1.0 - self.beta) * Md)
 
     @property
     def dual(self):

@@ -5,7 +5,8 @@ the contracts the eigensolvers rely on:
 
 * a thin CSR wrapper for matrices that are Hermitian by construction (the
   check is made once per region-piece build, in
-  ``assembly._RegionPieces``),
+  ``assembly._RegionPieces``), whose forms of one mesh share one read-only
+  pattern, so that their sums are sums of data vectors,
 * reusable factorizations with an explicit singularity signal and a
   1e-10 backward-error guarantee (one step of iterative refinement),
 * real Rayleigh quotients with an imaginary-residue diagnostics counter,
@@ -24,6 +25,9 @@ from .errors import SingularMatrixError
 
 __all__ = [
     "HermitianSparse",
+    "shared_data",
+    "with_data",
+    "compact",
     "Factorization",
     "rayleigh_quotient",
     "DualNorm",
@@ -62,6 +66,16 @@ class HermitianSparse:
     are checked once when they are assembled; real-weighted sums of them,
     the exactly Hermitian Bloch cross term and literal conjugate-transpose
     blocks stay Hermitian. Real symmetric matrices keep their real dtype.
+
+    The forms of one mesh share one read-only CSR pattern (``indices``,
+    ``indptr``): :func:`with_data` puts new entries on it without copying
+    it, so a sum of those forms is a sum of their data vectors
+    (:func:`shared_data`), and a write to the pattern raises.
+
+    A real matrix applied to a complex vector (``@``, and the quotients of
+    :func:`rayleigh_quotient`) multiplies the real and imaginary parts
+    separately: the same bits as scipy's product, which would first copy
+    the whole matrix to complex.
     """
 
     def __init__(self, mat):
@@ -69,16 +83,63 @@ class HermitianSparse:
         self.n = self.mat.shape[0]
 
     def __matmul__(self, x):
-        return self.mat @ x
+        return _matvec(self.mat, x)
 
-    def toarray(self):
-        return self.mat.toarray()
+
+def _matvec(mat, x):
+    """``mat @ x``; a real ``mat`` takes a complex ``x`` part by part."""
+    x = np.asarray(x)
+    if mat.dtype.kind == "c" or not np.iscomplexobj(x):
+        return mat @ x
+    y = np.empty((mat.shape[0],) + x.shape[1:], dtype=np.result_type(mat, x))
+    y.real = mat @ x.real
+    y.imag = mat @ x.imag
+    return y
 
 
 def _as_csr(A):
     if isinstance(A, HermitianSparse):
         return A.mat
     return sparse.csr_matrix(A)
+
+
+def with_data(A, data):
+    """The CSR matrix with entries ``data`` on the pattern of CSR ``A``,
+    whose index arrays it shares."""
+    return sparse.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
+
+
+def compact(A):
+    """A CSR copy of ``A`` without its stored zeros: the matrix that scipy's
+    sparse sums, which drop exact zeros, would have built."""
+    A = sparse.csr_matrix(A, copy=True)
+    A.eliminate_zeros()
+    return A
+
+
+def _same(a, b):
+    """Whether two index arrays are equal: the same buffer, or entry by
+    entry."""
+    return ((a.ctypes.data == b.ctypes.data and a.size == b.size)
+            or np.array_equal(a, b))
+
+
+def shared_data(*mats):
+    """The data vectors of CSR matrices (or :class:`HermitianSparse`) that
+    hold one pattern, in order: any linear combination of the matrices is
+    the same combination of these vectors on that pattern.
+
+    The forms of one mesh share the pattern's arrays, which is checked by
+    address; other matrices are compared entry by entry. Raises ValueError
+    when the patterns differ.
+    """
+    csr = [_as_csr(A) for A in mats]
+    first = csr[0]
+    for A in csr[1:]:
+        if not (A.shape == first.shape and _same(A.indptr, first.indptr)
+                and _same(A.indices, first.indices)):
+            raise ValueError("matrices do not share one sparsity pattern")
+    return [A.data for A in csr]
 
 
 class Factorization:
@@ -141,7 +202,7 @@ class Factorization:
                 "solve produced non-finite entries; matrix is singular to "
                 "working precision"
             )
-        r = b - self.mat @ x
+        r = b - _matvec(self.mat, x)
         nb = np.linalg.norm(b)
         denom = self.norm * np.linalg.norm(x) + nb
         if denom > 0 and np.linalg.norm(r) > SOLVE_RTOL * denom:
@@ -161,8 +222,8 @@ def rayleigh_quotient(u, A, B, Bu=None):
     u = np.asarray(u)
     if not np.any(u):
         raise ValueError("Rayleigh quotient of the zero vector")
-    num = np.vdot(u, _as_csr(A) @ u)
-    den = np.vdot(u, _as_csr(B) @ u if Bu is None else Bu)
+    num = np.vdot(u, _matvec(_as_csr(A), u))
+    den = np.vdot(u, _matvec(_as_csr(B), u) if Bu is None else Bu)
     if abs(num.imag) > 1e-12 * abs(num) or abs(den.imag) > 1e-12 * abs(den):
         _bump_imag_warnings()
     if den.real == 0.0:
@@ -173,14 +234,15 @@ def rayleigh_quotient(u, A, B, Bu=None):
 class DualNorm:
     """Evaluator of the dual norm sqrt(r^H (K+M)^{-1} r).
 
-    Holds one factorization of K+M; meant to be constructed once per mesh
-    (and wave vector) and reused for every residual of the run.
+    Holds one factorization of K+M, summed on the pattern K and M share;
+    meant to be constructed once per mesh (and wave vector) and reused for
+    every residual of the run.
     """
 
     def __init__(self, K, M):
-        KM = _as_csr(K) + _as_csr(M)
+        Kd, Md = shared_data(K, M)
         try:
-            self.fact = Factorization(KM)
+            self.fact = Factorization(with_data(_as_csr(K), Kd + Md))
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 "K+M is singular; dual norm undefined (%s)" % exc

@@ -47,10 +47,11 @@ import numpy as np
 import scipy.sparse as sparse
 
 from . import dispersion
-from .assembly import assemble_tm, weighted_mass
+from .assembly import AssembledForms, assemble_tm, weighted_mass
 from .eigeniter import Pencil, inverse_power_rq, iterate
 from .errors import NonConvergenceError, SingularMatrixError
-from .linalg import DualNorm, Factorization, HermitianSparse, rayleigh_quotient
+from .linalg import (DualNorm, Factorization, rayleigh_quotient, shared_data,
+                     with_data)
 from .trace import IterationTrace
 
 __all__ = [
@@ -78,61 +79,57 @@ STALL_STEPS = 2
 
 @dataclass
 class NonlinearPencil:
-    """T(lam) = K - lam*(alpha1*M1 + eps2(lam)*M2) and its lam-derivative."""
+    """T(lam) = K - lam*(alpha1*M1 + eps2(lam)*M2) and its lam-derivative.
 
-    K: HermitianSparse
-    M1: HermitianSparse
-    M2: HermitianSparse
+    ``forms`` holds K, M1, M2 and the plain mass M = M1 + M2 on one
+    pattern, so T(lam) and dT(lam) are sums of their data vectors.
+    """
+
+    forms: AssembledForms
     model: object
     alpha1: float = 1.0
 
     def __post_init__(self):
         if self.alpha1 <= 0.0:
             raise ValueError(f"alpha1 must be positive, got {self.alpha1}")
-        self._mass = None
         self._dual = None
 
     @classmethod
     def from_mesh(cls, mesh, k, model, alpha1=1.0, forms=None):
         if forms is None:
             forms = assemble_tm(mesh, k)
-        return cls(K=forms.K, M1=forms.M1, M2=forms.M2, model=model,
-                   alpha1=alpha1)
+        return cls(forms, model, alpha1=alpha1)
 
     @property
     def n(self):
-        return self.K.n
+        return self.forms.K.n
 
     @property
     def mass(self):
         """Plain mass M1 + M2: the normalization and residual weight."""
-        if self._mass is None:
-            self._mass = HermitianSparse((self.M1.mat + self.M2.mat).tocsr())
-        return self._mass
+        return self.forms.M
 
     @property
     def dual(self):
         if self._dual is None:
-            self._dual = DualNorm(self.K.mat, self.mass.mat)
+            self._dual = DualNorm(self.forms.K, self.mass)
         return self._dual
 
     def T(self, lam):
         lam = float(lam)
         eps2 = dispersion.eval_lambda(self.model, lam)
-        return (
-            self.K.mat
-            - lam * self.alpha1 * self.M1.mat
-            - lam * eps2 * self.M2.mat
-        ).tocsr()
+        f = self.forms
+        K, M1, M2 = shared_data(f.K, f.M1, f.M2)
+        return with_data(f.K.mat, K - lam * self.alpha1 * M1 - lam * eps2 * M2)
 
     def dT(self, lam):
         """d/dlam of T: -alpha1*M1 - (eps2 + lam*eps2')*M2."""
         lam = float(lam)
         eps2 = dispersion.eval_lambda(self.model, lam)
         deps2 = dispersion.eval_dlambda(self.model, lam)
-        return (
-            -self.alpha1 * self.M1.mat - (eps2 + lam * deps2) * self.M2.mat
-        ).tocsr()
+        f = self.forms
+        M1, M2 = shared_data(f.M1, f.M2)
+        return with_data(f.M1.mat, -self.alpha1 * M1 - (eps2 + lam * deps2) * M2)
 
     def residual_dual(self, u, lam, T=None):
         """Dual norm of T(lam) applied to the mass-normalized field.
@@ -274,9 +271,10 @@ def rayleigh_functional(pencil, u, lam):
     is the Rayleigh quotient. Raises NonConvergenceError if the scalar
     iteration does not settle.
     """
-    a = np.vdot(u, pencil.K @ u).real
-    b1 = pencil.alpha1 * np.vdot(u, pencil.M1 @ u).real
-    b2 = np.vdot(u, pencil.M2 @ u).real
+    f = pencil.forms
+    a = np.vdot(u, f.K @ u).real
+    b1 = pencil.alpha1 * np.vdot(u, f.M1 @ u).real
+    b2 = np.vdot(u, f.M2 @ u).real
     lam = float(lam)
     for _ in range(FUNCTIONAL_MAXIT):
         eps2 = dispersion.eval_lambda(pencil.model, lam)

@@ -230,7 +230,7 @@ def test_c04_krylov_dominates_power(disk_pencil1):
         beta=1.0,
     )
     full = arnoldi(p0, default_start(p0.n), m=p0.n)
-    dense = sla.eigh(p0.A_beta.toarray(), p0.M_w.toarray(), eigvals_only=True)
+    dense = sla.eigh(p0.A_beta.mat.toarray(), p0.M_w.mat.toarray(), eigvals_only=True)
     gap = abs(full.mu - dense[0])
 
     ok = sandwich_ok and gap <= 1e-10

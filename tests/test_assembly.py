@@ -162,6 +162,111 @@ def test_pieces_match_the_coo_scatter_bitwise(monkeypatch, level, disk):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, attr)
 
 
+#: the four wave vectors of the pattern tests: generic (complex K), one
+#: component zero each way, and k = 0 (real K)
+K_PATTERN = ((np.pi / 2, np.pi), (0.3, 0.0), (0.0, 0.0), (0.0, 1.1))
+#: the weights of the weighted mass in the pattern tests
+W_PATTERN = (1.0, 8.0)
+
+
+def _scipy_forms(pieces, k, beta):
+    """K, M, M_w and A_beta as scipy's sparse sums of the compact pieces
+    build them: the construction the shared pattern replaces."""
+    kx, ky = k
+    M = pieces.M1 + pieces.M2
+    K = pieces.K0 + (kx * kx + ky * ky) * M
+    if kx != 0.0 or ky != 0.0:
+        K = K.astype(complex)
+        if kx != 0.0:
+            K = K + (1j * kx) * pieces.Dx
+        if ky != 0.0:
+            K = K + (1j * ky) * pieces.Dy
+    Mw = W_PATTERN[0] * pieces.M1 + W_PATTERN[1] * pieces.M2
+    return dict(K=K, M=M, M_w=Mw, A_beta=(K + beta * Mw).tocsr())
+
+
+def _assert_same_bytes(got, want, name):
+    for attr in ("data", "indices", "indptr"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, attr)
+
+
+@pytest.mark.parametrize("level", range(4))
+def test_forms_on_the_pattern_match_scipy_sums_bitwise(level):
+    mesh = msh.build_mesh(level)
+    pieces = asm._pieces(mesh)
+    for k in K_PATTERN:
+        forms = asm.assemble_tm(mesh, k)
+        Mw = asm.weighted_mass(mesh, *W_PATTERN)
+        pencil = Pencil.from_stiffness(forms.K, Mw, beta=1.0)
+        got = dict(K=forms.K, M=forms.M, M_w=Mw, A_beta=pencil.A_beta)
+        for name, want in _scipy_forms(pieces, k, 1.0).items():
+            _assert_same_bytes(got[name].mat, want, (k, name))
+    # the dual operator K + M_w of a shifted pencil, at the last k
+    want = _scipy_forms(pieces, k, 2.5)
+    shifted = Pencil.from_stiffness(forms.K, Mw, beta=2.5)
+    _assert_same_bytes(shifted.dual_operator(),
+                       (want["A_beta"] + (1.0 - 2.5) * want["M_w"]).tocsr(),
+                       "dual_operator")
+
+
+@pytest.mark.parametrize("level", range(4))
+def test_nonlinear_forms_on_the_pattern_match_scipy_sums_bitwise(level):
+    from test_dispersion import silver
+
+    from blochfem import dispersion
+    from blochfem.newton import NonlinearPencil
+
+    mesh = msh.build_mesh(level)
+    pieces = asm._pieces(mesh)
+    p = NonlinearPencil.from_mesh(mesh, K_PATTERN[0], silver(), alpha1=1.3)
+    _assert_same_bytes(p.mass.mat, pieces.M1 + pieces.M2, "mass")
+    K = p.forms.K.mat
+    for lam in (0.5, 6.0, 20.0):
+        eps2 = dispersion.eval_lambda(p.model, lam)
+        deps2 = dispersion.eval_dlambda(p.model, lam)
+        T = (K - lam * p.alpha1 * pieces.M1 - lam * eps2 * pieces.M2).tocsr()
+        dT = (-p.alpha1 * pieces.M1 - (eps2 + lam * deps2) * pieces.M2).tocsr()
+        _assert_same_bytes(p.T(lam), T, ("T", lam))
+        _assert_same_bytes(p.dT(lam), dT, ("dT", lam))
+
+
+def test_forms_of_one_mesh_share_one_read_only_pattern():
+    from blochfem.newton import NonlinearPencil
+
+    mesh = msh.build_mesh(2)
+    forms = asm.assemble_tm(mesh, K_PATTERN[0])
+    pencil = Pencil.from_stiffness(forms.K, asm.weighted_mass(mesh, 1.0, 8.0), 2.5)
+    nonlinear = NonlinearPencil(forms, model=None)
+    mats = [forms.K.mat, forms.M.mat, forms.M1.mat, forms.M2.mat,
+            asm.assemble_tm(mesh, K_PATTERN[1]).K.mat, pencil.A_beta.mat,
+            pencil.M_w.mat, pencil.dual_operator(), nonlinear.mass.mat]
+    for A in mats:
+        for attr in ("indices", "indptr"):
+            assert np.shares_memory(getattr(A, attr), getattr(mats[0], attr))
+    with pytest.raises(ValueError, match="read-only"):
+        forms.K.mat.indices[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        forms.M.mat.indptr[1] = 0
+    # a matrix of another pattern is refused, not summed
+    with pytest.raises(ValueError, match="pattern"):
+        Pencil.from_stiffness(forms.K, asm.weighted_mass(msh.build_mesh(1), 1.0, 8.0), 1.0)
+
+
+def test_shifted_operator_holds_exactly_its_entries():
+    # a scipy sum keeps buffers sized for both summands; a sum of data
+    # vectors allocates nnz entries
+    mesh = msh.build_mesh(4)
+    forms = asm.assemble_tm(mesh, K_PATTERN[0])
+    pencil = Pencil.from_stiffness(forms.K, asm.weighted_mass(mesh, 1.0, 8.0), 1.0)
+    A = pencil.A_beta.mat
+    buffer = A.data
+    while buffer.base is not None:
+        buffer = buffer.base
+    assert buffer.nbytes == A.nnz * A.data.itemsize
+    assert A.nnz == A.indices.size
+
+
 def test_mass_splits_exactly(level1):
     _, forms = level1
     assert (forms.M.mat - (forms.M1.mat + forms.M2.mat)).nnz == 0

@@ -189,7 +189,7 @@ def test_arnoldi_m1_is_rayleigh_quotient(disk_pencil):
 def test_arnoldi_full_space_matches_dense_oracle(disk_pencil):
     res = arnoldi(disk_pencil, default_start(disk_pencil.n), m=disk_pencil.n)
     dense = sla.eigh(
-        disk_pencil.A_beta.toarray(), disk_pencil.M_w.toarray(), eigvals_only=True
+        disk_pencil.A_beta.mat.toarray(), disk_pencil.M_w.mat.toarray(), eigvals_only=True
     )
     assert abs(res.mu - dense[0]) <= 1e-10
 

@@ -32,7 +32,23 @@ def test_hermitian_wrapper_basics():
     assert (H.mat != A).nnz == 0
     x = RNG.standard_normal(6)
     assert np.allclose(H @ x, A @ x)
-    assert np.array_equal(H.toarray(), A.toarray())
+    assert np.array_equal(H.mat.toarray(), A.toarray())
+
+
+def test_real_matrix_applies_to_a_complex_vector_bitwise():
+    # real and imaginary parts go through the real matrix one by one: the
+    # bytes of scipy's product with the matrix copied to complex
+    A = sparse.random(300, 300, density=0.05, random_state=7, format="csr")
+    A = (A + A.T).tocsr()
+    B = (A + 300.0 * sparse.eye(300)).tocsr()
+    x = RNG.standard_normal(300) + 1j * RNG.standard_normal(300)
+    H = lin.HermitianSparse(A)
+    assert H.mat.dtype.kind == "f"
+    assert (H @ x).tobytes() == (A.astype(complex) @ x).tobytes()
+    assert (H @ x.real).tobytes() == (A @ x.real).tobytes()
+    num = np.vdot(x, A.astype(complex) @ x)
+    den = np.vdot(x, B.astype(complex) @ x)
+    assert lin.rayleigh_quotient(x, H, B) == num.real / den.real
 
 
 def test_real_symmetric_keeps_real_dtype():

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from blochfem import dispersion, linalg, newton
-from blochfem.assembly import assemble_tm, weighted_mass
+from blochfem.assembly import AssembledForms, assemble_tm, weighted_mass
 from blochfem.eigeniter import Pencil, inverse_power_rq
 from blochfem.errors import NonConvergenceError, SingularMatrixError
 from blochfem.linalg import HermitianSparse
@@ -28,16 +28,21 @@ from test_dispersion import silver
 K_POINT = (np.pi / 2, np.pi)
 
 
-def diag_hermitian(entries):
-    return HermitianSparse(sp.diags([float(e) for e in entries]).tocsr())
+def diag_forms(k, m1, m2):
+    """Diagonal forms K, M = M1 + M2, M1 and M2 on one pattern."""
+    n = len(k)
+    K = HermitianSparse(sp.csr_matrix(
+        (np.asarray(k, dtype=float), np.arange(n), np.arange(n + 1)), shape=(n, n)))
+    m1, m2 = np.asarray(m1, dtype=float), np.asarray(m2, dtype=float)
+    M, M1, M2 = (HermitianSparse(linalg.with_data(K.mat, m))
+                 for m in (m1 + m2, m1, m2))
+    return AssembledForms(K=K, M=M, M1=M1, M2=M2)
 
 
 def toy_pencil():
     # K = diag(1, 3), plain mass, no disk: linear in lam
     return NonlinearPencil(
-        K=diag_hermitian([1.0, 3.0]),
-        M1=diag_hermitian([1.0, 1.0]),
-        M2=diag_hermitian([0.0, 0.0]),
+        diag_forms([1.0, 3.0], [1.0, 1.0], [0.0, 0.0]),
         model=dispersion.Constant(1.0),
     )
 
@@ -48,9 +53,7 @@ def rational_1x1():
         alpha2=1.0, terms=(dispersion.LorentzTerm(xi2=1.0, eta2=4.0, gamma=0.0),)
     )
     return NonlinearPencil(
-        K=diag_hermitian([2.0]),
-        M1=diag_hermitian([1.0]),
-        M2=diag_hermitian([1.0]),
+        diag_forms([2.0], [1.0], [1.0]),
         model=model,
     )
 
@@ -126,9 +129,7 @@ def test_singular_bordered_matrix_reported():
     # K = I at lam = 1: T vanishes identically and the multiplicity-2
     # eigenvalue defeats the border -- the advertised failure mode
     p = NonlinearPencil(
-        K=diag_hermitian([1.0, 1.0]),
-        M1=diag_hermitian([1.0, 1.0]),
-        M2=diag_hermitian([0.0, 0.0]),
+        diag_forms([1.0, 1.0], [1.0, 1.0], [0.0, 0.0]),
         model=dispersion.Constant(1.0),
     )
     state = NewtonState(
@@ -144,9 +145,7 @@ def test_singular_bordered_matrix_reported():
 
 def test_t_and_dt_hermitian(level1):
     _, forms = level1
-    p = NonlinearPencil(
-        K=forms.K, M1=forms.M1, M2=forms.M2, model=silver(), alpha1=1.0
-    )
+    p = NonlinearPencil(forms, model=silver(), alpha1=1.0)
     for lam in (0.5, 6.0, 20.0):
         for mat in (p.T(lam), p.dT(lam)):
             scale = np.abs(mat.data).max()
@@ -157,9 +156,7 @@ def test_t_and_dt_hermitian(level1):
 
 def test_dt_is_directional_derivative(level1):
     _, forms = level1
-    p = NonlinearPencil(
-        K=forms.K, M1=forms.M1, M2=forms.M2, model=silver(), alpha1=1.0
-    )
+    p = NonlinearPencil(forms, model=silver(), alpha1=1.0)
     lam = 6.0
     rng = np.random.default_rng(3)
     v = rng.standard_normal(p.n) + 1j * rng.standard_normal(p.n)
@@ -175,17 +172,13 @@ def test_dt_is_directional_derivative(level1):
 def test_alpha1_validated(level1):
     _, forms = level1
     with pytest.raises(ValueError):
-        NonlinearPencil(
-            K=forms.K, M1=forms.M1, M2=forms.M2,
-            model=dispersion.Constant(1.0), alpha1=0.0,
-        )
+        NonlinearPencil(forms, model=dispersion.Constant(1.0), alpha1=0.0)
 
 
 def test_plain_mass_is_unweighted_sum(level1):
     _, forms = level1
-    p = NonlinearPencil(
-        K=forms.K, M1=forms.M1, M2=forms.M2, model=dispersion.Constant(2.0)
-    )
+    p = NonlinearPencil(forms, model=dispersion.Constant(2.0))
+    assert p.mass is forms.M
     assert (p.mass.mat != (forms.M1.mat + forms.M2.mat).tocsr()).nnz == 0
 
 
@@ -200,9 +193,7 @@ def test_constant_model_matches_inverse_power(level1):
     tr, _ = inverse_power_rq(pencil, np.ones(pencil.n, complex), tol=1e-12)
     lam_pow = tr[-1].lam
 
-    p = NonlinearPencil(
-        K=forms.K, M1=forms.M1, M2=forms.M2, model=dispersion.Constant(8.0)
-    )
+    p = NonlinearPencil(forms, model=dispersion.Constant(8.0))
     u0, om0 = warm_start(mesh, K_POINT, const_eps2=8.0, rq_steps=3, forms=forms)
     _, om, _ = newton_solve(p, u0, om0, tol=1e-13)
     assert om ** 2 == pytest.approx(lam_pow, abs=1e-10)
@@ -343,9 +334,7 @@ def test_three_rising_residuals_abort():
             return next(scripted)
 
     p = Rigged(
-        K=diag_hermitian([1.0, 3.0]),
-        M1=diag_hermitian([1.0, 1.0]),
-        M2=diag_hermitian([0.0, 0.0]),
+        diag_forms([1.0, 3.0], [1.0, 1.0], [0.0, 0.0]),
         model=dispersion.Constant(1.0),
     )
     with pytest.raises(NonConvergenceError, match="three steps"):
@@ -362,9 +351,7 @@ def test_three_rises_count_from_the_hand_over():
             return next(scripted)
 
     p = Rigged(
-        K=diag_hermitian([1.0, 3.0]),
-        M1=diag_hermitian([1.0, 1.0]),
-        M2=diag_hermitian([0.0, 0.0]),
+        diag_forms([1.0, 3.0], [1.0, 1.0], [0.0, 0.0]),
         model=dispersion.Constant(1.0),
     )
     with pytest.raises(NonConvergenceError, match="three steps") as info:
@@ -385,9 +372,7 @@ def test_newton_stops_on_the_floor():
             return next(scripted)
 
     p = Rigged(
-        K=diag_hermitian([1.0, 3.0]),
-        M1=diag_hermitian([1.0, 1.0]),
-        M2=diag_hermitian([0.0, 0.0]),
+        diag_forms([1.0, 3.0], [1.0, 1.0], [0.0, 0.0]),
         model=dispersion.Constant(1.0),
     )
     with pytest.raises(NonConvergenceError, match="stalled at 2.8e-11") as info:
