@@ -9,12 +9,16 @@ own settings through ``driver.run_schedule`` (plus ``compute_reference`` on
 the schedule's final state for ``linear_refined``, as ``blochfem run`` does
 with ``use_reference``), checks it with ``perfbench/gate.check`` and writes,
 per point, the status, the gate margin (|lambda - stored| over the gate's
-allowance) and ``float.hex`` of lambda and of mu_ref. BLAS runs on one
-thread, so two trees that compute the same bits write the same hex.
+allowance) and ``float.hex`` of lambda, of mu_ref and of the final row's
+residual_dual. BLAS runs on one thread, so two trees that compute the same
+bits write the same hex.
 
-``--compare`` diffs two such files point by point: status and hex values,
-and prints per workload the largest relative shift of lambda and of mu_ref.
-It exits 1 when they differ. Only ``perfbench/`` is read, never written.
+``--compare`` diffs two such files point by point: status and the hex of
+lambda and mu_ref, and prints per workload the largest relative shift of
+lambda, of mu_ref and of the final residual_dual (which a change of the
+dual-norm solver moves without moving lambda). It exits 1 when status,
+lambda or mu_ref differ; a file written before residual_dual was stored
+still compares. Only ``perfbench/`` is read, never written.
 """
 
 import argparse
@@ -48,7 +52,7 @@ def _allowance(workload, tol, point):
 
 def _replay_point(driver, errors, workload, cfg, point):
     cfg = replace(cfg, kx=point["kx"], ky=point["ky"], out=None)
-    out = {"lam_hex": None, "mu_ref_hex": None, "margin": None}
+    out = {"lam_hex": None, "mu_ref_hex": None, "res_hex": None, "margin": None}
     try:
         trace = driver.run_schedule(cfg)
         if workload == "linear_refined":
@@ -60,6 +64,7 @@ def _replay_point(driver, errors, workload, cfg, point):
         partial = getattr(err, "trace", None)
         if partial is not None and len(partial):
             out["lam_hex"] = float(partial[-1].lam).hex()
+            out["res_hex"] = float(partial[-1].residual_dual).hex()
         return out
     last = trace[-1]
     lam = float(last.lam)
@@ -68,6 +73,7 @@ def _replay_point(driver, errors, workload, cfg, point):
     out.update(
         status="pass" if reason is None else "wrong",
         lam_hex=lam.hex(),
+        res_hex=float(last.residual_dual).hex(),
         margin=abs(lam - point["lam1"]) / _allowance(workload, cfg.tol, point),
     )
     if reason is not None:
@@ -113,11 +119,12 @@ def _largest_shift(pa, pb, field):
 
 
 def compare(a, b):
-    """Lines naming every point whose status or hex values differ.
+    """Lines naming every point whose status, lambda or mu_ref differ.
 
     Prints per workload the count of identical points and the largest
-    relative shift of lambda and of mu_ref, with the point it comes from,
-    so that aim 1's 1e-12 rule can be read when the bits move.
+    relative shift of lambda, of mu_ref and of the final residual_dual,
+    with the point it comes from, so that aim 1's 1e-12 rule can be read
+    when the bits move.
     """
     diffs = []
     for workload in sorted(set(a) | set(b)):
@@ -134,7 +141,8 @@ def compare(a, b):
             else:
                 same += 1
         shifts = []
-        for field, name in (("lam_hex", "lambda"), ("mu_ref_hex", "mu_ref")):
+        for field, name in (("lam_hex", "lambda"), ("mu_ref_hex", "mu_ref"),
+                            ("res_hex", "residual_dual")):
             largest = _largest_shift(pa, pb, field)
             if largest is not None:
                 shifts.append("%s %.3g (point %d)" % ((name,) + largest))

@@ -2,11 +2,13 @@
 
 Modules
 -------
-mesh        periodic Q2 DOF lattice, disk indicator, prolongation
+mesh        periodic Q2 DOF lattice, disk indicator, prolongation, FFT
+            inverse of cell-periodic operators
 assembly    Bloch-shifted stiffness and weighted mass matrices (TM);
             checks the symmetry of its element matrices once per build
 linalg      wrapper for matrices Hermitian by construction (unchecked),
-            factorization, Rayleigh quotients, dual-norm residuals
+            factorization, Rayleigh quotients, dual-norm residuals (by FFT
+            where K + M is cell-periodic)
 dispersion  permittivity models and their rational-function realizations
 eigeniter   inverse power iteration (with/without Rayleigh scaling), LOPCG,
             Arnoldi, and ``iterate``, the one loop every solver leg runs in

@@ -9,8 +9,12 @@ cell of a row or column wrapping round to the first.
 
 The circular interface is *not* meshed: the disk indicator is evaluated
 pointwise (at quadrature points during assembly), so cells stay perfect
-squares at every level and refinement is exactly nested.
+squares at every level and refinement is exactly nested. An operator
+assembled without the disk then repeats from cell to cell, and
+:class:`CellPeriodicInverse` inverts it by FFT.
 """
+
+import math
 
 import numpy as np
 from scipy import sparse
@@ -24,6 +28,8 @@ __all__ = [
     "DISK",
     "PeriodicMesh",
     "build_mesh",
+    "PERIODIC_RTOL",
+    "CellPeriodicInverse",
     "prolongate",
     "evaluate",
 ]
@@ -119,6 +125,147 @@ class PeriodicMesh:
 def build_mesh(level):
     """Build the uniform periodic mesh at the given refinement level."""
     return PeriodicMesh(level)
+
+
+#: an operator is taken as cell-periodic when each of its entries is within
+#: this fraction of cell (0, 0)'s largest entry of its counterpart there
+PERIODIC_RTOL = 1e-12
+
+
+class CellPeriodicInverse:
+    """Exact inverse of an operator that repeats from cell to cell.
+
+    On the DOF lattice of :class:`PeriodicMesh`, the DOF (x, y) has type
+    (x mod 2, y mod 2) and lies in cell (x // 2, y // 2), so a cell holds
+    one DOF of each of the four types. An operator whose rows of one type
+    are the same stencil shifted by whole cells is block-circulant with
+    4 x 4 blocks over the N x N cells: a 2-D DFT over the cells turns it
+    into one 4 x 4 matrix per frequency, the symbol, and its inverse is a
+    DFT, one 4 x 4 product per frequency and the inverse DFT (Buzbee,
+    Golub & Nielson, *SIAM J. Numer. Anal.* 7:627-656, 1970). The Q2
+    operators assembled with unit weights are such operators up to
+    quadrature rounding: K(k), M and their sums.
+
+    Build it with :meth:`of`, which checks the operator first. Calling it
+    applies the inverse of the operator's cell-(0, 0) stencil, which the
+    operator matches to ``PERIODIC_RTOL``.
+    """
+
+    def __init__(self, stencil, N, real):
+        self.N = N
+        self.real = real
+        # (4, 4, N, N): the inverse symbol, block entry (s, t) per frequency
+        inv = np.linalg.inv(_symbol(stencil, N))
+        self.inv = np.ascontiguousarray(inv.transpose(2, 3, 0, 1))
+
+    @classmethod
+    def of(cls, A):
+        """The inverse of CSR ``A``, or None when ``A`` is not cell-periodic
+        on the DOF lattice of a mesh, or its symbol is singular.
+
+        Cell-periodic means that every row stores the entries its
+        counterpart in cell (0, 0) stores, and that each real and imaginary
+        part of every entry is within ``PERIODIC_RTOL`` times the largest
+        such part in cell (0, 0)'s rows of its counterpart there. The
+        diagonal is checked first, in O(n), which turns most other
+        operators away.
+        """
+        n = A.shape[0]
+        d = math.isqrt(n)
+        # a mesh's DOF lattice has a power-of-two side, 2N >= 16, on which
+        # lattice offsets of -2..2 stay distinct
+        if A.shape != (n, n) or d * d != n or d < 16 or d & (d - 1):
+            return None
+        N = d // 2
+        # cell (0, 0): the DOFs (0, 0), (1, 0), (0, 1) and (1, 1)
+        first = np.concatenate([np.arange(A.indptr[i], A.indptr[i + 1])
+                                for i in (0, 1, d, d + 1)])
+        tol = PERIODIC_RTOL * _largest_part(A.data[first])
+        diag = A.diagonal().reshape(N, 2, N, 2)
+        if _largest_part(diag - diag[:1, :, :1, :]) > tol:
+            return None
+        counts = np.diff(A.indptr)
+        per_type = counts.reshape(N, 2, N, 2)
+        if np.any(per_type != per_type[:1, :, :1, :]):
+            return None
+        # stencil slot of each stored entry: 25 * (type of the row's DOF)
+        # + 5 * (dy + 2) + (dx + 2), (dx, dy) the lattice offset to the
+        # column's DOF; computed in place, the arrays are nnz long
+        shift = d.bit_length() - 1
+        rows = np.repeat(np.arange(n, dtype=A.indices.dtype), counts)
+        slot = (A.indices >> shift) - (rows >> shift) + 2
+        dx = (A.indices & (d - 1)) - (rows & (d - 1)) + 2
+        slot &= d - 1
+        dx &= d - 1
+        if max(slot.max(), dx.max()) > 4:
+            return None
+        slot += 10 * ((rows >> shift) & 1) + 5 * (rows & 1)
+        slot *= 5
+        slot += dx
+        stencil = np.zeros(100, dtype=A.dtype)
+        stencil[slot[first]] = A.data[first]
+        stored = np.zeros(100, dtype=bool)
+        stored[slot[first]] = True
+        if not (stored.take(slot).all()
+                and _largest_part(A.data - stencil.take(slot)) <= tol):
+            return None
+        try:
+            return cls(stencil.reshape(4, 5, 5), N, real=A.dtype.kind != "c")
+        except np.linalg.LinAlgError:
+            return None
+
+    def __call__(self, r):
+        """The stencil's inverse applied to ``r``, a vector on the DOF
+        lattice; real for a real operator and a real ``r``."""
+        r = np.asarray(r)
+        N = self.N
+        # (4, N, N): DOF type 2 * (y mod 2) + (x mod 2), then cell (J, I)
+        cells = r.reshape(N, 2, N, 2).transpose(1, 3, 0, 2).reshape(4, N, N)
+        zhat = (self.inv * np.fft.fft2(cells)).sum(axis=1)
+        z = np.fft.ifft2(zhat).reshape(2, 2, N, N).transpose(2, 0, 3, 1)
+        z = z.reshape(r.shape)
+        return z.real.copy() if self.real and not np.iscomplexobj(r) else z
+
+
+def _largest_part(a):
+    """The largest absolute real or imaginary part of the entries of ``a``."""
+    a = np.asarray(a)
+    parts = a.view(a.real.dtype) if a.dtype.kind == "c" else a
+    return max(parts.max(), -parts.min())
+
+
+def _symbol(stencil, N):
+    """(N, N, 4, 4) symbol of the cell-periodic operator whose row of DOF
+    type s reads ``stencil[s, dy + 2, dx + 2]`` at lattice offset (dx, dy).
+
+    The entry at offset (dx, dy) from a DOF of type (sx, sy) couples to the
+    DOF of type ((sx + dx) mod 2, (sy + dy) mod 2) in the cell
+    ((sx + dx) // 2, (sy + dy) // 2) away, which puts the phase
+    exp(2 pi i (p ox + q oy) / N) on frequency (p, q). Near frequency 0 the
+    stiffness entries cancel down to the mass, so the symbol is summed as
+    its value at 0, taken exactly, plus terms in exp(i theta) - 1. The
+    dual norms of random vectors at L3 read up to 1.6e-12 off their exact
+    values with plain phases, and up to 4e-13 with these (an LU: 1.8e-13).
+    """
+    # C[s, t, oy + 1, ox + 1]: the block coefficients per cell offset
+    C = np.zeros((4, 4, 3, 3), dtype=complex)
+    for s in range(4):
+        sx, sy = s % 2, s // 2
+        for dy in range(-2, 3):
+            for dx in range(-2, 3):
+                tx, ty = sx + dx, sy + dy
+                C[s, (ty % 2) * 2 + tx % 2, ty // 2 + 1, tx // 2 + 1] = \
+                    stencil[s, dy + 2, dx + 2]
+    at_zero = np.array([[complex(math.fsum(c.real.ravel()), math.fsum(c.imag.ravel()))
+                         for c in row] for row in C])
+    theta = 2 * np.pi * np.outer(np.arange(N), np.arange(-1, 2)) / N
+    e = -2.0 * np.sin(theta / 2) ** 2 + 1j * np.sin(theta)    # exp(i theta) - 1
+    # exp(i (a + b)) - 1 = e_a e_b + e_a + e_b; indices q, s, t, p
+    both = np.tensordot(np.tensordot(e, C, axes=(1, 2)), e, axes=(3, 1))
+    along_y = np.tensordot(e, C.sum(axis=3), axes=(1, 2))
+    along_x = np.tensordot(e, C.sum(axis=2), axes=(1, 2))
+    return (both.transpose(0, 3, 1, 2) + along_y[:, None] + along_x[None, :]
+            + at_zero)
 
 
 def _prolong_1d(coarse_n):

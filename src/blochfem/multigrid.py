@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .linalg import Factorization
+from .linalg import Factorization, matvec, with_data
 from .mesh import build_mesh, prolongation_matrix
 
 __all__ = ["CHEBYSHEV_DEGREE", "CONTRACTION_BOUND", "PCG_RTOL", "VCycle"]
@@ -61,6 +61,19 @@ def _largest_eigenvalue(A, dinv):
         v = dinv * (A @ v)
         v /= np.linalg.norm(v)
     return POWER_SAFETY * np.vdot(v, A @ v).real / np.vdot(v, v / dinv).real
+
+
+def _galerkin(A, P):
+    """P^T A P as CSR. P is real, so a complex A goes through its real and
+    imaginary parts in turn, which holds only one part's products at a
+    time. scipy's sum of the two keeps every entry with a nonzero part,
+    as the complex product does, with the same bits; its copy drops the
+    sum's buffers, which are sized for both summands."""
+    if A.dtype.kind != "c":
+        return (P.T @ (A @ P)).tocsr()
+    re, im = ((P.T @ (with_data(A, part) @ P)).tocsr()
+              for part in (A.data.real, A.data.imag))
+    return (re + 1j * im).copy()
 
 
 class _Level:
@@ -115,7 +128,7 @@ class VCycle:
         for level in range(mesh.level - 1, -1, -1):
             P = prolongation_matrix(build_mesh(level))
             self.levels.append(_Level(A, P))
-            A = (P.T @ (A @ P)).tocsr()
+            A = _galerkin(A, P)
         self.coarse = Factorization(A)
         self.levels.reverse()   # coarsest smoothed level first
 
@@ -128,7 +141,9 @@ class VCycle:
             return self.coarse.solve(b)
         lv = self.levels[depth - 1]
         x = lv.smooth(b)
-        x = x + lv.P @ self._cycle(depth - 1, lv.P.T @ (b - lv.A @ x))
+        # P is real: complex vectors move between levels part by part
+        coarse = self._cycle(depth - 1, matvec(lv.P.T, b - lv.A @ x))
+        x = x + matvec(lv.P, coarse)
         return lv.smooth(b, x)
 
     def norm_and_solve(self, r):

@@ -111,6 +111,11 @@ class NonlinearPencil:
 
     @property
     def dual(self):
+        """The :class:`~blochfem.linalg.DualNorm` of K + M, built once.
+
+        K and M carry unit weights, so K + M repeats from cell to cell and
+        is inverted by FFT; no factorization is made for it.
+        """
         if self._dual is None:
             self._dual = DualNorm(self.forms.K, self.mass)
         return self._dual
@@ -132,7 +137,8 @@ class NonlinearPencil:
         return with_data(f.M1.mat, -self.alpha1 * M1 - (eps2 + lam * deps2) * M2)
 
     def residual_dual(self, u, lam, T=None):
-        """Dual norm of T(lam) applied to the mass-normalized field.
+        """Dual norm sqrt(r^H (K+M)^{-1} r) of r = T(lam) u, u the
+        mass-normalized field, through :attr:`dual`.
 
         ``T`` is T(lam) when the caller has built it already.
         """
@@ -333,9 +339,6 @@ def _rii_rows(pencil, u0, sigma, trace, to_tol):
     lam = rayleigh_functional(pencil, u, sigma)
     if to_tol:
         yield NewtonState(u=u, lam=lam, y=u), lam, lam, pencil.residual_dual(u, lam)
-    # the dual-norm LU comes first, so that freeing the shifted LU before a
-    # bordered one leaves no hole below the dual-norm LU on the heap
-    pencil.dual
     fact = Factorization(pencil.T(sigma))
     T_lam = pencil.T(lam)
     for taken in itertools.count(1):

@@ -139,9 +139,9 @@ def test_newton_schedule_reaches_fine_tolerance():
     assert tr[-1].lam == pytest.approx(6.3080838, abs=1e-6)
 
 
-def test_refined_newton_levels_factor_once_plus_the_dual_norm(monkeypatch):
+def test_refined_newton_levels_factor_once(monkeypatch):
     # L0 pays one bordered LU per step; each refined level one LU of
-    # T(sigma) and the dual-norm LU of K + M, and no bordered LU
+    # T(sigma), and no bordered LU; the dual norm of K + M factors nothing
     sizes = []
     real_init = linalg.Factorization.__init__
 
@@ -157,7 +157,7 @@ def test_refined_newton_levels_factor_once_plus_the_dual_norm(monkeypatch):
     tr = driver.run_schedule(cfg)
     assert tr[-1].residual_dual <= 1e-12
     for n in (1024, 4096):
-        assert sizes.count(n) == 2
+        assert sizes.count(n) == 1
         assert sizes.count(n + 1) == 0
     assert sizes.count(257) == 3
 

@@ -7,8 +7,8 @@ import pytest
 
 from blochfem import dispersion, driver
 from blochfem.eigeniter import lopcg
-from blochfem.mesh import build_mesh
-from blochfem.multigrid import CONTRACTION_BOUND, VCycle
+from blochfem.mesh import build_mesh, prolongation_matrix
+from blochfem.multigrid import CONTRACTION_BOUND, VCycle, _galerkin
 
 K_POINTS = [(math.pi / 2, math.pi), (2.1967727806945763, 1.8971541259255482), (0.3, 0.0)]
 
@@ -26,6 +26,19 @@ def reference_pencil(level, k):
 
 def _noise(n, rng):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("k", K_POINTS)
+def test_galerkin_operator_part_by_part_is_the_complex_product(k):
+    # real and imaginary parts in turn: the bytes of scipy's complex product
+    pencil, _ = reference_pencil(2, k)
+    A = pencil.dual_operator()
+    P = prolongation_matrix(build_mesh(1))
+    want = (P.T @ (A @ P)).tocsr()
+    got = _galerkin(A, P)
+    for a, b in ((got.data, want.data), (got.indices, want.indices),
+                 (got.indptr, want.indptr)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("k", K_POINTS)

@@ -140,6 +140,78 @@ def test_singular_bordered_matrix_reported():
 
 
 # ---------------------------------------------------------------------------
+# the dual norm of K + M: by FFT, and by LU where K + M is not cell-periodic
+
+# (pi/2, pi) as experiment3, the origin, and benchmark pool point 38
+DUAL_K_POINTS = [K_POINT, (0.0, 0.0), (3.0557955062589977, 1.9657217236799707)]
+
+
+@pytest.fixture
+def factor_sizes(monkeypatch):
+    """Sizes of the factorizations made while the test runs."""
+    sizes = []
+    real_init = linalg.Factorization.__init__
+
+    def counting_init(self, A):
+        real_init(self, A)
+        sizes.append(self.n)
+
+    monkeypatch.setattr(linalg.Factorization, "__init__", counting_init)
+    return sizes
+
+
+@pytest.mark.parametrize("k", DUAL_K_POINTS)
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_dual_norm_of_k_plus_m_takes_the_fft(level, k, factor_sizes):
+    forms = assemble_tm(build_mesh(level), k)
+    dual = linalg.DualNorm(forms.K, forms.M)
+    assert factor_sizes == []
+    A = (forms.K.mat + forms.M.mat).tocsr()
+    rng = np.random.default_rng(level)
+    r = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
+    val, z = dual.norm_and_solve(r)
+    # the backward-error contract of Factorization.solve
+    norm = np.abs(A).sum(axis=1).max()
+    assert np.linalg.norm(r - A @ z) <= linalg.SOLVE_RTOL * (
+        norm * np.linalg.norm(z) + np.linalg.norm(r))
+    lu = linalg.Factorization(A).solve(r)
+    assert val == pytest.approx(np.sqrt(np.vdot(r, lu).real), rel=1e-12, abs=0.0)
+
+
+def _dual_norm_factors(K, M, factor_sizes):
+    linalg.DualNorm(K, M)
+    return factor_sizes == [K.shape[0]]
+
+
+def test_dual_norm_with_a_disk_weight_factors(factor_sizes):
+    # the companion's K + M_alpha, alpha1 = 1 and alpha2 = 2
+    mesh = build_mesh(2)
+    forms = assemble_tm(mesh, K_POINT)
+    assert _dual_norm_factors(forms.K.mat, weighted_mass(mesh, 1.0, 2.0).mat,
+                              factor_sizes)
+
+
+def test_dual_norm_off_a_mesh_lattice_factors(factor_sizes):
+    forms = diag_forms([1.0, 3.0], [1.0, 1.0], [0.0, 0.0])
+    assert _dual_norm_factors(forms.K.mat, forms.M.mat, factor_sizes)
+
+
+@pytest.mark.parametrize("on_diagonal", [True, False])
+def test_dual_norm_of_a_perturbed_copy_factors(on_diagonal, factor_sizes):
+    # one entry of K + M moved by 1e-9 of its largest entry, far inside the
+    # disk: on the diagonal, or the last entry of its row
+    forms = assemble_tm(build_mesh(2), K_POINT)
+    K = forms.K.mat
+    row = K.shape[0] // 2 + 3
+    idx = K.indptr[row] + np.flatnonzero(K.indices[K.indptr[row]:K.indptr[row + 1]] == row)[0]
+    if not on_diagonal:
+        idx = K.indptr[row + 1] - 1
+    data = K.data.copy()
+    data[idx] += 1e-9 * np.abs((K + forms.M.mat).data).max()
+    assert _dual_norm_factors(linalg.with_data(K, data), forms.M.mat, factor_sizes)
+
+
+# ---------------------------------------------------------------------------
 # operator structure
 
 
@@ -311,8 +383,9 @@ def test_stalled_residual_inverse_iteration_falls_back_to_newton(monkeypatch):
     # start row, shifted steps, then one row per Newton step
     assert len(tr) - 1 - len(newton_steps) > newton.STALL_STEPS
     assert len(tr) - 1 <= 30
-    # the dual-norm LU, one shifted LU, then one bordered LU per Newton step
-    assert sizes == [p.n, p.n] + [p.n + 1] * len(newton_steps)
+    # one shifted LU, then one bordered LU per Newton step; the dual norm
+    # of K + M factors nothing
+    assert sizes == [p.n] + [p.n + 1] * len(newton_steps)
 
 
 # ---------------------------------------------------------------------------
