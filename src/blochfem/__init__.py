@@ -8,7 +8,9 @@ assembly    Bloch-shifted stiffness and weighted mass matrices (TM);
             checks the symmetry of its element matrices once per build
 linalg      wrapper for matrices Hermitian by construction (unchecked),
             factorization, Rayleigh quotients, dual-norm residuals (by FFT
-            where K + M is cell-periodic)
+            where K + M is cell-periodic), and the upper-bound dual norm of
+            K + M_w, preconditioned by the FFT inverse of K + w_min*M, that
+            the power-family reference runs on without a factorization
 dispersion  permittivity models and their rational-function realizations
 eigeniter   inverse power iteration (with/without Rayleigh scaling), LOPCG,
             Arnoldi, and ``iterate``, the one loop every solver leg runs in

@@ -61,6 +61,7 @@ __all__ = [
     "AssembledForms",
     "assemble_tm",
     "weighted_mass",
+    "region_masses",
     "max_asymmetry",
 ]
 
@@ -302,3 +303,9 @@ def weighted_mass(mesh, w1, w2):
         raise ValueError("mass weights must be finite")
     p = _pieces(mesh)
     return p.form(w1 * p.m1 + w2 * p.m2)
+
+
+def region_masses(mesh):
+    """M1 and M2, the mesh's cached region masses, on its pattern."""
+    p = _pieces(mesh)
+    return p.form(p.m1), p.form(p.m2)

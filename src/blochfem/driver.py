@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import dispersion
-from .assembly import assemble_tm, weighted_mass
+from .assembly import assemble_tm, region_masses, weighted_mass
 from .companion import (
     build_companion,
     default_big_start,
@@ -44,8 +44,8 @@ from .companion import (
 )
 from .eigeniter import Pencil, inverse_power_rq, iterate, lopcg
 from .errors import BlochFEMError, NonConvergenceError
+from .linalg import BoundedDualNorm
 from .mesh import build_mesh, prolongate
-from .multigrid import VCycle
 from .newton import (
     NewtonState,
     NonlinearPencil,
@@ -411,12 +411,13 @@ def compute_reference(config, final=None, tol=REFERENCE_TOL):
     state is lifted onto the finer mesh and solved there by the family's
     level function, as one more level of the schedule. The power family
     instead runs :func:`~blochfem.eigeniter.lopcg` on the beta-pencil,
-    preconditioned by one multigrid V-cycle on K + M_w
-    (:class:`~blochfem.multigrid.VCycle`), whose only factorization is on
-    level 0; the row that stops the leg records a dual norm verified by
-    V-cycle conjugate gradients, never the V-cycle's own estimate, and
-    ``mu_ref`` is the pencil's own Rayleigh quotient. ``homogeneous_check``
-    returns the analytic Fourier value and solves nothing.
+    preconditioned by the FFT inverse of K + w_min*M, w_min the smaller of
+    ``alpha1`` and the model's constant, which lies below K + M_w
+    (:class:`~blochfem.linalg.BoundedDualNorm`); it factors nothing. The
+    row that stops the leg records an upper bound of its dual norm, by
+    proof, and ``mu_ref`` is the pencil's own Rayleigh quotient.
+    ``homogeneous_check`` returns the analytic Fourier value and solves
+    nothing.
     """
     config.validate()
     if config.experiment == "homogeneous_check":
@@ -436,7 +437,8 @@ def compute_reference(config, final=None, tol=REFERENCE_TOL):
         _newton_level(config, mesh, final, trace, leg)
     else:
         pencil, u = _power_pencil(config, mesh, final)
-        dual = VCycle(pencil.dual_operator(), mesh, tol)
+        dual = BoundedDualNorm(pencil.dual_operator(), *region_masses(mesh),
+                               (config.alpha1, config.model.c), tol)
         lopcg(pencil, u, dual=dual, mesh_level=mesh.level, trace=trace, **leg)
     last = trace[-1]
     return ReferenceSolution(

@@ -17,12 +17,13 @@ in the dual norm induced by K + M_w.
 :func:`lopcg` iterates a good start (a coarser mesh's eigenvector) down to a
 tolerance, a three-vector Rayleigh-Ritz projection taking the place of the
 power step. On the plain pencil it runs on a dual-norm preconditioner it is
-given, the exact :class:`~blochfem.linalg.DualNorm` or the multigrid
-:class:`~blochfem.multigrid.VCycle` of the power-family reference: one
-application per step gives both the residual and the next search
-direction. Without one its search direction is the pencil's inverse step,
-taken after the row records :meth:`Pencil.residual_dual` (which the
-linearized rational pencil overrides with the nonlinear residual).
+given, the exact :class:`~blochfem.linalg.DualNorm` or, in the
+power-family reference, the FFT bound
+:class:`~blochfem.linalg.BoundedDualNorm`: one application per step gives
+both the residual and the next search direction. Without one its search
+direction is the pencil's inverse step, taken after the row records
+:meth:`Pencil.residual_dual` (which the linearized rational pencil
+overrides with the nonlinear residual).
 
 Every solver leg, those of :mod:`blochfem.newton` too, is a generator of
 trace rows run by :func:`iterate`, which times and records the rows and
@@ -294,11 +295,13 @@ def lopcg(pencil, u0, tol, max_steps=10000, mesh_level=0, trace=None,
 
     ``dual``, when given, is a preconditioner for K + M_w with the contract
     of :meth:`~blochfem.linalg.DualNorm.norm_and_solve`: the exact
-    :class:`~blochfem.linalg.DualNorm`, or the multigrid
-    :class:`~blochfem.multigrid.VCycle`, whose norm is exact enough to stop
-    the leg only where it is at most ``tol``. One call on the residual
-    r = A_beta x - mu M_w x gives both the residual the row records and the
-    search direction z; this branch factorizes nothing itself.
+    :class:`~blochfem.linalg.DualNorm`, or
+    :class:`~blochfem.linalg.BoundedDualNorm`, the FFT inverse of
+    K + w_min*M, whose norms are upper bounds by proof: the row that stops
+    the leg records an upper bound of its residual. One call on the
+    residual r = A_beta x - mu M_w x gives both the residual the row
+    records and the search direction z; this branch factorizes nothing
+    itself.
 
     Without ``dual`` the row records ``pencil.residual_dual(x, mu)`` (the
     linearized rational pencil reports the residual of the *nonlinear*

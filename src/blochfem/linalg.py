@@ -14,10 +14,13 @@ this module pins the contracts the eigensolvers rely on:
   once: by FFT when it repeats from cell to cell of the mesh, as the
   unit-weight K(k) + M does, otherwise by a cached factorization.
   :meth:`DualNorm.norm_and_solve` is the contract a
-  preconditioner of :func:`~blochfem.eigeniter.lopcg` meets; the power-family
-  reference meets it with :class:`~blochfem.multigrid.VCycle` instead, which
-  factors level 0 only.
+  preconditioner of :func:`~blochfem.eigeniter.lopcg` meets; the
+  power-family reference meets it with :class:`BoundedDualNorm` instead,
+  whose norms of K + M_w are upper bounds by proof: it inverts the
+  cell-periodic K + w_min*M by FFT, below K + M_w, and factors nothing.
 """
+
+import math
 
 import numpy as np
 from scipy import sparse
@@ -35,6 +38,7 @@ __all__ = [
     "Factorization",
     "rayleigh_quotient",
     "DualNorm",
+    "BoundedDualNorm",
     "imag_residue_warnings",
     "reset_imag_residue_warnings",
     "is_positive_definite",
@@ -42,6 +46,11 @@ __all__ = [
 
 #: backward-error target for solves
 SOLVE_RTOL = 1e-10
+#: the conjugate gradients of :class:`BoundedDualNorm` stop once their
+#: preconditioned residual is this fraction of their start's, or after
+#: PCG_MAX_STEPS steps
+PCG_RTOL = 1e-6
+PCG_MAX_STEPS = 50
 
 # diagnostics: number of Rayleigh quotients whose imaginary residue exceeded
 # the 1e-12 relative threshold (should stay 0 for Hermitian pencils)
@@ -311,6 +320,84 @@ class DualNorm:
         # r^H (K+M)^{-1} r is real nonnegative for Hermitian positive K+M;
         # tiny negative round-off is clipped
         return float(np.sqrt(max(val.real, 0.0))), z
+
+
+class BoundedDualNorm:
+    """Upper bounds of the dual norm sqrt(r^H A^{-1} r) of
+    A = K + w1*M1 + w2*M2, by FFT and preconditioned conjugate gradients;
+    it factors nothing.
+
+    With w = min(w1, w2), A - (K + w*M) = (w1 - w)*M1 + (w2 - w)*M2 is
+    positive semidefinite, and so is K, so K + w*M <= A <= kappa (K + w*M)
+    with kappa = max(w1, w2) / w. B = (K + w*M)^{-1} is therefore an upper
+    bound of A^{-1}, and the spectrum of B A lies in [1, kappa]: B is a
+    spectrally equivalent preconditioner of A (D'yakonov, *Optimization in
+    Solving Elliptic Problems*, 1996), for LOPCG (Knyazev, *SIAM J. Sci.
+    Comput.* 23:517-541, 2001) and for conjugate gradients on A.
+
+    B is the FFT inverse of the unit-weight K + w*M
+    (:class:`~blochfem.mesh.CellPeriodicInverse`), which is cell-periodic
+    by construction. Its stencil is read from cell (0, 0)'s rows alone: the
+    entries of ``A`` there minus those of (w1 - w)*M1 and (w2 - w)*M2. ``A``
+    is CSR, and ``M1`` and ``M2`` hold the region masses on its pattern;
+    ``tol`` is the tolerance of the leg it serves (see
+    :meth:`norm_and_solve`).
+    """
+
+    def __init__(self, A, M1, M2, weights, tol):
+        self.A = _as_csr(A)
+        Ad, m1, m2 = shared_data(self.A, M1, M2)
+        w1, w2 = weights
+        w = min(w1, w2)
+        self.kappa = max(w1, w2) / w
+        self.tol = float(tol)
+        self.B = CellPeriodicInverse.of_cell(
+            self.A, lambda pos: Ad[pos] - (w1 - w) * m1[pos] - (w2 - w) * m2[pos])
+        if self.B is None:
+            raise ValueError("K + w*M is not cell-periodic on a mesh's DOF lattice")
+
+    def norm_and_solve(self, r):
+        """An upper bound of the dual norm of ``r`` and the search direction
+        it is taken from.
+
+        The bound is sqrt(r^H B r), with the direction B r, where it is at
+        most ``tol``, and so stops a leg soundly, or above
+        sqrt(kappa) * ``tol``, where the true norm is above ``tol`` too.
+        Between the two, conjugate gradients on A y = r, preconditioned by
+        B and started at B r, run until the B-norm of their residual s is
+        :data:`PCG_RTOL` of the start's, or for :data:`PCG_MAX_STEPS`
+        steps. With the exact identity
+        r^H A^{-1} r = Re(r^H y + y^H s) + s^H A^{-1} s and
+        s^H A^{-1} s <= s^H B s, the bound returned there is
+        sqrt(Re(r^H y + y^H s) + s^H B s), with the direction y.
+        """
+        r = np.asarray(r)
+        if not np.any(r):
+            return 0.0, np.zeros_like(r)
+        z = self.B(r)
+        est = float(np.sqrt(max(np.vdot(r, z).real, 0.0)))
+        if est <= self.tol or est > math.sqrt(self.kappa) * self.tol:
+            return est, z
+        return self._pcg(r, z)
+
+    def _pcg(self, r, y):
+        s = r - matvec(self.A, y)
+        w = self.B(s)
+        gamma = np.vdot(s, w).real
+        stop = PCG_RTOL ** 2 * gamma
+        p = w
+        for _ in range(PCG_MAX_STEPS):
+            if gamma <= stop:
+                break
+            q = matvec(self.A, p)
+            alpha = gamma / np.vdot(p, q).real
+            y = y + alpha * p
+            s = s - alpha * q
+            w = self.B(s)
+            gamma, gamma_prev = np.vdot(s, w).real, gamma
+            p = w + (gamma / gamma_prev) * p
+        sq = np.vdot(r, y).real + np.vdot(y, s).real + gamma
+        return float(np.sqrt(max(sq, 0.0))), y
 
 
 def is_positive_definite(A):

@@ -146,9 +146,10 @@ class CellPeriodicInverse:
     operators assembled with unit weights are such operators up to
     quadrature rounding: K(k), M and their sums.
 
-    Build it with :meth:`of`, which checks the operator first. Calling it
-    applies the inverse of the operator's cell-(0, 0) stencil, which the
-    operator matches to ``PERIODIC_RTOL``.
+    Build it with :meth:`of`, which checks the operator first, or with
+    :meth:`of_cell`, which reads cell (0, 0)'s rows alone, for an operator
+    that is cell-periodic by construction. Calling it applies the inverse
+    of the operator's cell-(0, 0) stencil.
     """
 
     def __init__(self, stencil, N, real):
@@ -159,27 +160,37 @@ class CellPeriodicInverse:
         self.inv = np.ascontiguousarray(inv.transpose(2, 3, 0, 1))
 
     @classmethod
+    def of_cell(cls, A, entries):
+        """The inverse of the operator that repeats cell (0, 0)'s rows of
+        CSR ``A`` over the cells, or None when ``A`` is not on the DOF
+        lattice of a mesh, couples a DOF of cell (0, 0) beyond lattice
+        offset 2, or its symbol is singular.
+
+        ``entries(pos)`` gives the entries at the positions ``pos`` of a
+        data vector on ``A``'s pattern. Only those of cell (0, 0)'s rows,
+        at most 100, are read, and nothing is checked against other rows.
+        """
+        cell = _cell_stencil(A, entries)
+        return None if cell is None else cls._of_stencil(cell[0], A.shape[0])
+
+    @classmethod
     def of(cls, A):
         """The inverse of CSR ``A``, or None when ``A`` is not cell-periodic
         on the DOF lattice of a mesh, or its symbol is singular.
 
-        Cell-periodic means that every row stores the entries its
-        counterpart in cell (0, 0) stores, and that each real and imaginary
-        part of every entry is within ``PERIODIC_RTOL`` times the largest
-        such part in cell (0, 0)'s rows of its counterpart there. The
-        diagonal is checked first, in O(n), which turns most other
-        operators away.
+        The stencil is read as :meth:`of_cell` reads it. Cell-periodic means
+        that every row stores the entries its counterpart in cell (0, 0)
+        stores, and that each real and imaginary part of every entry is
+        within ``PERIODIC_RTOL`` times the largest such part in cell
+        (0, 0)'s rows of its counterpart there. The diagonal is checked
+        first, in O(n), which turns most other operators away.
         """
-        n = A.shape[0]
-        d = math.isqrt(n)
-        # a mesh's DOF lattice has a power-of-two side, 2N >= 16, on which
-        # lattice offsets of -2..2 stay distinct
-        if A.shape != (n, n) or d * d != n or d < 16 or d & (d - 1):
+        cell = _cell_stencil(A, A.data.take)
+        if cell is None:
             return None
-        N = d // 2
-        # cell (0, 0): the DOFs (0, 0), (1, 0), (0, 1) and (1, 1)
-        first = np.concatenate([np.arange(A.indptr[i], A.indptr[i + 1])
-                                for i in (0, 1, d, d + 1)])
+        stencil, first, cell_slot = cell
+        n = A.shape[0]
+        N = math.isqrt(n) // 2
         tol = PERIODIC_RTOL * _largest_part(A.data[first])
         diag = A.diagonal().reshape(N, 2, N, 2)
         if _largest_part(diag - diag[:1, :, :1, :]) > tol:
@@ -188,29 +199,22 @@ class CellPeriodicInverse:
         per_type = counts.reshape(N, 2, N, 2)
         if np.any(per_type != per_type[:1, :, :1, :]):
             return None
-        # stencil slot of each stored entry: 25 * (type of the row's DOF)
-        # + 5 * (dy + 2) + (dx + 2), (dx, dy) the lattice offset to the
-        # column's DOF; computed in place, the arrays are nnz long
-        shift = d.bit_length() - 1
-        rows = np.repeat(np.arange(n, dtype=A.indices.dtype), counts)
-        slot = (A.indices >> shift) - (rows >> shift) + 2
-        dx = (A.indices & (d - 1)) - (rows & (d - 1)) + 2
-        slot &= d - 1
-        dx &= d - 1
-        if max(slot.max(), dx.max()) > 4:
-            return None
-        slot += 10 * ((rows >> shift) & 1) + 5 * (rows & 1)
-        slot *= 5
-        slot += dx
-        stencil = np.zeros(100, dtype=A.dtype)
-        stencil[slot[first]] = A.data[first]
-        stored = np.zeros(100, dtype=bool)
-        stored[slot[first]] = True
-        if not (stored.take(slot).all()
+        # nnz-long: the slot of every stored entry
+        slot = _slots(A.indices,
+                      np.repeat(np.arange(n, dtype=A.indices.dtype), counts),
+                      2 * N)
+        stored = np.zeros(stencil.size, dtype=bool)
+        stored[cell_slot] = True
+        if not (slot is not None and stored.take(slot).all()
                 and _largest_part(A.data - stencil.take(slot)) <= tol):
             return None
+        return cls._of_stencil(stencil, n)
+
+    @classmethod
+    def _of_stencil(cls, stencil, n):
         try:
-            return cls(stencil.reshape(4, 5, 5), N, real=A.dtype.kind != "c")
+            return cls(stencil.reshape(4, 5, 5), math.isqrt(n) // 2,
+                       real=stencil.dtype.kind != "c")
         except np.linalg.LinAlgError:
             return None
 
@@ -221,10 +225,61 @@ class CellPeriodicInverse:
         N = self.N
         # (4, N, N): DOF type 2 * (y mod 2) + (x mod 2), then cell (J, I)
         cells = r.reshape(N, 2, N, 2).transpose(1, 3, 0, 2).reshape(4, N, N)
-        zhat = (self.inv * np.fft.fft2(cells)).sum(axis=1)
+        rhat = np.fft.fft2(cells)
+        # the sum over t of inv[s, t] * rhat[t], term by term in t: the bits
+        # of summing the (4, 4, N, N) product over t, without that product
+        zhat = self.inv[:, 0] * rhat[0]
+        for t in range(1, 4):
+            zhat += self.inv[:, t] * rhat[t]
         z = np.fft.ifft2(zhat).reshape(2, 2, N, N).transpose(2, 0, 3, 1)
         z = z.reshape(r.shape)
         return z.real.copy() if self.real and not np.iscomplexobj(r) else z
+
+
+def _cell_stencil(A, entries):
+    """The stencil of cell (0, 0)'s rows of CSR ``A``, with the positions of
+    their entries and those entries' slots, or None when ``A`` is not on the
+    DOF lattice of a mesh or couples there beyond lattice offset 2.
+
+    The stencil is 100 long, 0 where the rows store nothing; its entries
+    are ``entries(pos)`` at the rows' positions ``pos`` (see :func:`_slots`).
+    """
+    n = A.shape[0]
+    d = math.isqrt(n)
+    # a mesh's DOF lattice has a power-of-two side, 2N >= 16, on which
+    # lattice offsets of -2..2 stay distinct
+    if A.shape != (n, n) or d * d != n or d < 16 or d & (d - 1):
+        return None
+    # cell (0, 0): the DOFs (0, 0), (1, 0), (0, 1) and (1, 1)
+    rows = np.array([0, 1, d, d + 1], dtype=A.indices.dtype)
+    pos = np.concatenate([np.arange(A.indptr[i], A.indptr[i + 1]) for i in rows])
+    slot = _slots(A.indices[pos],
+                  np.repeat(rows, A.indptr[rows + 1] - A.indptr[rows]), d)
+    if slot is None:
+        return None
+    values = entries(pos)
+    stencil = np.zeros(100, dtype=values.dtype)
+    stencil[slot] = values
+    return stencil, pos, slot
+
+
+def _slots(cols, rows, d):
+    """The stencil slot of each entry (``rows``, ``cols``) on the DOF
+    lattice of side ``d``: 25 * (type of the row's DOF) + 5 * (dy + 2) +
+    (dx + 2), (dx, dy) the lattice offset to the column's DOF modulo ``d``;
+    None when an offset is beyond 2. Computed in place, on two arrays as
+    long as the entries."""
+    shift = d.bit_length() - 1
+    slot = (cols >> shift) - (rows >> shift) + 2
+    dx = (cols & (d - 1)) - (rows & (d - 1)) + 2
+    slot &= d - 1
+    dx &= d - 1
+    if max(slot.max(initial=0), dx.max(initial=0)) > 4:
+        return None
+    slot += 10 * ((rows >> shift) & 1) + 5 * (rows & 1)
+    slot *= 5
+    slot += dx
+    return slot
 
 
 def _largest_part(a):

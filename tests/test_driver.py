@@ -9,7 +9,6 @@ import pytest
 
 from blochfem import dispersion, driver, linalg
 from blochfem.errors import NonConvergenceError
-from blochfem.mesh import build_mesh
 from blochfem.trace import CSV_HEADER, IterationTrace
 
 from test_dispersion import silver
@@ -252,7 +251,7 @@ def test_reference_from_the_final_state_matches_the_standalone_one():
     assert ref.level == 2 and ref.residual_dual <= driver.REFERENCE_TOL
 
 
-def test_power_reference_factors_once_and_converges_from_a_stalling_start(monkeypatch):
+def test_power_reference_factors_nothing_and_converges_from_a_stalling_start(monkeypatch):
     # pool point 34 of the linear_refined benchmark workload: a reference
     # that drops every step raising mu by rounding stalled here at 1.16e-12
     cfg = driver.RunConfig.from_ini(REPO / "configs" / "experiment1.ini")
@@ -268,8 +267,8 @@ def test_power_reference_factors_once_and_converges_from_a_stalling_start(monkey
     monkeypatch.setattr(linalg.Factorization, "__init__", counting_init)
     ref = driver.compute_reference(cfg, final)
     assert ref.level == 4 and ref.residual_dual <= driver.REFERENCE_TOL
-    # the multigrid preconditioner factors level 0 only, never the L4 matrix
-    assert sizes == [build_mesh(0).dof_count]
+    # the FFT bound of K + w_min*M preconditions the L4 leg: no LU at all
+    assert sizes == []
     assert ref.lam_ref == pytest.approx(final[1].lam, rel=1e-4)
 
 

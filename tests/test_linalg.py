@@ -1,12 +1,18 @@
 """Hermitian wrappers, factorization contracts, Rayleigh quotients, dual norms."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
+from blochfem import dispersion, driver
 from blochfem import linalg as lin
+from blochfem.assembly import assemble_tm, region_masses
+from blochfem.eigeniter import lopcg
 from blochfem.errors import SingularMatrixError
+from blochfem.mesh import CellPeriodicInverse, build_mesh
 
 RNG = np.random.default_rng(91)
 
@@ -227,6 +233,94 @@ def test_dual_norm_singular_sum():
     M = sparse.diags([-1.0, 1.0]).tocsr()
     with pytest.raises(SingularMatrixError, match="dual norm"):
         lin.DualNorm(K, M)
+
+
+# --- the FFT bound of the power-family reference -------------------------------
+
+# (pi/2, pi) as experiment1, benchmark pool point 34, and a point near Gamma
+K_POINTS = [(math.pi / 2, math.pi), (2.1967727806945763, 1.8971541259255482), (0.3, 0.0)]
+
+
+def experiment1(level, k):
+    """experiment1's settings at ``k``, its schedule ending below ``level``."""
+    return driver.RunConfig(
+        experiment="linear", kx=k[0], ky=k[1], model=dispersion.Constant(8.0),
+        steps_per_mesh=7, max_level=level - 1, tol=1e-10,
+    )
+
+
+def bounded(pencil, mesh, tol=driver.REFERENCE_TOL):
+    """The reference's bounded dual norm of experiment1's pencil on ``mesh``."""
+    return lin.BoundedDualNorm(pencil.dual_operator(), *region_masses(mesh),
+                               (1.0, 8.0), tol)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("k", K_POINTS)
+def test_stop_row_never_reads_below_the_exact_dual_norm(level, k):
+    # from the start experiment1's schedule hands to the reference
+    cfg = experiment1(level, k)
+    mesh = build_mesh(level)
+    pencil, u = driver._power_pencil(cfg, mesh, driver.run_schedule(cfg).final)
+    tol = driver.REFERENCE_TOL
+    trace, x = lopcg(pencil, u, tol, dual=bounded(pencil, mesh))
+    last = trace[-1]
+    r = pencil.A_beta @ x - last.mu * (pencil.M_w @ x)
+    assert isinstance(pencil.dual.fact, lin.Factorization)
+    assert pencil.dual(r) <= last.residual_dual <= tol
+
+
+@pytest.mark.parametrize("k", K_POINTS)
+def test_fft_bound_brackets_the_dual_norm_at_L2(k):
+    # r^H B r >= r^H (K + M_w)^{-1} r >= r^H B r / kappa, kappa = 8
+    mesh = build_mesh(2)
+    pencil, _ = driver._power_pencil(experiment1(2, k), mesh, None)
+    dual = bounded(pencil, mesh)
+    assert dual.kappa == 8.0
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        r = rng.standard_normal(pencil.n) + 1j * rng.standard_normal(pencil.n)
+        upper = np.vdot(r, dual.B(r)).real
+        exact = np.vdot(r, pencil.dual.fact.solve(r)).real
+        assert upper >= exact * (1.0 - 1e-12)
+        assert exact >= upper / dual.kappa * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("k", K_POINTS)
+def test_conjugate_gradients_bound_the_dual_norm_between_the_thresholds(k):
+    # tol = half the FFT estimate puts it between tol and sqrt(8) tol
+    mesh = build_mesh(2)
+    pencil, _ = driver._power_pencil(experiment1(2, k), mesh, None)
+    r = np.random.default_rng(11).standard_normal(pencil.n) + 0.5j
+    est = bounded(pencil, mesh).norm_and_solve(r)[0]
+    val, y = bounded(pencil, mesh, tol=est / 2).norm_and_solve(r)
+    exact, z = pencil.dual.norm_and_solve(r)
+    # an upper bound in exact arithmetic; PCG run to 1e-6 leaves a gap
+    # below the rounding of the two inner products (2e-14 measured)
+    assert exact * (1.0 - 1e-12) <= val <= exact * (1.0 + 1e-9) and val < est
+    assert np.linalg.norm(y - z) <= 1e-5 * np.linalg.norm(z)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("k", K_POINTS)
+def test_cell_reader_applies_the_checked_inverse_bitwise(level, k):
+    # B from cell (0, 0)'s rows of K + M_w - 7 M2 against the entry-by-entry
+    # checked inverse of the assembled K + M
+    mesh = build_mesh(level)
+    pencil, _ = driver._power_pencil(experiment1(level, k), mesh, None)
+    forms = assemble_tm(mesh, k)
+    K, M = forms.K.mat, forms.M.mat
+    checked = CellPeriodicInverse.of(lin.with_data(K, K.data + 1.0 * M.data))
+    assert checked is not None
+    r = np.array([1.0, 1j]) @ np.random.default_rng(level).standard_normal((2, pencil.n))
+    assert bounded(pencil, mesh).B(r).tobytes() == checked(r).tobytes()
+
+
+def test_bounded_dual_norm_needs_a_mesh_lattice():
+    K = random_hpd(6, seed=20)
+    M1 = lin.with_data(K, np.ones(K.nnz))
+    with pytest.raises(ValueError, match="cell-periodic"):
+        lin.BoundedDualNorm(K, M1, M1, (1.0, 2.0), 1e-12)
 
 
 # --- misc ------------------------------------------------------------------------
