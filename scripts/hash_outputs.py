@@ -110,12 +110,10 @@ def main():
             A = assembly.weighted_mass(mesh, *w)
             lines.append(("L%d.weighted_mass%r" % (level, w), _sparse(A.mat)))
     mesh = msh.build_mesh(2)
-    forms = assembly.assemble_tm(mesh, K)
-    M_w = assembly.weighted_mass(mesh, 1.0, 8.0)
     lines.append(("L2.A_beta(beta=1)", _sparse(
-        Pencil.from_stiffness(forms.K, M_w, 1.0).A_beta.mat)))
+        Pencil.on_mesh(mesh, K, (1.0, 8.0), 1.0).A_beta.mat)))
     lines.append(("L2.dual_operator(beta=2.5)", _sparse(
-        Pencil.from_stiffness(forms.K, M_w, 2.5).dual_operator())))
+        Pencil.on_mesh(mesh, K, (1.0, 8.0), 2.5).dual_operator())))
     for name in ("simplified_empty", "simplified_two"):
         cs = companion.build_companion(mesh, K, MODELS[name])
         lines.append(("L2.companion.%s" % name,

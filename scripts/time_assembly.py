@@ -1,39 +1,54 @@
 #!/usr/bin/env python3
-"""Time the two assembly layers: cold region pieces and warm per-k forms.
+"""Time the assembly layers, and the stages of the L4 power reference.
 
     python3 scripts/time_assembly.py
 
+Reference: ``driver.compute_reference`` of ``configs/experiment1.ini``
+from its schedule's final state, as ``blochfem run`` makes it, split into
+its stages: the cold L4 pieces, the pencil (A_beta, M_w and the lifted
+start), the FFT bound B of ``BoundedDualNorm`` and the LOPCG leg. Prints
+each stage's time, its tracemalloc peak above what was held when it
+started, and the process's ru_maxrss after it (tracemalloc's own
+bookkeeping included). It runs first, while the process holds nothing
+else.
 Cold: five fresh ``assembly._RegionPieces(mesh)`` builds at L0-L5 (the
 one-time work of a level: quadrature, symmetry check and scatter);
-prints the fastest build and the tracemalloc peak of one more build.
-Warm: five ``assemble_tm(mesh, k)`` calls on the cached pieces at L2-L4
-(the work of each new wave vector); prints the fastest call, and the
-tracemalloc peak of one warm pencil build, ``assemble_tm`` +
-``weighted_mass`` + ``Pencil.from_stiffness``, as a power level or the
-power reference makes it. BLAS runs on one thread, as in the benchmark's
-workers. Only ``src/`` is read.
+prints the fastest build, and the tracemalloc peak of one more build with
+what that build keeps.
+Warm: five builds of a power pencil's forms on the cached pieces at L2-L4,
+``assemble_tm(mesh, k, shift=((1, 8), 1))``, which sums A_beta and M_w a
+block at a time (the work of each new wave vector of a power level);
+prints the fastest build and the tracemalloc peak of one more.
+
+BLAS runs on one thread, as in the benchmark's workers. Only ``src/`` and
+``configs/`` are read.
 """
 
 import os
 import pathlib
+import resource
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-from blochfem import assembly, mesh as msh  # noqa: E402
-from blochfem.eigeniter import Pencil  # noqa: E402
+from blochfem import assembly, driver, mesh as msh  # noqa: E402
 
 COLD_LEVELS = range(6)
 WARM_LEVELS = range(2, 5)
 #: a generic wave vector: both components nonzero, so K(k) is complex
 WARM_K = (0.7, 1.3)
+#: the weights and shift of the warm pencil
+WARM_SHIFT = ((1.0, 8.0), 1.0)
 #: timed calls per level; the fastest is printed
 REPEAT = 5
+MIB = 2 ** 20
 
 
 def _fastest(fn):
@@ -45,31 +60,111 @@ def _fastest(fn):
     return best
 
 
+def _traced(fn):
+    """The memory ``fn()`` holds on return and its peak, in MiB."""
+    tracemalloc.start()
+    kept = fn()  # noqa: F841  (held while the memory is read)
+    held, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return held / MIB, peak / MIB
+
+
+def _maxrss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+class _Stages:
+    """Times calls as stages of one traced run: each stage's tracemalloc
+    peak above what was held at its start, a nested stage's peak counted
+    in the stage around it."""
+
+    def __init__(self):
+        self.rows = []
+        self._open = []      # [held at start, peak so far] per open stage
+
+    def run(self, name, fn, *args, **kwargs):
+        held, peak = tracemalloc.get_traced_memory()
+        if self._open:
+            self._open[-1][1] = max(self._open[-1][1], peak)
+        tracemalloc.reset_peak()
+        self._open.append([held, held])
+        t0 = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            elapsed = time.perf_counter() - t0
+            start, peak = self._open.pop()
+            peak = max(peak, tracemalloc.get_traced_memory()[1])
+            if self._open:
+                self._open[-1][1] = max(self._open[-1][1], peak)
+            self.rows.append((name, elapsed, (peak - start) / MIB, _maxrss_mb()))
+
+    def wrap(self, name, fn):
+        return lambda *args, **kwargs: self.run(name, fn, *args, **kwargs)
+
+
+def reference_stages():
+    """The stage rows of experiment1's L4 reference, after its schedule."""
+    cfg = replace(driver.RunConfig.from_ini(ROOT / "configs" / "experiment1.ini"),
+                  out=None)
+    final = driver.run_schedule(cfg).final
+    stages = _Stages()
+    power_pencil = driver._power_pencil
+
+    def pencil(config, mesh, coarse):
+        stages.run("cold pieces", assembly._pieces, mesh)
+        return stages.run("pencil", power_pencil, config, mesh, coarse)
+
+    patched = dict(_power_pencil=pencil,
+                   BoundedDualNorm=stages.wrap("B", driver.BoundedDualNorm),
+                   lopcg=stages.wrap("LOPCG", driver.lopcg))
+    saved = {name: getattr(driver, name) for name in patched}
+    rss_before = _maxrss_mb()
+    tracemalloc.start()
+    try:
+        for name, fn in patched.items():
+            setattr(driver, name, fn)
+        driver.compute_reference(cfg, final)
+    finally:
+        for name, fn in saved.items():
+            setattr(driver, name, fn)
+        tracemalloc.stop()
+    return rss_before, stages.rows
+
+
 def main():
-    print("region pieces (cold), fastest of %d" % REPEAT)
-    print("%5s %8s %10s %10s" % ("level", "dofs", "time_s", "peak_MiB"))
+    rss_before, rows = reference_stages()
+    print("L4 reference of experiment1, by stage (ru_maxrss %.1f MB after "
+          "its schedule)" % rss_before)
+    print("%-12s %10s %14s %12s" % ("stage", "time_s", "peak_above_MiB",
+                                    "maxrss_MB"))
+    for name, elapsed, peak, rss in rows:
+        print("%-12s %10.4f %14.1f %12.1f" % (name, elapsed, peak, rss))
+    assembly.release_pieces()
+
+    print("region pieces (cold), fastest of %d; peak and held of one more"
+          % REPEAT)
+    print("%5s %8s %10s %10s %10s" % ("level", "dofs", "time_s", "peak_MiB",
+                                      "held_MiB"))
     for level in COLD_LEVELS:
         mesh = msh.build_mesh(level)
         best = _fastest(lambda: assembly._RegionPieces(mesh))
-        tracemalloc.start()
-        assembly._RegionPieces(mesh)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        print("%5d %8d %10.4f %10.1f" % (level, mesh.dof_count, best, peak / 2 ** 20))
+        held, peak = _traced(lambda: assembly._RegionPieces(mesh))
+        print("%5d %8d %10.4f %10.1f %10.1f"
+              % (level, mesh.dof_count, best, peak, held))
 
-    print("assemble_tm (warm) at k = %s, fastest of %d; peak of one warm "
-          "pencil build" % (WARM_K, REPEAT))
+    print("power pencil forms (warm) at k = %s, weights and shift %s, "
+          "fastest of %d; peak of one more" % (WARM_K, WARM_SHIFT, REPEAT))
     print("%5s %8s %10s %10s" % ("level", "dofs", "time_s", "peak_MiB"))
     for level in WARM_LEVELS:
         mesh = msh.build_mesh(level)
-        assembly.assemble_tm(mesh, WARM_K)
-        best = _fastest(lambda: assembly.assemble_tm(mesh, WARM_K))
-        tracemalloc.start()
-        Pencil.from_stiffness(assembly.assemble_tm(mesh, WARM_K).K,
-                              assembly.weighted_mass(mesh, 1.0, 8.0), 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        print("%5d %8d %10.4f %10.1f" % (level, mesh.dof_count, best, peak / 2 ** 20))
+
+        def build():
+            return assembly.assemble_tm(mesh, WARM_K, shift=WARM_SHIFT)
+        build()
+        best = _fastest(build)
+        _, peak = _traced(build)
+        print("%5d %8d %10.4f %10.1f" % (level, mesh.dof_count, best, peak))
 
 
 if __name__ == "__main__":

@@ -14,14 +14,17 @@ antisymmetric cross term makes K(k) Hermitian *by construction* in floating
 point. The permittivity enters only through the weighted mass.
 
 Every matrix is built from region-restricted pieces (chi_1- and chi_2-
-weighted), assembled once per mesh level and kept for every level a process
-touches, with the disk indicator evaluated at quadrature points: 3x3 Gauss
-per cell, upgraded to 4x4 on interface-cut cells (cells whose corners
+weighted), assembled once per mesh level and kept until
+:func:`release_pieces` drops them (a reference does, once it no longer
+reads them), with the disk indicator evaluated at quadrature points: 3x3
+Gauss per cell, upgraded to 4x4 on interface-cut cells (cells whose corners
 disagree on chi_2). Only the cells whose Gauss points straddle the
 interface run the weighted quadrature; a cell wholly on one side takes its
 rule's reference element there. Each of the two cell sets is scattered in
-the entry order of scipy's COO -> CSR conversion, captured once per mesh,
-so its sums are bitwise the ones that conversion builds.
+the entry order of scipy's COO -> CSR conversion, captured once per mesh
+as an int32 slot and a uint8 key per entry, so its sums are bitwise the
+ones that conversion builds; the pieces are summed :data:`BLOCK` pattern
+positions at a time, so no nnz-long scratch array is made.
 
 Every mesh has one read-only CSR pattern, the full Q2 coupling pattern
 (the union of the two cell sets' patterns, which is K0's). Each
@@ -35,11 +38,13 @@ scatters straight into those positions, still in its own captured order
 mirror map of the symmetric pattern comes from one transpose of an arange
 on it. So every per-k form, K(k), M, the weighted mass and the shifted
 and nonlinear operators built from them, is one numpy expression on data
-vectors, and all of them share the pattern's arrays. Adding 0.0 where a
-summand has no entry is exact, so those sums are bitwise scipy's sparse
-sums. scipy's would also drop an entry that cancels to exactly 0.0, which
-stays here as a stored zero; the tests find none in K, M, M_w or A_beta
-at four wave vectors on L0-L3.
+vectors, and all of them share the pattern's arrays; a power level's
+pencil (A_beta, M_w) is summed from the pieces a block at a time
+(``assemble_tm`` with ``shift``), without K(k) or M held whole. Adding
+0.0 where a summand has no entry is exact, so those sums are bitwise
+scipy's sparse sums. scipy's would also drop an entry that cancels to
+exactly 0.0, which stays here as a stored zero; the tests find none in K,
+M, M_w or A_beta at four wave vectors on L0-L4.
 
 Quadrature rounding is the one place where symmetry can break, so the
 stiffness and mass element matrices are checked once per build. The scatter
@@ -62,6 +67,7 @@ __all__ = [
     "assemble_tm",
     "weighted_mass",
     "region_masses",
+    "release_pieces",
     "max_asymmetry",
 ]
 
@@ -115,10 +121,17 @@ class _CellSet:
     ``coo_matrix(...).tocsr()`` orders the entries by a counting sort on the
     row and ``csr_sort_indices`` on the column, then adds duplicates left to
     right. That order depends only on the indices, so it is captured once,
-    by converting the entry numbers 0..nnz-1 with the summing switched off.
-    A piece is then one gather into that order and one ``np.bincount``,
-    which also adds left to right: bitwise the matrix scipy would build,
-    up to the sign of exact zeros, which the compact pieces drop.
+    by converting codes of the entries with the summing switched off: 81 *
+    region + local index for a cell within a region, 162 + 81 * rank +
+    local index for the rank-th mixed cell. Per region it is kept lean, in
+    that order: the entries that region weighs (its own cells' and the
+    mixed cells'), each with an int32 slot and a uint8 key, its index in
+    its element matrix. The other cells weigh 0.0 there, and adding 0.0 to
+    a bincount's sum, which is never -0.0, changes no bit, so they are
+    left out. A piece is then one take from the reference element, the
+    mixed cells' entries put in their places, and ``np.bincount``, which
+    also adds left to right: bitwise the matrix scipy would build, up to
+    the sign of exact zeros, which the compact pieces drop.
     """
 
     def __init__(self, mesh, cells, rule_pts):
@@ -126,14 +139,12 @@ class _CellSet:
         phys = mesh.cell_origin()[cells][:, None, :] + pts[None, :, :] * mesh.h
         chi2 = DISK.chi2(phys)                           # (nc, nq)
         inside = chi2.all(axis=1)
-        # within[r]: the cells whose every Gauss point lies in region r
-        self.within = (~(inside | chi2.any(axis=1)), inside)
-        self.mixed = ~(self.within[0] | self.within[1])
+        mixed = chi2.any(axis=1) & ~inside
         self.reference = _element_matrices(w[None, :], mesh.h, B, Gx, Gy)
-        mixed = chi2[self.mixed]
+        chi2 = chi2[mixed]
         self.batch = tuple(
             _element_matrices(chi * w[None, :], mesh.h, B, Gx, Gy)
-            for chi in (1.0 - mixed, mixed))
+            for chi in (1.0 - chi2, chi2))
         for el in (els[kind] for els in (self.reference,) + self.batch
                    for kind in (0, 1)):
             worst = np.abs(el - el.transpose(0, 2, 1)).max(initial=0.0)
@@ -143,44 +154,71 @@ class _CellSet:
                     "element matrices violate symmetry: "
                     "max|A - A^T| = %.3e vs max|A| = %.3e" % (worst, scale))
 
-        dofs = mesh.cell_dofs[cells]                     # (nc, 9)
-        rows = np.repeat(dofs[:, :, None], 9, axis=2).ravel()
-        cols = np.repeat(dofs[:, None, :], 9, axis=1).ravel()
+        cell_code = np.where(mixed, 162 + 81 * (np.cumsum(mixed) - 1),
+                             81 * inside).astype(np.int32)
+        dofs = mesh.cell_dofs[cells].astype(np.int32)    # (nc, 9)
         n = mesh.dof_count
-        order = sparse.coo_matrix((np.arange(rows.size), (rows, cols)),
-                                  shape=(n, n))
+        order = sparse.coo_matrix(
+            ((cell_code[:, None] + np.arange(81, dtype=np.int32)).ravel(),
+             (np.repeat(dofs[:, :, None], 9, axis=2).ravel(),
+              np.repeat(dofs[:, None, :], 9, axis=1).ravel())),
+            shape=(n, n))
         order.has_canonical_format = True                # order, do not sum
         order = order.tocsr()
         order.sort_indices()
-        self.perm = order.data
         # an entry opens a new (row, column) slot where its column changes;
         # row starts need no mark of their own, because the pattern is
         # symmetric and holds the diagonal, so no row ends on the column
         # that the next nonempty row starts with
-        ip, cols = order.indptr, order.indices
-        first = np.ones(cols.size, dtype=bool)
-        first[1:] = cols[1:] != cols[:-1]
+        ip, cols, code = order.indptr, order.indices, order.data
+        del order
+        first = np.empty(cols.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(cols[1:], cols[:-1], out=first[1:])
+        slot = np.cumsum(first, dtype=np.int32)
+        slot -= 1
         starts = np.flatnonzero(first)
-        self.slot = np.cumsum(first)
-        self.slot -= 1
         self.indices = cols[starts]
         self.indptr = np.searchsorted(starts, ip).astype(ip.dtype)
-        self.size = self.indices.size
+        del first, starts, ip, cols
 
-    def piece(self, kind, region):
-        """The CSR sum of element matrices ``kind`` (0 K, 1 M, 2 Cx, 3 Cy)
-        over these cells, weighted by region ``region`` (0 or 1), as a data
-        vector on the pattern the slots point into."""
-        el = np.zeros(self.mixed.shape + (9, 9))
-        el[self.within[region]] = self.reference[kind]
-        el[self.mixed] = self.batch[region][kind]
-        return np.bincount(self.slot, weights=el.ravel()[self.perm],
-                           minlength=self.size)
+        # per region: the entries it weighs, the mixed ones among them and
+        # their entries in the batch
+        self.slot, self.key, self.mixed, self.source = [], [], [], []
+        for weighs in ((code < 81) | (code >= 162), code >= 81):
+            code_r = code[weighs]
+            self.slot.append(slot[weighs])
+            self.key.append((code_r % 81).astype(np.uint8))
+            at = np.flatnonzero(code_r >= 162)
+            self.mixed.append(at)
+            self.source.append(code_r[at] - 162)
+
+    def scatter(self, lo, hi, acc):
+        """Adds to ``acc[region, kind]`` the sums, at the positions lo to
+        hi - 1 of the pattern the slots point into, of element matrices
+        ``kind`` (0 K, 1 M, 2 Cx, 3 Cy) over these cells, weighted by
+        region 1 (``region`` 0) or region 2 (1)."""
+        for region in (0, 1):
+            slot = self.slot[region]
+            a, b = np.searchsorted(slot, np.array((lo, hi), dtype=slot.dtype))
+            if a == b:
+                continue
+            at = np.subtract(slot[a:b], lo, dtype=np.intp)
+            keys = self.key[region][a:b].astype(np.intp)
+            mixed = self.mixed[region]
+            i, j = np.searchsorted(mixed, (a, b))
+            mixed = mixed[i:j] - a
+            source = self.source[region][i:j]
+            for kind in range(4):
+                weights = self.reference[kind].reshape(-1).take(keys)
+                weights[mixed] = self.batch[region][kind].reshape(-1)[source]
+                acc[region, kind] += np.bincount(at, weights, minlength=hi - lo)
 
 
 def _mesh_pattern(sets, n):
     """The mesh's CSR pattern, the union of its cell sets' patterns; points
-    each set's slots at their positions in it.
+    each set's slots at their positions in it, and frees the set's own
+    pattern.
 
     One scipy sum of the two sets' patterns, with data 1 on the first and
     2 on the second, does the merge. Both patterns and their union are
@@ -188,13 +226,15 @@ def _mesh_pattern(sets, n):
     of the union that carry its bit. A set's scatter then adds in its own
     order, straight into the mesh's positions: bitwise its own sum.
     """
-    flags = [sparse.csr_matrix((np.full(s.size, 1 << i, dtype=np.int8),
+    flags = [sparse.csr_matrix((np.full(s.indices.size, 1 << i, dtype=np.int8),
                                 s.indices, s.indptr), shape=(n, n))
              for i, s in enumerate(sets)]
     union = flags[0] + flags[1]
+    del flags
     for i, s in enumerate(sets):
-        s.slot = np.flatnonzero(union.data & (1 << i))[s.slot]
-        s.size = union.nnz
+        where = np.flatnonzero(union.data & (1 << i)).astype(np.int32)
+        s.slot = [where.take(slot) for slot in s.slot]
+        del s.indices, s.indptr
     return union.indices, union.indptr
 
 
@@ -222,27 +262,27 @@ class _RegionPieces:
         self.indices, self.indptr = _mesh_pattern(sets, n)
         self.indices.flags.writeable = False
         self.indptr.flags.writeable = False
-
-        def region(kind, r):
-            data = sets[0].piece(kind, r)
-            data += sets[1].piece(kind, r)
-            return data
-
-        def total(kind):
-            data = region(kind, 0)
-            data += region(kind, 1)
-            return data
-
-        self.m1, self.m2 = region(1, 0), region(1, 1)
-        self.k0 = total(0)
-        cx, cy = total(2), total(3)
-        del sets
+        nnz = self.indices.size
+        self.m1, self.m2, self.k0, cx, cy = (np.empty(nnz) for _ in range(5))
+        # a block at a time: region 1 and region 2 sums of the four kinds,
+        # the plain cells' then the cut cells' added in
+        for lo in range(0, nnz, BLOCK):
+            hi = min(lo + BLOCK, nnz)
+            acc = np.zeros((2, 4, hi - lo))
+            for s in sets:
+                s.scatter(lo, hi, acc)
+            self.m1[lo:hi], self.m2[lo:hi] = acc[:, 1]
+            for kind, data in ((0, self.k0), (2, cx), (3, cy)):
+                np.add(acc[0, kind], acc[1, kind], out=data[lo:hi])
+        del sets, acc
         # the Q2 coupling pattern is symmetric: entry p of the transposed
         # arange sits at the position of p's mirror
-        mirror = self._csr(np.arange(self.indices.size)).T.tocsr().data
-        self.dx = cx[mirror] - cx
+        mirror = self._csr(np.arange(nnz, dtype=np.int32)).T.tocsr().data
+        self.dx = cx[mirror]
+        self.dx -= cx
         del cx
-        self.dy = cy[mirror] - cy
+        self.dy = cy[mirror]
+        self.dy -= cy
 
     def _csr(self, data):
         return sparse.csr_matrix((data, self.indices, self.indptr),
@@ -261,7 +301,12 @@ class _RegionPieces:
 
 
 #: region pieces by mesh level, kept for every level a process touches
+#: until :func:`release_pieces` drops them
 _PIECES_CACHE = {}
+
+#: entries per block: the cold scatter sums its slots, and the shifted
+#: forms of :func:`assemble_tm` their entries, a block at a time
+BLOCK = 1 << 16
 
 
 def _pieces(mesh):
@@ -270,37 +315,78 @@ def _pieces(mesh):
     return _PIECES_CACHE[mesh.level]
 
 
-def assemble_tm(mesh, k):
+def release_pieces():
+    """Drops the region pieces of every level. The forms already built
+    keep the data vectors they share; a later form rebuilds its level."""
+    _PIECES_CACHE.clear()
+
+
+def _check_weights(w1, w2):
+    if not (np.isfinite(w1) and np.isfinite(w2)):
+        raise ValueError("mass weights must be finite")
+
+
+def _tm(p, s, kx, ky):
+    """The data of K(k) and M on the entries ``s`` of the pattern."""
+    M = p.m1[s] + p.m2[s]
+    K = p.k0[s] + (kx * kx + ky * ky) * M
+    if kx != 0.0 or ky != 0.0:
+        K = K.astype(complex)
+        # i kx Dx is imaginary: scipy's complex sum adds zeros to the real
+        # part, so adding kx Dx to the imaginary part gives its bits
+        if kx != 0.0:
+            K.imag += kx * p.dx[s]
+        if ky != 0.0:
+            K.imag += ky * p.dy[s]
+    return K, M
+
+
+def assemble_tm(mesh, k, shift=None):
     """TM-mode forms: M = M1 + M2 and the Bloch stiffness
 
         K = K0 + |k|^2 M + i kx Dx + i ky Dy,
 
     Hermitian by construction. The permittivity enters TM problems only
     through the weighted mass (pivot inner product), built by weighted_mass.
+
+    With ``shift = (weights, beta)`` it returns instead the pair
+    (A_beta, M_w) of a power level's pencil: M_w = w1 * M1 + w2 * M2 for
+    ``weights`` = (w1, w2), and A_beta = K + beta * M_w. Both are summed
+    from the cached pieces :data:`BLOCK` entries at a time, with the
+    expressions of K, M and :func:`weighted_mass`: bitwise the sum of those
+    forms, but neither K nor M is ever held whole.
     """
     kx, ky = float(k[0]), float(k[1])
     if not (np.isfinite(kx) and np.isfinite(ky)):
         raise ValueError("wave vector components must be finite")
     p = _pieces(mesh)
-    M = p.m1 + p.m2
-    K = p.k0 + (kx * kx + ky * ky) * M
-    if kx != 0.0 or ky != 0.0:
-        K = K.astype(complex)
-        # i kx Dx is imaginary: scipy's complex sum adds zeros to the real
-        # part, so adding kx Dx to the imaginary part gives its bits
-        if kx != 0.0:
-            K.imag += kx * p.dx
-        if ky != 0.0:
-            K.imag += ky * p.dy
+    if shift is not None:
+        return _shifted_forms(p, kx, ky, *shift)
+    K, M = _tm(p, slice(None), kx, ky)
     return AssembledForms(K=p.form(K), M=p.form(M), M1=p.form(p.m1),
                           M2=p.form(p.m2))
+
+
+def _shifted_forms(p, kx, ky, weights, beta):
+    w1, w2 = weights
+    _check_weights(w1, w2)
+    beta = float(beta)
+    nnz = p.indices.size
+    A = np.empty(nnz, dtype=complex if kx != 0.0 or ky != 0.0 else float)
+    Mw = np.empty(nnz)
+    for lo in range(0, nnz, BLOCK):
+        s = slice(lo, lo + BLOCK)
+        K = _tm(p, s, kx, ky)[0]
+        np.add(w1 * p.m1[s], w2 * p.m2[s], out=Mw[s])
+        np.add(K, beta * Mw[s], out=A[s])
+        del K
+    return p.form(A), p.form(Mw)
 
 
 def weighted_mass(mesh, w1, w2):
     """w1 * M1 + w2 * M2 (the weighted pivot inner product), from the
     mesh's cached region masses, on the mesh's pattern."""
-    if not (np.isfinite(w1) and np.isfinite(w2)):
-        raise ValueError("mass weights must be finite")
+    _check_weights(w1, w2)
     p = _pieces(mesh)
     return p.form(w1 * p.m1 + w2 * p.m2)
 

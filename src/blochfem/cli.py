@@ -143,7 +143,7 @@ def _cmd_check(args):
     import numpy as np
 
     from . import dispersion
-    from .assembly import assemble_tm, max_asymmetry, weighted_mass
+    from .assembly import assemble_tm, max_asymmetry
     from .driver import fourier_lambda1
     from .eigeniter import Pencil, inverse_power_rq
     from .mesh import build_mesh, evaluate, prolongate
@@ -161,7 +161,7 @@ def _cmd_check(args):
     asym = max_asymmetry(forms.K.mat)
     check("stiffness Hermitian", asym <= 1e-12, "asym %.2e" % asym)
 
-    pencil = Pencil.from_stiffness(forms.K, weighted_mass(mesh, 1.0, 1.0), 1.0)
+    pencil = Pencil.on_mesh(mesh, k, (1.0, 1.0), 1.0)
     tr, _ = inverse_power_rq(pencil, np.ones(pencil.n, complex), tol=1e-10)
     lam = tr[-1].lam
     exact = fourier_lambda1(k)

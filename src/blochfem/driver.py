@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import dispersion
-from .assembly import assemble_tm, region_masses, weighted_mass
+from .assembly import assemble_tm, region_masses, release_pieces
 from .companion import (
     build_companion,
     default_big_start,
@@ -331,13 +331,17 @@ def _power_pencil(config, mesh, coarse):
         u = np.ones(mesh.dof_count, dtype=complex)
     else:
         u = prolongate(coarse[1].u, coarse[0], mesh)
-    # K and M are dropped on return, before anything is factorized
-    forms = assemble_tm(mesh, config.k)
-    pencil = Pencil.from_stiffness(
-        forms.K, weighted_mass(mesh, config.alpha1, config.model.c),
-        config.resolved_beta(),
-    )
+    pencil = Pencil.on_mesh(mesh, config.k, (config.alpha1, config.model.c),
+                            config.resolved_beta())
     return pencil, u
+
+
+def _release_reference_pieces(config, mesh):
+    """Drops the cached region pieces once the operators of a reference
+    level (one beyond ``max_level``) are built: a run reads no level's
+    pieces after that."""
+    if mesh.level > config.max_level:
+        release_pieces()
 
 
 def _power_level(config, mesh, coarse, trace, leg):
@@ -350,6 +354,7 @@ def _companion_level(config, mesh, coarse, trace, leg):
     pencil = build_companion(
         mesh, config.k, config.model, alpha1=config.alpha1, beta=config.resolved_beta()
     )
+    _release_reference_pieces(config, mesh)
     if coarse is None:
         z = default_big_start(pencil)
     else:
@@ -375,6 +380,7 @@ def _newton_level(config, mesh, coarse, trace, leg):
         mesh, config.k, config.model, alpha1=config.alpha1, forms=forms
     )
     if coarse is not None:
+        _release_reference_pieces(config, mesh)
         coarse_mesh, state = coarse
         u = prolongate(state.u, coarse_mesh, mesh)
         return residual_inverse_iteration(
@@ -382,7 +388,7 @@ def _newton_level(config, mesh, coarse, trace, leg):
         )
     u, omega = warm_start(
         mesh, config.k, const_eps2=config.warm_eps2,
-        rq_steps=config.warm_rq_steps, alpha1=config.alpha1, forms=forms,
+        rq_steps=config.warm_rq_steps, alpha1=config.alpha1,
     )
     trace.note(
         "warm start: %d Rayleigh steps on the eps2=%g model, omega0=%.6g"
@@ -418,6 +424,12 @@ def compute_reference(config, final=None, tol=REFERENCE_TOL):
     proof, and ``mu_ref`` is the pencil's own Rayleigh quotient.
     ``homogeneous_check`` returns the analytic Fourier value and solves
     nothing.
+
+    A reference is the last thing a run solves, so it releases the cached
+    region pieces (:func:`~blochfem.assembly.release_pieces`): the
+    schedule's before the finer mesh is built, and the finer mesh's once
+    its operators are, M1 and M2 taken, before the bound's symbol and the
+    leg. A schedule run after it builds each level again.
     """
     config.validate()
     if config.experiment == "homogeneous_check":
@@ -428,6 +440,7 @@ def compute_reference(config, final=None, tol=REFERENCE_TOL):
         )
     if final is None:
         final = run_schedule(config).final
+    release_pieces()
     mesh = build_mesh(config.max_level + 1)
     trace = IterationTrace()
     leg = dict(tol=tol, max_steps=max(config.max_fine_steps, 2000))
@@ -437,8 +450,12 @@ def compute_reference(config, final=None, tol=REFERENCE_TOL):
         _newton_level(config, mesh, final, trace, leg)
     else:
         pencil, u = _power_pencil(config, mesh, final)
-        dual = BoundedDualNorm(pencil.dual_operator(), *region_masses(mesh),
+        masses = region_masses(mesh)
+        release_pieces()
+        dual = BoundedDualNorm(pencil.dual_operator(), *masses,
                                (config.alpha1, config.model.c), tol)
+        # the bound keeps only its stencil of them
+        del masses
         lopcg(pencil, u, dual=dual, mesh_level=mesh.level, trace=trace, **leg)
     last = trace[-1]
     return ReferenceSolution(

@@ -36,9 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .assembly import assemble_tm
 from .errors import NonConvergenceError
-from .linalg import (DualNorm, Factorization, HermitianSparse,
-                     rayleigh_quotient, shared_data, with_data)
+from .linalg import (DualNorm, Factorization, rayleigh_quotient,
+                     shared_data, with_data)
 from .trace import IterationTrace
 
 __all__ = [
@@ -83,8 +84,9 @@ class Pencil:
     step. For beta == 1 the two matrices coincide bitwise, so one
     factorization serves both purposes. A_beta and M_w are
     :class:`HermitianSparse`, Hermitian by construction; built by
-    :meth:`from_stiffness` they share the forms' one pattern, so the dual
-    operator is a sum of their data vectors.
+    :meth:`on_mesh` they share the mesh's one pattern, so the dual
+    operator is a sum of their data vectors, and neither K(k) nor the
+    plain mass is ever held whole.
     """
 
     def __init__(self, A_beta, M_w, beta):
@@ -100,12 +102,12 @@ class Pencil:
         self._dual = None
 
     @classmethod
-    def from_stiffness(cls, K, M_w, beta):
-        """Build (K + beta*M_w, M_w) from the unshifted stiffness, on the
-        pattern K and M_w share."""
-        Kd, Md = shared_data(K, M_w)
-        return cls(HermitianSparse(with_data(K.mat, Kd + float(beta) * Md)),
-                   M_w, beta)
+    def on_mesh(cls, mesh, k, weights, beta):
+        """The pencil (K(k) + beta*M_w, M_w) of ``mesh``, with M_w =
+        w1*M1 + w2*M2 for ``weights`` = (w1, w2), summed a block at a time
+        from the mesh's region pieces
+        (:func:`~blochfem.assembly.assemble_tm` with ``shift``)."""
+        return cls(*assemble_tm(mesh, k, shift=(weights, beta)), beta)
 
     @property
     def n(self):

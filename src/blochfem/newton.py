@@ -47,7 +47,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from . import dispersion
-from .assembly import AssembledForms, assemble_tm, weighted_mass
+from .assembly import AssembledForms, assemble_tm
 from .eigeniter import Pencil, inverse_power_rq, iterate
 from .errors import NonConvergenceError, SingularMatrixError
 from .linalg import (DualNorm, Factorization, rayleigh_quotient, shared_data,
@@ -361,7 +361,7 @@ def _rii_rows(pencil, u0, sigma, trace, to_tol):
             yield from _newton_rows(pencil, state, res=res)
 
 
-def warm_start(mesh, k, const_eps2=2.0, rq_steps=8, alpha1=1.0, forms=None):
+def warm_start(mesh, k, const_eps2=2.0, rq_steps=8, alpha1=1.0):
     """Start pair from Rayleigh iteration on a constant-permittivity proxy.
 
     Freezes the dispersive permittivity at ``const_eps2``, runs ``rq_steps``
@@ -374,10 +374,7 @@ def warm_start(mesh, k, const_eps2=2.0, rq_steps=8, alpha1=1.0, forms=None):
         raise ValueError(f"const_eps2 must be positive, got {const_eps2}")
     if rq_steps < 0:
         raise ValueError(f"rq_steps must be >= 0, got {rq_steps}")
-    if forms is None:
-        forms = assemble_tm(mesh, k)
-    M_w = weighted_mass(mesh, alpha1, const_eps2)
-    pencil = Pencil.from_stiffness(forms.K, M_w, beta=1.0)
+    pencil = Pencil.on_mesh(mesh, k, (alpha1, const_eps2), 1.0)
     u = np.ones(pencil.n, dtype=complex)
     if rq_steps == 0:
         lam = rayleigh_quotient(u, pencil.A_beta, pencil.M_w) - 1.0

@@ -26,7 +26,7 @@ from scipy.optimize import brentq
 from scipy.sparse.linalg import eigsh
 
 from blochfem import dispersion, driver
-from blochfem.assembly import assemble_tm, weighted_mass
+from blochfem.assembly import assemble_tm
 from blochfem.companion import build_companion, shift_lower_bound, solve_linearized
 from blochfem.eigeniter import (
     Pencil,
@@ -100,10 +100,7 @@ def exp2_run():
 
 @pytest.fixture(scope="module")
 def disk_pencil1():
-    mesh = build_mesh(1)
-    forms = assemble_tm(mesh, K_POINT)
-    Mw = weighted_mass(mesh, 1.0, 8.0)
-    return Pencil.from_stiffness(forms.K, Mw, beta=1.0)
+    return Pencil.on_mesh(build_mesh(1), K_POINT, (1.0, 8.0), 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -224,11 +221,7 @@ def test_c04_krylov_dominates_power(disk_pencil1):
         res = arnoldi(p, u0, m)
         sandwich_ok &= mu1 <= res.mu + 1e-12 <= mus_pow[m - 2] + 2e-12
 
-    p0 = Pencil.from_stiffness(
-        assemble_tm(build_mesh(0), K_POINT).K,
-        weighted_mass(build_mesh(0), 1.0, 8.0),
-        beta=1.0,
-    )
+    p0 = Pencil.on_mesh(build_mesh(0), K_POINT, (1.0, 8.0), 1.0)
     full = arnoldi(p0, default_start(p0.n), m=p0.n)
     dense = sla.eigh(p0.A_beta.mat.toarray(), p0.M_w.mat.toarray(), eigvals_only=True)
     gap = abs(full.mu - dense[0])

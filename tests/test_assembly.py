@@ -6,6 +6,7 @@ M = M1 + M2 bitwise, K(-k) = conj(K(k)) and K(k) 1 = |k|^2 M 1.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from scipy import sparse
 from blochfem import assembly as asm, mesh as msh
 from blochfem.eigeniter import Pencil
 from blochfem.errors import HermitianViolationError
-from blochfem.linalg import rayleigh_quotient
+from blochfem.linalg import rayleigh_quotient, shared_data
 from blochfem.q2 import tensor_rule
 
 K_GENERIC = (np.pi / 2, np.pi)
@@ -84,10 +85,10 @@ def test_pieces_are_checked_once_per_build(monkeypatch):
     asm.assemble_tm(mesh, K_GENERIC)
     # per cell set: the reference element, then the mixed cells per region
     assert batches == [1, 1, 1, 1, 5, 5]
-    forms = asm.assemble_tm(mesh, (0.3, -1.1))
-    Mw = asm.weighted_mass(mesh, 1.0, 8.0)
+    asm.assemble_tm(mesh, (0.3, -1.1))
+    asm.weighted_mass(mesh, 1.0, 8.0)
     asm.weighted_mass(mesh, 2.0, 3.0)
-    Pencil.from_stiffness(forms.K, Mw, beta=1.0)
+    Pencil.on_mesh(mesh, (0.3, -1.1), (1.0, 8.0), 1.0)
     assert len(batches) == 6
     # the stiffness and the mass of each of the six batches are checked;
     # the convection elements are not symmetric, so they cannot be
@@ -143,16 +144,7 @@ def _oracle_pieces(mesh):
     return dict(M1=M1, M2=M2, K0=K1 + K2, Dx=(Cx.T - Cx).tocsr(), Dy=(Cy.T - Cy).tocsr())
 
 
-@pytest.mark.parametrize("level, disk", [
-    (0, None), (1, None), (2, None), (3, None),
-    # inside one level-0 cell: one cell meets the disk at a Gauss point
-    # only, no cell corner disagrees, so the cut set is empty
-    (0, msh.MaterialMap(center=(0.5625, 0.5625), radius=0.03)),
-])
-def test_pieces_match_the_coo_scatter_bitwise(monkeypatch, level, disk):
-    if disk is not None:
-        monkeypatch.setattr(asm, "DISK", disk)
-    mesh = msh.build_mesh(level)
+def _assert_pieces_match_the_oracle(mesh):
     pieces = asm._RegionPieces(mesh)
     for name, want in _oracle_pieces(mesh).items():
         got = getattr(pieces, name)
@@ -160,6 +152,31 @@ def test_pieces_match_the_coo_scatter_bitwise(monkeypatch, level, disk):
         for attr in ("data", "indices", "indptr"):
             a, b = getattr(got, attr), getattr(want, attr)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, attr)
+
+
+@pytest.mark.parametrize("level, disk", [
+    (0, None), (1, None), (2, None), (3, None),
+    # inside one level-0 cell: one cell meets the disk at a Gauss point
+    # only, no cell corner disagrees, so the cut set is empty
+    (0, msh.MaterialMap(center=(0.5625, 0.5625), radius=0.03)),
+    (4, None), (0, BOTH_SETS_MIXED),
+])
+def test_pieces_match_the_coo_scatter_bitwise(monkeypatch, level, disk):
+    if disk is not None:
+        monkeypatch.setattr(asm, "DISK", disk)
+    _assert_pieces_match_the_oracle(msh.build_mesh(level))
+
+
+@pytest.mark.parametrize("level, disk", [
+    (0, None), (1, None), (2, None), (0, BOTH_SETS_MIXED),
+])
+def test_pieces_in_short_blocks_match_the_coo_scatter_bitwise(monkeypatch, level, disk):
+    # blocks far shorter than a level's pattern: every block edge falls
+    # mid-row, and many blocks hold no cut cell, or no cell of a region
+    if disk is not None:
+        monkeypatch.setattr(asm, "DISK", disk)
+    monkeypatch.setattr(asm, "BLOCK", 97)
+    _assert_pieces_match_the_oracle(msh.build_mesh(level))
 
 
 #: the four wave vectors of the pattern tests: generic (complex K), one
@@ -191,23 +208,32 @@ def _assert_same_bytes(got, want, name):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, attr)
 
 
-@pytest.mark.parametrize("level", range(4))
-def test_forms_on_the_pattern_match_scipy_sums_bitwise(level):
+@pytest.mark.parametrize("level", range(5))
+def test_forms_on_the_pattern_match_scipy_sums_bitwise(level, monkeypatch):
     mesh = msh.build_mesh(level)
     pieces = asm._pieces(mesh)
     for k in K_PATTERN:
         forms = asm.assemble_tm(mesh, k)
         Mw = asm.weighted_mass(mesh, *W_PATTERN)
-        pencil = Pencil.from_stiffness(forms.K, Mw, beta=1.0)
+        pencil = Pencil.on_mesh(mesh, k, W_PATTERN, 1.0)
         got = dict(K=forms.K, M=forms.M, M_w=Mw, A_beta=pencil.A_beta)
         for name, want in _scipy_forms(pieces, k, 1.0).items():
             _assert_same_bytes(got[name].mat, want, (k, name))
+        _assert_same_bytes(pencil.M_w.mat, got["M_w"].mat, (k, "pencil M_w"))
     # the dual operator K + M_w of a shifted pencil, at the last k
     want = _scipy_forms(pieces, k, 2.5)
-    shifted = Pencil.from_stiffness(forms.K, Mw, beta=2.5)
+    shifted = Pencil.on_mesh(mesh, k, W_PATTERN, 2.5)
     _assert_same_bytes(shifted.dual_operator(),
                        (want["A_beta"] + (1.0 - 2.5) * want["M_w"]).tocsr(),
                        "dual_operator")
+    # blocks shorter than the pattern, whose edges fall mid-row
+    monkeypatch.setattr(asm, "BLOCK", 999)
+    for k in K_PATTERN:
+        for beta in (1.0, 2.5):
+            want = _scipy_forms(pieces, k, beta)
+            pencil = Pencil.on_mesh(mesh, k, W_PATTERN, beta)
+            _assert_same_bytes(pencil.A_beta.mat, want["A_beta"], (k, beta, "A_beta"))
+            _assert_same_bytes(pencil.M_w.mat, want["M_w"], (k, beta, "M_w"))
 
 
 @pytest.mark.parametrize("level", range(4))
@@ -236,7 +262,7 @@ def test_forms_of_one_mesh_share_one_read_only_pattern():
 
     mesh = msh.build_mesh(2)
     forms = asm.assemble_tm(mesh, K_PATTERN[0])
-    pencil = Pencil.from_stiffness(forms.K, asm.weighted_mass(mesh, 1.0, 8.0), 2.5)
+    pencil = Pencil.on_mesh(mesh, K_PATTERN[0], (1.0, 8.0), 2.5)
     nonlinear = NonlinearPencil(forms, model=None)
     mats = [forms.K.mat, forms.M.mat, forms.M1.mat, forms.M2.mat,
             asm.assemble_tm(mesh, K_PATTERN[1]).K.mat, pencil.A_beta.mat,
@@ -250,21 +276,54 @@ def test_forms_of_one_mesh_share_one_read_only_pattern():
         forms.M.mat.indptr[1] = 0
     # a matrix of another pattern is refused, not summed
     with pytest.raises(ValueError, match="pattern"):
-        Pencil.from_stiffness(forms.K, asm.weighted_mass(msh.build_mesh(1), 1.0, 8.0), 1.0)
+        shared_data(forms.K, asm.weighted_mass(msh.build_mesh(1), 1.0, 8.0))
 
 
 def test_shifted_operator_holds_exactly_its_entries():
     # a scipy sum keeps buffers sized for both summands; a sum of data
     # vectors allocates nnz entries
     mesh = msh.build_mesh(4)
-    forms = asm.assemble_tm(mesh, K_PATTERN[0])
-    pencil = Pencil.from_stiffness(forms.K, asm.weighted_mass(mesh, 1.0, 8.0), 1.0)
+    pencil = Pencil.on_mesh(mesh, K_PATTERN[0], (1.0, 8.0), 1.0)
     A = pencil.A_beta.mat
     buffer = A.data
     while buffer.base is not None:
         buffer = buffer.base
     assert buffer.nbytes == A.nnz * A.data.itemsize
     assert A.nnz == A.indices.size
+
+
+MIB = 2 ** 20
+
+
+def _traced(build):
+    """``build()``, the memory it holds on return and its peak, both
+    traced by tracemalloc from the call on."""
+    tracemalloc.start()
+    try:
+        out = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held, peak
+
+
+def test_cold_l4_pieces_peak_within_32_mib_of_what_they_keep():
+    # the scatter keeps an int32 slot and a uint8 key per entry and sums a
+    # block at a time: no nnz-long scratch array
+    mesh = msh.build_mesh(4)
+    _, held, peak = _traced(lambda: asm._RegionPieces(mesh))
+    assert peak - held <= 32 * MIB
+
+
+def test_l4_power_pencil_peaks_within_a_block_of_its_forms():
+    # neither K(k) nor M is held whole: the build holds A_beta, M_w and
+    # one block's scratch
+    mesh = msh.build_mesh(4)
+    asm._pieces(mesh)
+    pencil, _, peak = _traced(
+        lambda: Pencil.on_mesh(mesh, K_PATTERN[0], (1.0, 8.0), 1.0))
+    forms = pencil.A_beta.mat.data.nbytes + pencil.M_w.mat.data.nbytes
+    assert peak <= forms + asm.BLOCK * 16 + 2 * MIB
 
 
 def test_mass_splits_exactly(level1):

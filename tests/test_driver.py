@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from blochfem import dispersion, driver, linalg
+from blochfem import assembly as asm, dispersion, driver, linalg
 from blochfem.errors import NonConvergenceError
 from blochfem.trace import CSV_HEADER, IterationTrace
 
@@ -249,6 +249,26 @@ def test_reference_from_the_final_state_matches_the_standalone_one():
     ref = driver.compute_reference(cfg, trace.final)
     assert ref == driver.compute_reference(cfg)
     assert ref.level == 2 and ref.residual_dual <= driver.REFERENCE_TOL
+
+
+@pytest.mark.parametrize("cfg", [
+    linear_config(max_level=1),
+    driver.RunConfig(experiment="newton", model=silver(), steps_per_mesh=3,
+                     max_level=0, tol=1e-10),
+    driver.RunConfig(experiment="dl_linearized", model=two_oscillator(),
+                     steps_per_mesh=5, max_level=0, tol=1e-8),
+], ids=["linear", "newton", "dl_linearized"])
+def test_reference_releases_every_level_and_a_later_schedule_builds_each_once(
+        monkeypatch, cfg):
+    monkeypatch.setattr(asm, "_PIECES_CACHE", {})
+    trace = driver.run_schedule(cfg)
+    driver.compute_reference(cfg, trace.final)
+    assert asm._PIECES_CACHE == {}
+    builds, build = [], asm._RegionPieces
+    monkeypatch.setattr(asm, "_RegionPieces",
+                        lambda mesh: builds.append(mesh.level) or build(mesh))
+    driver.run_schedule(cfg)
+    assert builds == list(range(cfg.max_level + 1))
 
 
 def test_power_reference_factors_nothing_and_converges_from_a_stalling_start(monkeypatch):

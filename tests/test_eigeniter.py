@@ -6,7 +6,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from blochfem.assembly import assemble_tm, weighted_mass
+from blochfem.assembly import assemble_tm
 from blochfem.eigeniter import (
     FLOOR_FACTOR,
     FLOOR_STEPS,
@@ -51,9 +51,8 @@ def level0():
 @pytest.fixture(scope="module")
 def disk_pencil(level0):
     # experiment-style pencil: disk permittivity 8, unit shift
-    mesh, forms = level0
-    Mw = weighted_mass(mesh, 1.0, 8.0)
-    return Pencil.from_stiffness(forms.K, Mw, beta=1.0)
+    mesh, _ = level0
+    return Pencil.on_mesh(mesh, K_POINT, (1.0, 8.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +112,7 @@ def test_scaled_iterate_identity():
 
 
 def test_homogeneous_cell_reaches_fourier_value():
-    mesh = build_mesh(1)
-    forms = assemble_tm(mesh, K_POINT)
-    p = Pencil.from_stiffness(forms.K, forms.M, beta=1.0)
+    p = Pencil.on_mesh(build_mesh(1), K_POINT, (1.0, 1.0), 1.0)
     tr, _ = inverse_power_rq(p, default_start(p.n), tol=1e-10)
     assert tr[-1].lam == pytest.approx(ANALYTIC_HOMOG, rel=1e-10)
     assert tr.is_monotone_per_level()
@@ -299,9 +296,7 @@ def test_lopcg_rows_are_the_residuals_of_their_iterates(disk_pencil):
 
 @pytest.mark.parametrize("level", [0, 1])
 def test_lopcg_mu_never_rises(level):
-    mesh = build_mesh(level)
-    forms = assemble_tm(mesh, K_POINT)
-    p = Pencil.from_stiffness(forms.K, weighted_mass(mesh, 1.0, 8.0), 1.0)
+    p = Pencil.on_mesh(build_mesh(level), K_POINT, (1.0, 8.0), 1.0)
     trace, _ = lopcg(p, default_start(p.n), tol=1e-13, dual=p.dual)
     mus = trace.mus()
     assert trace[-1].residual_dual <= 1e-13
@@ -368,16 +363,16 @@ def test_lopcg_below_the_floor_raises_with_the_partial_trace(disk_pencil):
     assert len(err.value.trace) == 3
 
 
-def test_from_stiffness_shifts_correctly(level0):
+def test_on_mesh_shifts_correctly(level0):
     mesh, forms = level0
-    p = Pencil.from_stiffness(forms.K, forms.M, beta=2.5)
+    p = Pencil.on_mesh(mesh, K_POINT, (1.0, 1.0), 2.5)
     diff = (p.A_beta.mat - (forms.K.mat + 2.5 * forms.M.mat)).toarray()
     assert np.abs(diff).max() == 0.0
 
 
 def test_beta_one_reuses_solver_factorization(level0):
-    mesh, forms = level0
-    p = Pencil.from_stiffness(forms.K, forms.M, beta=1.0)
+    mesh, _ = level0
+    p = Pencil.on_mesh(mesh, K_POINT, (1.0, 1.0), 1.0)
     _ = p.factorization
     assert p.dual.fact is p.factorization
 

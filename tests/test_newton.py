@@ -67,8 +67,8 @@ def level1():
 @pytest.fixture(scope="module")
 def silver_run(level1):
     mesh, forms = level1
-    p = NonlinearPencil.from_mesh(mesh, K_POINT, silver(), forms=forms)
-    u0, om0 = warm_start(mesh, K_POINT, const_eps2=2.0, rq_steps=8, forms=forms)
+    p = NonlinearPencil.from_mesh(mesh, K_POINT, silver())
+    u0, om0 = warm_start(mesh, K_POINT, const_eps2=2.0, rq_steps=8)
     u, om, tr = newton_solve(p, u0, om0, tol=1e-12, mesh_level=1)
     # a fixed normalization vector for the single-step tests below
     y = np.random.default_rng(42).standard_normal(p.n)
@@ -260,13 +260,12 @@ def test_plain_mass_is_unweighted_sum(level1):
 
 def test_constant_model_matches_inverse_power(level1):
     mesh, forms = level1
-    Mw = weighted_mass(mesh, 1.0, 8.0)
-    pencil = Pencil.from_stiffness(forms.K, Mw, beta=1.0)
+    pencil = Pencil.on_mesh(mesh, K_POINT, (1.0, 8.0), 1.0)
     tr, _ = inverse_power_rq(pencil, np.ones(pencil.n, complex), tol=1e-12)
     lam_pow = tr[-1].lam
 
     p = NonlinearPencil(forms, model=dispersion.Constant(8.0))
-    u0, om0 = warm_start(mesh, K_POINT, const_eps2=8.0, rq_steps=3, forms=forms)
+    u0, om0 = warm_start(mesh, K_POINT, const_eps2=8.0, rq_steps=3)
     _, om, _ = newton_solve(p, u0, om0, tol=1e-13)
     assert om ** 2 == pytest.approx(lam_pow, abs=1e-10)
 
@@ -303,14 +302,14 @@ def test_warm_start_lands_near_newton_answer(silver_run):
 
 def test_warm_start_degenerate_and_validation(level1):
     mesh, forms = level1
-    u0, om0 = warm_start(mesh, K_POINT, const_eps2=2.0, rq_steps=0, forms=forms)
+    u0, om0 = warm_start(mesh, K_POINT, const_eps2=2.0, rq_steps=0)
     # rq_steps = 0: the all-ones start with its raw Rayleigh value
     assert np.allclose(u0, u0[0])
     assert om0 > 0
     with pytest.raises(ValueError):
-        warm_start(mesh, K_POINT, const_eps2=0.0, forms=forms)
+        warm_start(mesh, K_POINT, const_eps2=0.0)
     with pytest.raises(ValueError):
-        warm_start(mesh, K_POINT, rq_steps=-1, forms=forms)
+        warm_start(mesh, K_POINT, rq_steps=-1)
 
 
 # ---------------------------------------------------------------------------
