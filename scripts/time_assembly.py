@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the assembly layers, and the stages of the L4 power reference.
+"""Time the assembly layers, the Newton dual norm's set-up, and the stages
+of the L4 power reference.
 
     python3 scripts/time_assembly.py
 
@@ -19,11 +20,16 @@ Warm: five builds of a power pencil's forms on the cached pieces at L2-L4,
 ``assemble_tm(mesh, k, shift=((1, 8), 1))``, which sums A_beta and M_w a
 block at a time (the work of each new wave vector of a power level);
 prints the fastest build and the tracemalloc peak of one more.
+Newton dual: five builds of the dual norm of K + M that Newton's residuals
+take (``NonlinearPencil.dual``, an FFT inverse) at L2-L4, at experiment3's
+wave vector, on forms built beforehand; prints the fastest build, the
+tracemalloc peak of one more and the size of the sum K + M it keeps.
 
 BLAS runs on one thread, as in the benchmark's workers. Only ``src/`` and
 ``configs/`` are read.
 """
 
+import math
 import os
 import pathlib
 import resource
@@ -38,7 +44,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from blochfem import assembly, driver, mesh as msh  # noqa: E402
+from blochfem import assembly, dispersion, driver, mesh as msh  # noqa: E402
+from blochfem.newton import NonlinearPencil  # noqa: E402
 
 COLD_LEVELS = range(6)
 WARM_LEVELS = range(2, 5)
@@ -46,6 +53,9 @@ WARM_LEVELS = range(2, 5)
 WARM_K = (0.7, 1.3)
 #: the weights and shift of the warm pencil
 WARM_SHIFT = ((1.0, 8.0), 1.0)
+DUAL_LEVELS = range(2, 5)
+#: experiment3's wave vector
+DUAL_K = (math.pi / 2, math.pi)
 #: timed calls per level; the fastest is printed
 REPEAT = 5
 MIB = 2 ** 20
@@ -165,6 +175,22 @@ def main():
         best = _fastest(build)
         _, peak = _traced(build)
         print("%5d %8d %10.4f %10.1f" % (level, mesh.dof_count, best, peak))
+
+    print("Newton dual (K + M) at k = %s, fastest of %d; peak of one more, "
+          "and the sum K + M it keeps" % (DUAL_K, REPEAT))
+    print("%5s %8s %10s %10s %10s" % ("level", "dofs", "time_s", "peak_MiB",
+                                      "sum_MiB"))
+    for level in DUAL_LEVELS:
+        mesh = msh.build_mesh(level)
+        forms = assembly.assemble_tm(mesh, DUAL_K)
+
+        def build():
+            return NonlinearPencil(forms, dispersion.Constant(1.0)).dual
+        best = _fastest(build)
+        _, peak = _traced(build)
+        sum_mib = build().fact.mat.data.nbytes / MIB
+        print("%5d %8d %10.4f %10.1f %10.1f"
+              % (level, mesh.dof_count, best, peak, sum_mib))
 
 
 if __name__ == "__main__":

@@ -3,14 +3,16 @@
 Modules
 -------
 mesh        periodic Q2 DOF lattice, disk indicator, prolongation, FFT
-            inverse of cell-periodic operators
+            inverse of operators cell-periodic by construction, read from
+            the rows of cell (0, 0)
 assembly    Bloch-shifted stiffness and weighted mass matrices (TM);
             checks the symmetry of its element matrices once per build
 linalg      wrapper for matrices Hermitian by construction (unchecked),
             factorization, Rayleigh quotients, dual-norm residuals (by FFT
-            where K + M is cell-periodic), and the upper-bound dual norm of
-            K + M_w, preconditioned by the FFT inverse of K + w_min*M, that
-            the power-family reference runs on without a factorization
+            where the weights make K + M cell-periodic, as unit weights
+            do), and the upper-bound dual norm of K + M_w, preconditioned
+            by the FFT inverse of K + w_min*M, that the power-family
+            reference runs on without a factorization
 dispersion  permittivity models and their rational-function realizations
 eigeniter   inverse power iteration (with/without Rayleigh scaling), LOPCG,
             Arnoldi, and ``iterate``, the one loop every solver leg runs in

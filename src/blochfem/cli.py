@@ -5,8 +5,9 @@ must pin the BLAS/OpenMP pools through environment variables, and those are
 only honored if they are set before numpy first loads.
 
 Exit codes: 0 success, 2 solver failure (any ``BlochFEMError``, the
-reference solve included; one line on stderr, no traceback), 1 usage or I/O
-trouble.
+reference solve included; one line on stderr, no traceback; ``run`` still
+writes its schedule's trace, with rel_err NaN when the reference failed), 1
+usage or I/O trouble.
 """
 
 import argparse
@@ -86,8 +87,15 @@ def _cmd_run(args):
             print("partial trace written to %s" % cfg.out, file=sys.stderr)
         raise
     if cfg.use_reference:
-        # the reference starts from where the schedule ended
-        trace.fill_rel_err(driver.compute_reference(cfg, trace.final).mu_ref)
+        # the reference starts from where the schedule ended; when it fails,
+        # the schedule's rows are still written, with rel_err NaN
+        try:
+            reference = driver.compute_reference(cfg, trace.final)
+        except BlochFEMError:
+            if cfg.out:
+                driver.emit_csv(trace, cfg.out)
+            raise
+        trace.fill_rel_err(reference.mu_ref)
     if cfg.out:
         driver.emit_csv(trace, cfg.out)
     wall = time.perf_counter() - start

@@ -80,7 +80,9 @@ class EliminatedPencil(Pencil):
     M2 restricted to those columns (full V rows), and ``M_X`` is the square
     restriction; by construction ``R[xdofs, :] == M_X`` entry for entry.
     The pencil also keeps the V-space ``forms`` it was built from, the
-    pivot mass ``M_alpha`` and the model's ``realization``.
+    pivot mass ``M_alpha`` and the model's ``realization``;
+    ``cell_periodic`` says that M_alpha has one weight on both regions
+    (see :class:`NonlinearResidual`).
 
     Solving with the assembled extended matrix directly is numerically
     hopeless: a basis function whose support meets the disk only in a thin
@@ -114,7 +116,7 @@ class EliminatedPencil(Pencil):
     quantity the linearization exists to drive down.
     """
 
-    def __init__(self, forms, M_alpha, realization, beta):
+    def __init__(self, forms, M_alpha, realization, beta, cell_periodic=False):
         M2 = compact(forms.M2.mat)
         self.xdofs = np.flatnonzero(M2.diagonal().real > 0.0)
         self.R = M2.tocsc()[:, self.xdofs].tocsr()
@@ -122,6 +124,7 @@ class EliminatedPencil(Pencil):
         self.forms = forms
         self.M_alpha = M_alpha
         self.realization = realization
+        self.cell_periodic = cell_periodic
         A00 = self._v_block(realization.Xi, beta)
         L = realization.order
         blocks = [[A00] + [-b_l * self.R for b_l in realization.b]]
@@ -157,7 +160,7 @@ class EliminatedPencil(Pencil):
         """The :class:`NonlinearResidual` its rows record (built lazily)."""
         if self._residual is None:
             self._residual = NonlinearResidual(
-                self.forms, self.M_alpha, self.realization
+                self.forms, self.M_alpha, self.realization, self.cell_periodic
             )
         return self._residual
 
@@ -222,7 +225,8 @@ def build_companion(mesh, k, model, alpha1=1.0, beta=None):
     forms = assemble_tm(mesh, k)
     realization = dispersion.realize(model)
     M_alpha = weighted_mass(mesh, alpha1, model.alpha2)
-    return EliminatedPencil(forms, M_alpha, realization, beta)
+    return EliminatedPencil(forms, M_alpha, realization, beta,
+                            cell_periodic=alpha1 == model.alpha2)
 
 
 def default_big_start(pencil):
@@ -243,16 +247,20 @@ def lifted_big_start(pencil, u, lam):
 class NonlinearResidual:
     """Dual-norm residual of the rational eigenproblem, reusable across steps.
 
-    The dual norm lives on V with the pivot mass M_alpha; its factorization
-    is built once. The input u is renormalized to M_alpha-norm 1 so residual
-    magnitudes are comparable across steps and meshes.
+    The dual norm lives on V with the pivot mass M_alpha, and K + M_alpha
+    is inverted once: by FFT when ``cell_periodic`` says that M_alpha has
+    one weight on both regions (alpha1 == alpha2), so that K + M_alpha
+    repeats from cell to cell, and otherwise by one factorization. The
+    input u is renormalized to M_alpha-norm 1 so residual magnitudes are
+    comparable across steps and meshes.
     """
 
-    def __init__(self, forms, M_alpha, realization):
+    def __init__(self, forms, M_alpha, realization, cell_periodic=False):
         self.forms = forms
         self.M_alpha = M_alpha
         self.realization = realization
-        self.dual = DualNorm(forms.K.mat, M_alpha.mat)
+        self.dual = DualNorm(forms.K.mat, M_alpha.mat,
+                             cell_periodic=cell_periodic)
 
     def __call__(self, u, lam):
         Mu = self.M_alpha @ u
@@ -300,7 +308,7 @@ def solve_linearized(pencil, z0=None, steps=None, tol=None, mesh_level=0,
     z0 = np.asarray(z0, dtype=complex)
     if not np.any(z0[: pencil.n_v]):
         raise ValueError("start vector has a zero physical component")
-    # factor K + M_alpha before the first step factors the Schur complement;
+    # invert K + M_alpha before the first step factors the Schur complement;
     # built earlier, it raised experiment2's peak RSS by 2 MB (heap layout)
     pencil.nonlinear_residual
     if steps is None:

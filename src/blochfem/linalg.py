@@ -11,8 +11,9 @@ this module pins the contracts the eigensolvers rely on:
   1e-10 backward-error guarantee (one step of iterative refinement),
 * real Rayleigh quotients with an imaginary-residue diagnostics counter,
 * dual-norm residual evaluation sqrt(r^H (K+M)^{-1} r) with K+M inverted
-  once: by FFT when it repeats from cell to cell of the mesh, as the
-  unit-weight K(k) + M does, otherwise by a cached factorization.
+  once: by FFT when its builder knows from the weights that it repeats
+  from cell to cell of the mesh, as the unit-weight K(k) + M does,
+  otherwise by a cached factorization.
   :meth:`DualNorm.norm_and_solve` is the contract a
   preconditioner of :func:`~blochfem.eigeniter.lopcg` meets; the
   power-family reference meets it with :class:`BoundedDualNorm` instead,
@@ -227,9 +228,10 @@ class Factorization:
 
 
 class _PeriodicSolve:
-    """Solves with a cell-periodic CSR matrix through its FFT inverse
-    (:class:`~blochfem.mesh.CellPeriodicInverse`) and one step of
-    iterative refinement, which is always taken. It factors nothing.
+    """Solves with a CSR matrix that is cell-periodic by construction,
+    through its FFT inverse (:class:`~blochfem.mesh.CellPeriodicInverse`)
+    and one step of iterative refinement, which is always taken. It
+    factors nothing.
 
     The inverse symbol rounds the low-frequency modes, where K + M is
     least well conditioned, about ten times more than an LU does: on the
@@ -273,21 +275,24 @@ def rayleigh_quotient(u, A, B, Bu=None):
 class DualNorm:
     """Evaluator of the dual norm sqrt(r^H (K+M)^{-1} r).
 
-    Inverts K+M, summed on the pattern K and M share, once: by FFT when
-    K+M repeats from cell to cell of a mesh
-    (:meth:`~blochfem.mesh.CellPeriodicInverse.of` decides, from the
-    matrix alone), as K(k) + M does, and otherwise by one factorization.
+    Inverts K+M, summed on the pattern K and M share, once. Its builder
+    passes ``cell_periodic`` when the weights of K and M make K+M repeat
+    from cell to cell of a mesh, as unit weights do in K(k) + M: K+M is
+    then inverted by FFT from cell (0, 0)'s rows alone
+    (:meth:`~blochfem.mesh.CellPeriodicInverse.of_cell`), and factored
+    only when it is not on a mesh's DOF lattice. Otherwise it is factored.
     Meant to be constructed once per mesh (and wave vector) and reused for
     every residual of the run.
     """
 
-    def __init__(self, K, M):
+    def __init__(self, K, M, cell_periodic=False):
         Kd, Md = shared_data(K, M)
         A = with_data(_as_csr(K), Kd + Md)
-        inverse = CellPeriodicInverse.of(A)
-        if inverse is not None:
-            self.fact = _PeriodicSolve(A, inverse)
-            return
+        if cell_periodic:
+            inverse = CellPeriodicInverse.of_cell(A, A.data.take)
+            if inverse is not None:
+                self.fact = _PeriodicSolve(A, inverse)
+                return
         try:
             self.fact = Factorization(A)
         except SingularMatrixError as exc:

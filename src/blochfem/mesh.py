@@ -10,8 +10,10 @@ cell of a row or column wrapping round to the first.
 The circular interface is *not* meshed: the disk indicator is evaluated
 pointwise (at quadrature points during assembly), so cells stay perfect
 squares at every level and refinement is exactly nested. An operator
-assembled without the disk then repeats from cell to cell, and
-:class:`CellPeriodicInverse` inverts it by FFT.
+assembled with one weight on both regions then repeats from cell to cell,
+and :class:`CellPeriodicInverse` inverts it by FFT from the stencil of cell
+(0, 0): the weights it is built with say that it repeats, and nothing
+scans its other rows.
 """
 
 import math
@@ -28,7 +30,6 @@ __all__ = [
     "DISK",
     "PeriodicMesh",
     "build_mesh",
-    "PERIODIC_RTOL",
     "CellPeriodicInverse",
     "prolongate",
     "evaluate",
@@ -127,11 +128,6 @@ def build_mesh(level):
     return PeriodicMesh(level)
 
 
-#: an operator is taken as cell-periodic when each of its entries is within
-#: this fraction of cell (0, 0)'s largest entry of its counterpart there
-PERIODIC_RTOL = 1e-12
-
-
 class CellPeriodicInverse:
     """Exact inverse of an operator that repeats from cell to cell.
 
@@ -143,12 +139,12 @@ class CellPeriodicInverse:
     into one 4 x 4 matrix per frequency, the symbol, and its inverse is a
     DFT, one 4 x 4 product per frequency and the inverse DFT (Buzbee,
     Golub & Nielson, *SIAM J. Numer. Anal.* 7:627-656, 1970). The Q2
-    operators assembled with unit weights are such operators up to
-    quadrature rounding: K(k), M and their sums.
+    operators assembled with one weight on both regions are such operators
+    up to quadrature rounding: K(k), M and their sums.
 
-    Build it with :meth:`of`, which checks the operator first, or with
-    :meth:`of_cell`, which reads cell (0, 0)'s rows alone, for an operator
-    that is cell-periodic by construction. Calling it applies the inverse
+    Build it with :meth:`of_cell`, which reads cell (0, 0)'s rows alone.
+    Nothing is checked against the other rows: whoever builds the operator
+    knows from its weights that it repeats. Calling it applies the inverse
     of the operator's cell-(0, 0) stencil.
     """
 
@@ -168,52 +164,13 @@ class CellPeriodicInverse:
 
         ``entries(pos)`` gives the entries at the positions ``pos`` of a
         data vector on ``A``'s pattern. Only those of cell (0, 0)'s rows,
-        at most 100, are read, and nothing is checked against other rows.
+        at most 100, are read.
         """
-        cell = _cell_stencil(A, entries)
-        return None if cell is None else cls._of_stencil(cell[0], A.shape[0])
-
-    @classmethod
-    def of(cls, A):
-        """The inverse of CSR ``A``, or None when ``A`` is not cell-periodic
-        on the DOF lattice of a mesh, or its symbol is singular.
-
-        The stencil is read as :meth:`of_cell` reads it. Cell-periodic means
-        that every row stores the entries its counterpart in cell (0, 0)
-        stores, and that each real and imaginary part of every entry is
-        within ``PERIODIC_RTOL`` times the largest such part in cell
-        (0, 0)'s rows of its counterpart there. The diagonal is checked
-        first, in O(n), which turns most other operators away.
-        """
-        cell = _cell_stencil(A, A.data.take)
-        if cell is None:
+        stencil = _cell_stencil(A, entries)
+        if stencil is None:
             return None
-        stencil, first, cell_slot = cell
-        n = A.shape[0]
-        N = math.isqrt(n) // 2
-        tol = PERIODIC_RTOL * _largest_part(A.data[first])
-        diag = A.diagonal().reshape(N, 2, N, 2)
-        if _largest_part(diag - diag[:1, :, :1, :]) > tol:
-            return None
-        counts = np.diff(A.indptr)
-        per_type = counts.reshape(N, 2, N, 2)
-        if np.any(per_type != per_type[:1, :, :1, :]):
-            return None
-        # nnz-long: the slot of every stored entry
-        slot = _slots(A.indices,
-                      np.repeat(np.arange(n, dtype=A.indices.dtype), counts),
-                      2 * N)
-        stored = np.zeros(stencil.size, dtype=bool)
-        stored[cell_slot] = True
-        if not (slot is not None and stored.take(slot).all()
-                and _largest_part(A.data - stencil.take(slot)) <= tol):
-            return None
-        return cls._of_stencil(stencil, n)
-
-    @classmethod
-    def _of_stencil(cls, stencil, n):
         try:
-            return cls(stencil.reshape(4, 5, 5), math.isqrt(n) // 2,
+            return cls(stencil.reshape(4, 5, 5), math.isqrt(A.shape[0]) // 2,
                        real=stencil.dtype.kind != "c")
         except np.linalg.LinAlgError:
             return None
@@ -237,12 +194,15 @@ class CellPeriodicInverse:
 
 
 def _cell_stencil(A, entries):
-    """The stencil of cell (0, 0)'s rows of CSR ``A``, with the positions of
-    their entries and those entries' slots, or None when ``A`` is not on the
-    DOF lattice of a mesh or couples there beyond lattice offset 2.
+    """The stencil of cell (0, 0)'s rows of CSR ``A``, or None when ``A`` is
+    not on the DOF lattice of a mesh or couples there beyond lattice offset
+    2.
 
-    The stencil is 100 long, 0 where the rows store nothing; its entries
-    are ``entries(pos)`` at the rows' positions ``pos`` (see :func:`_slots`).
+    The stencil is 100 long, 0 where the rows store nothing: slot
+    25 * (type of the row's DOF) + 5 * (dy + 2) + (dx + 2) holds the entry
+    at lattice offset (dx, dy), modulo the lattice side, from the row's DOF
+    to the column's. Its entries are ``entries(pos)`` at the rows'
+    positions ``pos``.
     """
     n = A.shape[0]
     d = math.isqrt(n)
@@ -250,43 +210,19 @@ def _cell_stencil(A, entries):
     # lattice offsets of -2..2 stay distinct
     if A.shape != (n, n) or d * d != n or d < 16 or d & (d - 1):
         return None
-    # cell (0, 0): the DOFs (0, 0), (1, 0), (0, 1) and (1, 1)
-    rows = np.array([0, 1, d, d + 1], dtype=A.indices.dtype)
+    # cell (0, 0): the DOFs (0, 0), (1, 0), (0, 1) and (1, 1), types 0..3
+    rows = np.array([0, 1, d, d + 1])
     pos = np.concatenate([np.arange(A.indptr[i], A.indptr[i + 1]) for i in rows])
-    slot = _slots(A.indices[pos],
-                  np.repeat(rows, A.indptr[rows + 1] - A.indptr[rows]), d)
-    if slot is None:
+    kind = np.repeat(np.arange(4), A.indptr[rows + 1] - A.indptr[rows])
+    cols = A.indices[pos]
+    dx = (cols % d - kind % 2 + 2) % d
+    dy = (cols // d - kind // 2 + 2) % d
+    if max(dx.max(initial=0), dy.max(initial=0)) > 4:
         return None
     values = entries(pos)
     stencil = np.zeros(100, dtype=values.dtype)
-    stencil[slot] = values
-    return stencil, pos, slot
-
-
-def _slots(cols, rows, d):
-    """The stencil slot of each entry (``rows``, ``cols``) on the DOF
-    lattice of side ``d``: 25 * (type of the row's DOF) + 5 * (dy + 2) +
-    (dx + 2), (dx, dy) the lattice offset to the column's DOF modulo ``d``;
-    None when an offset is beyond 2. Computed in place, on two arrays as
-    long as the entries."""
-    shift = d.bit_length() - 1
-    slot = (cols >> shift) - (rows >> shift) + 2
-    dx = (cols & (d - 1)) - (rows & (d - 1)) + 2
-    slot &= d - 1
-    dx &= d - 1
-    if max(slot.max(initial=0), dx.max(initial=0)) > 4:
-        return None
-    slot += 10 * ((rows >> shift) & 1) + 5 * (rows & 1)
-    slot *= 5
-    slot += dx
-    return slot
-
-
-def _largest_part(a):
-    """The largest absolute real or imaginary part of the entries of ``a``."""
-    a = np.asarray(a)
-    parts = a.view(a.real.dtype) if a.dtype.kind == "c" else a
-    return max(parts.max(), -parts.min())
+    stencil[25 * kind + 5 * dy + dx] = values
+    return stencil
 
 
 def _symbol(stencil, N):

@@ -113,11 +113,12 @@ class NonlinearPencil:
     def dual(self):
         """The :class:`~blochfem.linalg.DualNorm` of K + M, built once.
 
-        K and M carry unit weights, so K + M repeats from cell to cell and
-        is inverted by FFT; no factorization is made for it.
+        K and M carry unit weights, so K + M repeats from cell to cell by
+        construction and is inverted by FFT from cell (0, 0)'s rows; no
+        factorization is made for it on a mesh.
         """
         if self._dual is None:
-            self._dual = DualNorm(self.forms.K, self.mass)
+            self._dual = DualNorm(self.forms.K, self.mass, cell_periodic=True)
         return self._dual
 
     def T(self, lam):

@@ -110,10 +110,17 @@ def test_reference_failure_exits_two_without_traceback(tmp_path, capsys, monkeyp
     monkeypatch.setattr(driver, "compute_reference", stalled)
     ini = tmp_path / "run.ini"
     ini.write_text(FAST_LINEAR.replace("tol = 1e-8", "tol = 1e-8\nuse_reference = true"))
+    out = tmp_path / "trace.csv"
     for command in ("run", "reference"):
-        assert main([command, "--config", str(ini)]) == 2
+        assert main([command, "--config", str(ini), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == "blochfem %s: dual residual did not reach 1e-12 within 2000 steps\n" % command
+        if command == "run":
+            # run still writes its schedule's trace, without a reference
+            lines = out.read_text().splitlines()
+            rel_err = lines[0].split(",").index("rel_err")
+            assert len(lines) > 1
+            assert all(line.split(",")[rel_err] == "nan" for line in lines[1:])
 
 
 def test_run_with_reference_runs_the_schedule_once(tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg as sla
 from scipy.optimize import brentq
 
-from blochfem import companion, dispersion, driver
+from blochfem import dispersion, driver, linalg
 from blochfem.companion import (
     EliminatedPencil,
     NonlinearResidual,
@@ -174,16 +174,31 @@ def test_a_power_leg_factors_the_dual_norm_before_the_schur_complement(monkeypat
     # the first row's step needs the Schur complement before its residual
     # needs K + M_alpha; the leg factors them in the other order, which
     # keeps the process's heap layout, and with it its peak RSS
-    order = []
-    dual_init = companion.DualNorm.__init__
-    monkeypatch.setattr(companion.DualNorm, "__init__",
-                        lambda self, *a: order.append("dual") or dual_init(self, *a))
-    fact = companion.Factorization
-    monkeypatch.setattr(companion, "Factorization",
-                        lambda S: order.append("schur") or fact(S))
+    factored = []
+    init = linalg.Factorization.__init__
+    monkeypatch.setattr(linalg.Factorization, "__init__",
+                        lambda self, A: factored.append(A) or init(self, A))
     cs = build_companion(build_mesh(0), K_POINT, two_oscillator())
     solve_linearized(cs, steps=2)
-    assert order == ["dual", "schur"]
+    K, Ma = cs.forms.K.mat, cs.M_alpha.mat
+    assert [A.data.tobytes() for A in factored] == [
+        (K.data + Ma.data).tobytes(), cs.schur.mat.data.tobytes()]
+
+
+@pytest.mark.parametrize("alpha1", [1.0, 2.0])
+def test_k_plus_m_alpha_is_inverted_by_fft_iff_alpha1_is_alpha2(alpha1, monkeypatch):
+    # alpha2 = 2: one weight on both regions makes K + M_alpha cell-periodic
+    factored = []
+    init = linalg.Factorization.__init__
+    monkeypatch.setattr(linalg.Factorization, "__init__",
+                        lambda self, A: factored.append(A.shape) or init(self, A))
+    cs = build_companion(build_mesh(1), K_POINT, two_oscillator(), alpha1=alpha1)
+    dual = cs.nonlinear_residual.dual
+    A = (cs.forms.K.mat + cs.M_alpha.mat).tocsr()
+    assert factored == ([] if alpha1 == 2.0 else [A.shape])
+    r = np.random.default_rng(5).standard_normal(cs.n_v) + 0.5j
+    lu = linalg.Factorization(A).solve(r)
+    assert dual(r) == pytest.approx(np.sqrt(np.vdot(r, lu).real), rel=1e-12, abs=0.0)
 
 
 def test_mu_trace_monotone_to_working_precision(sol1):

@@ -1,10 +1,15 @@
-"""Periodic Q2 mesh: DOF identification, nested prolongation, point evaluation."""
+"""Periodic Q2 mesh: DOF identification, nested prolongation, point
+evaluation, and an entry-by-entry oracle of cell periodicity."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from blochfem import mesh as msh
+from blochfem.assembly import assemble_tm
+from blochfem.linalg import with_data
 
 MESH0 = msh.build_mesh(0)
 RNG = np.random.default_rng(20240517)
@@ -176,3 +181,68 @@ def test_prolongate_validation():
         msh.prolongate(np.ones(coarse.dof_count), coarse, msh.build_mesh(2))
     with pytest.raises(ValueError, match="length"):
         msh.prolongate(np.ones(5), coarse, msh.build_mesh(1))
+
+
+# ---------------------------------------------------------------------------
+# the oracle of cell periodicity: the program inverts K + M by FFT because
+# its weights make it repeat from cell to cell; these tests check every entry
+
+#: each entry within this fraction of cell (0, 0)'s largest entry of its
+#: counterpart there
+PERIODIC_RTOL = 1e-12
+
+
+def _largest_parts(a):
+    """The larger of the absolute real and imaginary part of each entry."""
+    return np.maximum(np.abs(a.real), np.abs(a.imag))
+
+
+def cell_periodic(A, rtol=PERIODIC_RTOL):
+    """Whether CSR ``A``, on the DOF lattice of a mesh, repeats cell
+    (0, 0)'s rows over the cells: every row stores the slots its
+    counterpart in cell (0, 0) stores (a slot: the type of the row's DOF
+    and the lattice offset to the column's), and each real and imaginary
+    part of every entry is within ``rtol`` times the largest such part in
+    cell (0, 0)'s rows of its counterpart there."""
+    n = A.shape[0]
+    d = math.isqrt(n)
+    assert A.shape == (n, n) and d * d == n
+    counts = np.diff(A.indptr)
+    rows = np.repeat(np.arange(n), counts)
+    x, y = rows % d, rows // d
+    dx = (A.indices % d - x + 2) % d
+    dy = (A.indices // d - y + 2) % d
+    if max(dx.max(), dy.max()) > 4:
+        return False
+    kind = 2 * (y % 2) + x % 2
+    slot = 25 * kind + 5 * dy + dx
+    first = (x < 2) & (y < 2)
+    stencil = np.zeros(100, dtype=A.dtype)
+    stencil[slot[first]] = A.data[first]
+    stored = np.zeros(100, dtype=bool)
+    stored[slot[first]] = True
+    # a row of each type in cell (0, 0), in type order
+    first_counts = counts[[0, 1, d, d + 1]]
+    every_row = 2 * (np.arange(n) // d % 2) + np.arange(n) % 2
+    tol = rtol * _largest_parts(A.data[first]).max()
+    return bool(np.array_equal(counts, first_counts[every_row])
+                and stored[slot].all()
+                and _largest_parts(A.data - stencil[slot]).max() <= tol)
+
+
+@pytest.mark.parametrize("on_diagonal", [True, False])
+def test_oracle_rejects_a_perturbed_copy(on_diagonal):
+    # one entry of K + M moved by 1e-9 of its largest entry, far inside the
+    # disk: on the diagonal, or the last entry of its row
+    forms = assemble_tm(msh.build_mesh(2), (math.pi / 2, math.pi))
+    K, M = forms.K.mat, forms.M.mat
+    A = with_data(K, K.data + M.data)
+    assert cell_periodic(A)
+    row = A.shape[0] // 2 + 3
+    start, stop = A.indptr[row], A.indptr[row + 1]
+    idx = start + np.flatnonzero(A.indices[start:stop] == row)[0]
+    if not on_diagonal:
+        idx = stop - 1
+    data = A.data.copy()
+    data[idx] += 1e-9 * np.abs(A.data).max()
+    assert not cell_periodic(with_data(A, data))

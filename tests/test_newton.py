@@ -2,6 +2,7 @@
 normalization, agreement, failure policies, decay diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from blochfem.newton import (
     warm_start,
 )
 from test_dispersion import silver
+from test_mesh import cell_periodic
 
 K_POINT = (np.pi / 2, np.pi)
 
@@ -140,10 +142,13 @@ def test_singular_bordered_matrix_reported():
 
 
 # ---------------------------------------------------------------------------
-# the dual norm of K + M: by FFT, and by LU where K + M is not cell-periodic
+# the dual norm of K + M: by FFT, because unit weights build K + M
+# cell-periodic, and by LU for forms off a mesh lattice; the entry-by-entry
+# oracle (test_mesh.cell_periodic) checks that the weights tell the truth
 
 # (pi/2, pi) as experiment3, the origin, and benchmark pool point 38
 DUAL_K_POINTS = [K_POINT, (0.0, 0.0), (3.0557955062589977, 1.9657217236799707)]
+MIB = 2 ** 20
 
 
 @pytest.fixture
@@ -163,10 +168,10 @@ def factor_sizes(monkeypatch):
 @pytest.mark.parametrize("k", DUAL_K_POINTS)
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_dual_norm_of_k_plus_m_takes_the_fft(level, k, factor_sizes):
-    forms = assemble_tm(build_mesh(level), k)
-    dual = linalg.DualNorm(forms.K, forms.M)
+    p = NonlinearPencil.from_mesh(build_mesh(level), k, silver())
+    dual = p.dual
     assert factor_sizes == []
-    A = (forms.K.mat + forms.M.mat).tocsr()
+    A = (p.forms.K.mat + p.mass.mat).tocsr()
     rng = np.random.default_rng(level)
     r = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
     val, z = dual.norm_and_solve(r)
@@ -178,37 +183,40 @@ def test_dual_norm_of_k_plus_m_takes_the_fft(level, k, factor_sizes):
     assert val == pytest.approx(np.sqrt(np.vdot(r, lu).real), rel=1e-12, abs=0.0)
 
 
-def _dual_norm_factors(K, M, factor_sizes):
-    linalg.DualNorm(K, M)
-    return factor_sizes == [K.shape[0]]
+@pytest.mark.parametrize("k", DUAL_K_POINTS)
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
+def test_unit_weights_build_k_plus_m_cell_periodic(level, k):
+    forms = assemble_tm(build_mesh(level), k)
+    K, M = forms.K.mat, forms.M.mat
+    assert cell_periodic(linalg.with_data(K, K.data + M.data))
 
 
-def test_dual_norm_with_a_disk_weight_factors(factor_sizes):
-    # the companion's K + M_alpha, alpha1 = 1 and alpha2 = 2
+@pytest.mark.parametrize("weights", [(1.0, 2.0), (2.0, 2.0)])
+def test_only_one_weight_builds_k_plus_m_alpha_cell_periodic(weights):
+    # the companion's K + M_alpha is inverted by FFT iff alpha1 == alpha2
     mesh = build_mesh(2)
-    forms = assemble_tm(mesh, K_POINT)
-    assert _dual_norm_factors(forms.K.mat, weighted_mass(mesh, 1.0, 2.0).mat,
-                              factor_sizes)
+    K = assemble_tm(mesh, K_POINT).K.mat
+    M_alpha = weighted_mass(mesh, *weights).mat
+    A = linalg.with_data(K, K.data + M_alpha.data)
+    assert cell_periodic(A) == (weights[0] == weights[1])
 
 
 def test_dual_norm_off_a_mesh_lattice_factors(factor_sizes):
-    forms = diag_forms([1.0, 3.0], [1.0, 1.0], [0.0, 0.0])
-    assert _dual_norm_factors(forms.K.mat, forms.M.mat, factor_sizes)
+    toy_pencil().dual
+    assert factor_sizes == [2]
 
 
-@pytest.mark.parametrize("on_diagonal", [True, False])
-def test_dual_norm_of_a_perturbed_copy_factors(on_diagonal, factor_sizes):
-    # one entry of K + M moved by 1e-9 of its largest entry, far inside the
-    # disk: on the diagonal, or the last entry of its row
-    forms = assemble_tm(build_mesh(2), K_POINT)
-    K = forms.K.mat
-    row = K.shape[0] // 2 + 3
-    idx = K.indptr[row] + np.flatnonzero(K.indices[K.indptr[row]:K.indptr[row + 1]] == row)[0]
-    if not on_diagonal:
-        idx = K.indptr[row + 1] - 1
-    data = K.data.copy()
-    data[idx] += 1e-9 * np.abs((K + forms.M.mat).data).max()
-    assert _dual_norm_factors(linalg.with_data(K, data), forms.M.mat, factor_sizes)
+def test_l4_dual_norm_set_up_peaks_within_16_mib_of_k_plus_m():
+    # the FFT inverse reads cell (0, 0)'s rows; nothing nnz-long is built
+    # beyond the sum K + M that the solve keeps
+    p = NonlinearPencil.from_mesh(build_mesh(4), K_POINT, silver())
+    tracemalloc.start()
+    try:
+        dual = p.dual
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - dual.fact.mat.data.nbytes <= 16 * MIB
 
 
 # ---------------------------------------------------------------------------
