@@ -32,15 +32,17 @@ def main():
     for s in (3, 5, 7):
         cfg = replace(base, steps_per_mesh=s, fine_only=False)
         t0 = time.perf_counter()
-        tr = driver.run_schedule(cfg, reference=ref)
+        tr = driver.run_schedule(cfg)
         wall = time.perf_counter() - t0
+        tr.fill_rel_err(ref.mu_ref)
         driver.emit_csv(tr, out_dir / ("experiment1_s%d.csv" % s))
         rows.append(("s=%d" % s, tr, wall))
 
     fine = replace(base, fine_only=True)
     t0 = time.perf_counter()
-    tr = driver.run_schedule(fine, reference=ref)
+    tr = driver.run_schedule(fine)
     wall = time.perf_counter() - t0
+    tr.fill_rel_err(ref.mu_ref)
     driver.emit_csv(tr, out_dir / "experiment1_fine_only.csv")
     rows.append(("fine-only", tr, wall))
 

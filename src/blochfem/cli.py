@@ -84,7 +84,6 @@ def _cmd_run(args):
     except NonConvergenceError as err:
         if err.trace is not None and cfg.out:
             driver.emit_csv(err.trace, cfg.out)
-            print("partial trace written to %s" % cfg.out, file=sys.stderr)
         raise
     if cfg.use_reference:
         # the reference starts from where the schedule ended; when it fails,

@@ -42,14 +42,12 @@ from .companion import (
     shift_lower_bound,
     solve_linearized,
 )
-from .eigeniter import Pencil, inverse_power_rq, iterate, lopcg
+from .eigeniter import Pencil, inverse_power_rq, lopcg
 from .errors import BlochFEMError, NonConvergenceError
 from .linalg import BoundedDualNorm
 from .mesh import build_mesh, prolongate
 from .newton import (
-    NewtonState,
     NonlinearPencil,
-    _newton_rows,
     newton_solve,
     residual_inverse_iteration,
     warm_start,
@@ -270,7 +268,7 @@ class SweepPoint:
 # the schedule
 
 
-def run_schedule(config, reference=None):
+def run_schedule(config):
     """Run one experiment through the steps-per-mesh schedule.
 
     One loop serves every experiment family: on each level (level 0 up to
@@ -282,9 +280,6 @@ def run_schedule(config, reference=None):
     :class:`IterationTrace`, with the last level's ``(mesh, state)`` in
     ``trace.final``; a solver failure is noted in ``trace.notes`` and
     re-raised with the partial trace attached.
-
-    ``reference`` fills the relative-eigenvalue-error column, of a partial
-    trace too.
     """
     config.validate()
     level_fn = {"dl_linearized": _companion_level, "newton": _newton_level}.get(
@@ -307,9 +302,6 @@ def run_schedule(config, reference=None):
         if err.trace is None:
             err.trace = trace
         raise
-    finally:
-        if reference is not None:
-            trace.fill_rel_err(reference.mu_ref)
     return trace
 
 
@@ -370,15 +362,13 @@ def _newton_level(config, mesh, coarse, trace, leg):
 
     A refined level factors T(sigma) once, with sigma the coarse lambda,
     and runs :func:`~blochfem.newton.residual_inverse_iteration` from the
-    prolongated field. Level 0 and ``fine_only`` runs start from the warm
-    start and run bordered Newton: a fixed-step leg normalized against the
-    warm start throughout, a tolerance leg (:func:`newton_solve`) each step
-    against the iterate it starts from.
+    prolongated field. Level 0, or the only level of a ``fine_only`` run,
+    runs :func:`~blochfem.newton.newton_solve` from the warm start, a
+    fixed-step or a tolerance leg as ``leg`` says, and hands its last state
+    on.
     """
-    forms = assemble_tm(mesh, config.k)
-    pencil = NonlinearPencil.from_mesh(
-        mesh, config.k, config.model, alpha1=config.alpha1, forms=forms
-    )
+    pencil = NonlinearPencil(assemble_tm(mesh, config.k), config.model,
+                             alpha1=config.alpha1)
     if coarse is not None:
         _release_reference_pieces(config, mesh)
         coarse_mesh, state = coarse
@@ -394,15 +384,8 @@ def _newton_level(config, mesh, coarse, trace, leg):
         "warm start: %d Rayleigh steps on the eps2=%g model, omega0=%.6g"
         % (config.warm_rq_steps, config.warm_eps2, omega)
     )
-    if "steps" not in leg:
-        u, omega, _ = newton_solve(
-            pencil, u, omega, mesh_level=mesh.level, trace=trace, **leg
-        )
-        return NewtonState(u=u, lam=omega ** 2, y=u)
-    # coarse legs hand the exact lam on: a round trip through omega moves it
-    # by an ulp in about half the cases
-    rows = _newton_rows(pencil, NewtonState.normalized(pencil, u, omega ** 2))
-    return iterate(rows, pencil.n, trace, mesh.level, **leg)[1]
+    return newton_solve(pencil, u, omega, mesh_level=mesh.level, trace=trace,
+                        **leg)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ Two iterations solve T(lam) u = 0:
 
 * **Bordered Newton** (:func:`newton_step`, :func:`newton_solve`), closed by
   the normalization P_y u = y^H M u = 1 against a vector y (M is the plain,
-  unweighted mass). :func:`newton_solve` takes y to be the
-  mass-normalized iterate each step starts from; the level-0 leg of a
-  schedule and the hand-over from residual inverse iteration keep y fixed
-  at their mass-normalized start. One step solves the bordered
-  Hermitian-plus-border system
+  unweighted mass). :func:`newton_solve` is the level-0 leg of a schedule:
+  a fixed-step leg, and the hand-over from residual inverse iteration,
+  keep y fixed at their mass-normalized start; a tolerance leg takes y to
+  be the mass-normalized iterate each step starts from. One step solves
+  the bordered Hermitian-plus-border system
 
       [[T(lam), dT(lam) u], [y^H M, 0]] (s, nu) = (-T(lam) u, 0)
 
@@ -95,10 +95,8 @@ class NonlinearPencil:
         self._dual = None
 
     @classmethod
-    def from_mesh(cls, mesh, k, model, alpha1=1.0, forms=None):
-        if forms is None:
-            forms = assemble_tm(mesh, k)
-        return cls(forms, model, alpha1=alpha1)
+    def from_mesh(cls, mesh, k, model, alpha1=1.0):
+        return cls(assemble_tm(mesh, k), model, alpha1=alpha1)
 
     @property
     def n(self):
@@ -165,12 +163,6 @@ class NewtonState:
         u = _mass_normalized(pencil, u)
         return cls(u=u, lam=lam, y=u)
 
-    @property
-    def omega(self):
-        if self.lam < 0.0:
-            raise ValueError(f"lam = {self.lam} is negative; omega undefined")
-        return math.sqrt(self.lam)
-
 
 def _normalized_against(u, my):
     pyu = np.vdot(my, u)
@@ -213,42 +205,44 @@ def newton_step(pencil, state):
     return NewtonState(u=u, lam=lam, y=state.y)
 
 
-def newton_solve(pencil, u0, omega0, *, tol=1e-13, max_steps=30, mesh_level=0,
-                 trace=None):
-    """Newton iteration from (u0, omega0) until the dual residual reaches tol.
+def newton_solve(pencil, u0, omega0, *, steps=None, tol=None, max_steps=30,
+                 mesh_level=0, trace=None):
+    """Bordered Newton from (u0, omega0): ``steps`` steps, or until the dual
+    residual reaches ``tol``.
 
-    Every step is normalized against the iterate it starts from: that
-    iterate is mass-normalized and taken as y, so the update is
+    The start is mass-normalized, with lam0 = omega0**2 as
+    :func:`warm_start` hands it over. A fixed-step leg normalizes every
+    step against that start. A tolerance leg normalizes each step against
+    the iterate it starts from, mass-normalized, so the update is
     M-orthogonal to it and the border follows the eigenvector even from a
-    start as far off as a warm start. The trace records the residual of the
-    *start* as its first row, which ``max_steps`` does not count, then one
-    row per Newton step, so decay diagnostics see the full history.
+    start as far off as a warm start; its trace records the residual of
+    the *start* as its first row, which ``max_steps`` does not count, then
+    one row per step, so decay diagnostics see the full history.
     Divergence (three consecutive residual increases), a stall on the
     rounding floor and running out of steps all raise NonConvergenceError
     with the trace attached (:func:`~blochfem.eigeniter.iterate`).
 
-    Returns (u, omega, trace); u has P_y u = 1 for y the iterate before it.
+    Returns the last :class:`NewtonState`: P_y u = 1 for its y, the start
+    of a fixed-step leg or the iterate before u of a tolerance leg.
     """
     state = NewtonState.normalized(pencil, np.asarray(u0, dtype=complex),
                                    float(omega0) ** 2)
-    trace, state = iterate(
-        _newton_rows(pencil, state, rebase=True, start_row=True), pencil.n,
-        trace, mesh_level, tol=tol, max_steps=max_steps, start_row=True,
-        name="Newton",
-    )
-    return state.u, state.omega, trace
+    rebase = tol is not None
+    return iterate(_newton_rows(pencil, state, rebase), pencil.n, trace,
+                   mesh_level, steps=steps, tol=tol, max_steps=max_steps,
+                   start_row=rebase, name="Newton")[1]
 
 
-def _newton_rows(pencil, state, rebase=False, start_row=False, res=None):
+def _newton_rows(pencil, state, rebase=False, res=None):
     """Rows of bordered Newton steps from ``state``.
 
-    With ``rebase`` every step is normalized against the iterate it starts
-    from; otherwise against ``state.y`` throughout. ``start_row`` yields the
-    residual of ``state`` first. Given that residual (or ``res``), as
+    With ``rebase`` the residual of ``state`` comes first and every step is
+    normalized against the iterate it starts from; otherwise each step is
+    normalized against ``state.y``. Given that residual (or ``res``), as
     tolerance legs are, the rows raise NonConvergenceError once it grew
     three rows in a row; they test it on resuming, after the row's ``tol``.
     """
-    if start_row:
+    if rebase:
         res = pencil.residual_dual(state.u, state.lam)
         yield state, state.lam, state.lam, res
     worse = 0

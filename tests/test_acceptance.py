@@ -89,7 +89,9 @@ def exp1_cfg():
 @pytest.fixture(scope="module")
 def exp1_run(exp1_cfg):
     ref = driver.compute_reference(exp1_cfg)
-    return driver.run_schedule(exp1_cfg, reference=ref), ref
+    trace = driver.run_schedule(exp1_cfg)
+    trace.fill_rel_err(ref.mu_ref)
+    return trace, ref
 
 
 @pytest.fixture(scope="module")

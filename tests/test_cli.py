@@ -40,9 +40,14 @@ def test_nonconvergence_exits_two_with_partial_trace(tmp_path, capsys):
     ini.write_text(FAST_LINEAR.replace("tol = 1e-8", "tol = 1e-13\nmax_fine_steps = 3"))
     out = tmp_path / "trace.csv"
     assert main(["run", "--config", str(ini), "--out", str(out)]) == 2
-    # header + 3 coarse steps + the 3-step fine budget
-    assert len(out.read_text().splitlines()) == 7
-    assert "did not reach" in capsys.readouterr().err
+    # one line on stderr, as the exit-code contract promises
+    assert capsys.readouterr().err == (
+        "blochfem run: dual residual did not reach 1e-13 within 3 steps\n")
+    # header + 3 coarse steps + the 3-step fine budget, without a reference
+    lines = out.read_text().splitlines()
+    assert len(lines) == 7
+    rel_err = lines[0].split(",").index("rel_err")
+    assert all(line.split(",")[rel_err] == "nan" for line in lines[1:])
 
 
 def test_missing_config_exits_one(tmp_path, capsys):
