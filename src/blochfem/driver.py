@@ -360,9 +360,14 @@ def _companion_level(config, mesh, coarse, trace, leg):
 def _newton_level(config, mesh, coarse, trace, leg):
     """Bordered Newton from the warm start, or residual inverse iteration.
 
-    A refined level factors T(sigma) once, with sigma the coarse lambda,
-    and runs :func:`~blochfem.newton.residual_inverse_iteration` from the
-    prolongated field. Level 0, or the only level of a ``fine_only`` run,
+    A refined level runs :func:`~blochfem.newton.residual_inverse_iteration`
+    from the prolongated field, with sigma the coarse lambda; it factors
+    nothing, its solves with T(sigma) and those of the bordered steps it
+    may hand over to being GMRES solves to a relative 1e-3
+    (:data:`~blochfem.linalg.INNER_RTOL`) on the FFT inverse of K + M, and
+    a solve that misses it raises NonConvergenceError. The reference runs
+    this branch on the level above. Level 0, or the only level of a
+    ``fine_only`` run,
     runs :func:`~blochfem.newton.newton_solve` from the warm start, a
     fixed-step or a tolerance leg as ``leg`` says, and hands its last state
     on.

@@ -9,6 +9,8 @@ this module pins the contracts the eigensolvers rely on:
   pattern, so that their sums are sums of data vectors,
 * reusable factorizations with an explicit singularity signal and a
   1e-10 backward-error guarantee (one step of iterative refinement),
+* inexact solves by preconditioned GMRES (:func:`gmres_solve`) to a fixed
+  relative residual, which fail loudly instead of handing on a worse one,
 * real Rayleigh quotients with an imaginary-residue diagnostics counter,
 * dual-norm residual evaluation sqrt(r^H (K+M)^{-1} r) with K+M inverted
   once: by FFT when its builder knows from the weights that it repeats
@@ -25,9 +27,9 @@ import math
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
-from .errors import SingularMatrixError
+from .errors import NonConvergenceError, SingularMatrixError
 from .mesh import CellPeriodicInverse
 
 __all__ = [
@@ -37,6 +39,7 @@ __all__ = [
     "with_data",
     "compact",
     "Factorization",
+    "gmres_solve",
     "rayleigh_quotient",
     "DualNorm",
     "BoundedDualNorm",
@@ -52,6 +55,11 @@ SOLVE_RTOL = 1e-10
 #: PCG_MAX_STEPS steps
 PCG_RTOL = 1e-6
 PCG_MAX_STEPS = 50
+#: :func:`gmres_solve` stops once ||b - A x|| <= INNER_RTOL * ||b||, restarts
+#: every GMRES_RESTART iterations and fails after GMRES_MAX_ITER
+INNER_RTOL = 1e-3
+GMRES_RESTART = 50
+GMRES_MAX_ITER = 200
 
 # diagnostics: number of Rayleigh quotients whose imaginary residue exceeded
 # the 1e-12 relative threshold (should stay 0 for Hermitian pencils)
@@ -227,6 +235,31 @@ class Factorization:
         return x
 
 
+def gmres_solve(A, b, precond):
+    """x with ||b - A x|| <= :data:`INNER_RTOL` * ||b|| (2-norms), by GMRES
+    preconditioned with ``precond``, a callable that approximates A^{-1}.
+
+    ``A`` is a sparse matrix or a :class:`~scipy.sparse.linalg.LinearOperator`.
+    GMRES restarts every :data:`GMRES_RESTART` iterations; after
+    :data:`GMRES_MAX_ITER` of them without the tolerance it raises
+    :class:`~blochfem.errors.NonConvergenceError` instead of returning the
+    inexact answer.
+    """
+    b = np.asarray(b)
+    n = b.shape[0]
+    restart = min(GMRES_RESTART, GMRES_MAX_ITER)
+    x, info = gmres(A, b, rtol=INNER_RTOL, atol=0.0, restart=restart,
+                    maxiter=-(-GMRES_MAX_ITER // restart),
+                    M=LinearOperator((n, n), matvec=precond, dtype=b.dtype))
+    if info:
+        rel = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+        raise NonConvergenceError(
+            "GMRES left a relative residual of %.3e, above %g, within %d "
+            "iterations" % (rel, INNER_RTOL, GMRES_MAX_ITER)
+        )
+    return x
+
+
 class _PeriodicSolve:
     """Solves with a CSR matrix that is cell-periodic by construction,
     through its FFT inverse (:class:`~blochfem.mesh.CellPeriodicInverse`)
@@ -283,6 +316,10 @@ class DualNorm:
     only when it is not on a mesh's DOF lattice. Otherwise it is factored.
     Meant to be constructed once per mesh (and wave vector) and reused for
     every residual of the run.
+
+    Built from K and M, it also has ``precondition``, which applies
+    (K+M)^{-1} as a preconditioner needs it: the FFT inverse without the
+    refinement step that a norm takes, or the LU's solve.
     """
 
     def __init__(self, K, M, cell_periodic=False):
@@ -292,6 +329,7 @@ class DualNorm:
             inverse = CellPeriodicInverse.of_cell(A, A.data.take)
             if inverse is not None:
                 self.fact = _PeriodicSolve(A, inverse)
+                self.precondition = inverse
                 return
         try:
             self.fact = Factorization(A)
@@ -299,6 +337,7 @@ class DualNorm:
             raise SingularMatrixError(
                 "K+M is singular; dual norm undefined (%s)" % exc
             ) from exc
+        self.precondition = self.fact.solve
 
     @classmethod
     def from_factorization(cls, fact):

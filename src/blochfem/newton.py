@@ -18,20 +18,31 @@ Two iterations solve T(lam) u = 0:
 
       [[T(lam), dT(lam) u], [y^H M, 0]] (s, nu) = (-T(lam) u, 0)
 
-  as a single sparse (n+1) x (n+1) factorization -- T(lam) itself turns
-  singular at convergence, so eliminating through it is exactly the wrong
-  move, while the bordered matrix stays well conditioned. The constraint
-  row forces y^H M s = 0, so the normalization survives every update; an
-  explicit renormalization after each step removes roundoff drift. It
-  converges quadratically from a good enough start and pays one
-  factorization per step.
+  as one system -- T(lam) itself turns singular at convergence, so
+  eliminating through it is exactly the wrong move, while the bordered
+  matrix stays well conditioned. The constraint row forces y^H M s = 0, so
+  the normalization survives every update; an explicit renormalization
+  after each step removes roundoff drift. On level 0 each step factors
+  the sparse (n+1) x (n+1) matrix, and converges quadratically from a good
+  enough start.
 * **Residual inverse iteration** (:func:`residual_inverse_iteration`;
   Neumaier, SIAM J. Numer. Anal. 22(5), 1985) for a start that comes with
-  a good shift sigma, such as a coarse mesh's eigenpair. T(sigma) is
-  factored once; each step takes lam from the scalar Rayleigh functional
-  u^H T(lam) u = 0 and updates u <- u - T(sigma)^{-1} T(lam) u, converging
-  linearly at a rate proportional to |lam - sigma|. Once it stops gaining
-  it hands its iterate to bordered Newton.
+  a good shift sigma, such as a coarse mesh's eigenpair. Each step takes
+  lam from the scalar Rayleigh functional u^H T(lam) u = 0 and updates
+  u <- u - T(sigma)^{-1} T(lam) u, converging linearly at a rate
+  proportional to |lam - sigma|. It factors nothing: the solve with
+  T(sigma) is GMRES (:func:`~blochfem.linalg.gmres_solve`) to a residual
+  of :data:`~blochfem.linalg.INNER_RTOL` = 1e-3 of the right-hand side's,
+  preconditioned by the FFT inverse of K + M that the dual norms use, which
+  keeps the linear rate (Szyld & Xue, Numer. Math. 123, 2013). Once it
+  stops gaining it hands its iterate to bordered Newton, whose bordered
+  systems GMRES solves to the same relative tolerance, preconditioned by
+  diag(B, 1/(y^H M B M y)) with B that inverse: inexact Newton steps
+  (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982). A GMRES
+  solve that misses its tolerance within
+  :data:`~blochfem.linalg.GMRES_MAX_ITER` iterations raises
+  NonConvergenceError; no inexact step is handed on. The rows record the
+  exact dual norm of T(lam) u either way.
 
 Both are generators of trace rows (:func:`_newton_rows`, :func:`_rii_rows`)
 run by :func:`~blochfem.eigeniter.iterate`, which times and records the
@@ -45,13 +56,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.sparse.linalg import LinearOperator
 
 from . import dispersion
-from .assembly import AssembledForms, assemble_tm
+from .assembly import AssembledForms
 from .eigeniter import Pencil, inverse_power_rq, iterate
 from .errors import NonConvergenceError, SingularMatrixError
-from .linalg import (DualNorm, Factorization, rayleigh_quotient, shared_data,
-                     with_data)
+from .linalg import (DualNorm, Factorization, gmres_solve, rayleigh_quotient,
+                     shared_data, with_data)
 from .trace import IterationTrace
 
 __all__ = [
@@ -94,10 +106,6 @@ class NonlinearPencil:
             raise ValueError(f"alpha1 must be positive, got {self.alpha1}")
         self._dual = None
 
-    @classmethod
-    def from_mesh(cls, mesh, k, model, alpha1=1.0):
-        return cls(assemble_tm(mesh, k), model, alpha1=alpha1)
-
     @property
     def n(self):
         return self.forms.K.n
@@ -113,7 +121,8 @@ class NonlinearPencil:
 
         K and M carry unit weights, so K + M repeats from cell to cell by
         construction and is inverted by FFT from cell (0, 0)'s rows; no
-        factorization is made for it on a mesh.
+        factorization is made for it on a mesh. Its ``precondition`` also
+        preconditions the GMRES solves of the refined levels.
         """
         if self._dual is None:
             self._dual = DualNorm(self.forms.K, self.mass, cell_periodic=True)
@@ -174,8 +183,14 @@ def _normalized_against(u, my):
     return u / pyu
 
 
-def newton_step(pencil, state):
+def newton_step(pencil, state, inexact=False):
     """One bordered Newton update; returns the new state.
+
+    The bordered system is factored, or with ``inexact`` solved by
+    :func:`~blochfem.linalg.gmres_solve`, preconditioned by the block
+    diagonal diag(B, 1/(y^H M B M y)) with B the inverse of K + M that
+    :attr:`NonlinearPencil.dual` holds; that solve raises
+    NonConvergenceError when GMRES misses its tolerance.
 
     Raises SingularMatrixError if the bordered matrix cannot be factored,
     which means the current (u, lam) sits where the border fails to control
@@ -185,24 +200,43 @@ def newton_step(pencil, state):
     c = pencil.dT(state.lam) @ state.u
     my = pencil.mass @ state.y
     n = pencil.n
-    bordered = sparse.bmat(
-        [[T, c.reshape(n, 1)], [my.conj().reshape(1, n), None]],
-        format="csr",
-    )
     rhs = np.concatenate([-(T @ state.u), [0.0]])
-    try:
-        sol = Factorization(bordered).solve(rhs)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            "bordered Newton matrix is singular at lam = %r; restart from a "
-            "better (u, lam) or choose a different normalization vector y "
-            "(%s)" % (state.lam, exc)
-        ) from exc
+    if inexact:
+        sol = _bordered_gmres(pencil, T, c, my, rhs)
+    else:
+        bordered = sparse.bmat(
+            [[T, c.reshape(n, 1)], [my.conj().reshape(1, n), None]],
+            format="csr",
+        )
+        try:
+            sol = Factorization(bordered).solve(rhs)
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(
+                "bordered Newton matrix is singular at lam = %r; restart from "
+                "a better (u, lam) or choose a different normalization vector "
+                "y (%s)" % (state.lam, exc)
+            ) from exc
     u = state.u + sol[:n]
     # nu is real up to roundoff (Hermitian T, real lam); keep lam real
     lam = state.lam + sol[n].real
     u = _normalized_against(u, my)
     return NewtonState(u=u, lam=lam, y=state.y)
+
+
+def _bordered_gmres(pencil, T, c, my, rhs):
+    """GMRES on [[T, c], [my^H, 0]] (s, nu) = rhs, block-preconditioned."""
+    n = pencil.n
+    B = pencil.dual.precondition
+    scale = 1.0 / np.vdot(my, B(my)).real
+
+    def apply(x):
+        return np.concatenate([T @ x[:n] + c * x[n], [np.vdot(my, x[:n])]])
+
+    def precond(r):
+        return np.concatenate([B(r[:n]), [scale * r[n]]])
+
+    op = LinearOperator((n + 1, n + 1), matvec=apply, dtype=complex)
+    return gmres_solve(op, rhs, precond)
 
 
 def newton_solve(pencil, u0, omega0, *, steps=None, tol=None, max_steps=30,
@@ -233,8 +267,9 @@ def newton_solve(pencil, u0, omega0, *, steps=None, tol=None, max_steps=30,
                    start_row=rebase, name="Newton")[1]
 
 
-def _newton_rows(pencil, state, rebase=False, res=None):
-    """Rows of bordered Newton steps from ``state``.
+def _newton_rows(pencil, state, rebase=False, res=None, inexact=False):
+    """Rows of bordered Newton steps from ``state``, each solved as
+    ``inexact`` says (:func:`newton_step`).
 
     With ``rebase`` the residual of ``state`` comes first and every step is
     normalized against the iterate it starts from; otherwise each step is
@@ -249,7 +284,7 @@ def _newton_rows(pencil, state, rebase=False, res=None):
     while True:
         if rebase:
             state = NewtonState.normalized(pencil, state.u, state.lam)
-        state = newton_step(pencil, state)
+        state = newton_step(pencil, state, inexact=inexact)
         new_res = pencil.residual_dual(state.u, state.lam)
         yield state, state.lam, state.lam, new_res
         if res is None:
@@ -303,19 +338,24 @@ def residual_inverse_iteration(pencil, u0, sigma, steps=None, tol=None,
                                max_steps=None, mesh_level=0, trace=None):
     """Residual inverse iteration from ``u0`` with the shift ``sigma``.
 
-    Factors T(sigma) once. Each step updates u <- u - T(sigma)^{-1} T(lam) u,
-    normalizes u in the plain mass and takes lam from
-    :func:`rayleigh_functional`; the start gets its lam the same way. Runs
+    Each step updates u <- u - T(sigma)^{-1} T(lam) u, normalizes u in the
+    plain mass and takes lam from :func:`rayleigh_functional`; the start
+    gets its lam the same way. The solve with T(sigma) factors nothing: it
+    is :func:`~blochfem.linalg.gmres_solve`, to a residual of
+    :data:`~blochfem.linalg.INNER_RTOL` of the right-hand side's,
+    preconditioned by :attr:`NonlinearPencil.dual`'s inverse of K + M. Runs
     ``steps`` steps, or iterates until the dual residual reaches ``tol``;
     the tolerance run records the start's residual as its first row, which
     ``max_steps`` does not count, as :func:`newton_solve` does. Once the
     residual of a tolerance run has fallen by less than STALL_DROP over
-    STALL_STEPS steps, the factorization is freed and bordered Newton,
-    normalized against the iterate it is handed, continues the leg: the
-    rest of its budget, its floor stop, and three rises from there.
+    STALL_STEPS steps, bordered Newton, normalized against the iterate it
+    is handed and solved by GMRES the same way (:func:`newton_step` with
+    ``inexact``), continues the leg: the rest of its budget, its floor
+    stop, and three rises from there. A GMRES solve that misses its
+    tolerance raises NonConvergenceError with the trace so far.
 
     Each step builds T(lam) once, for the row's residual and the next
-    update; no T(lam) is alive while a factorization is made.
+    update.
 
     Returns a :class:`NewtonState` with y = u (so P_y u = u^H M u = 1).
     """
@@ -334,10 +374,11 @@ def _rii_rows(pencil, u0, sigma, trace, to_tol):
     lam = rayleigh_functional(pencil, u, sigma)
     if to_tol:
         yield NewtonState(u=u, lam=lam, y=u), lam, lam, pencil.residual_dual(u, lam)
-    fact = Factorization(pencil.T(sigma))
+    T_sigma = pencil.T(sigma)
+    precond = pencil.dual.precondition
     T_lam = pencil.T(lam)
     for taken in itertools.count(1):
-        u = _mass_normalized(pencil, u - fact.solve(T_lam @ u))
+        u = _mass_normalized(pencil, u - gmres_solve(T_sigma, T_lam @ u, precond))
         # free it before its successor is built
         del T_lam
         lam = rayleigh_functional(pencil, u, lam)
@@ -349,11 +390,11 @@ def _rii_rows(pencil, u0, sigma, trace, to_tol):
         # STALL_STEPS on, the row STALL_STEPS back lies within this leg
         if (to_tol and taken >= STALL_STEPS
                 and res > trace[-1 - STALL_STEPS].residual_dual / STALL_DROP):
-            # free T(lam) and the shifted LU before the first bordered LU
-            del T_lam, fact
+            # free both before the bordered steps build their own
+            del T_lam, T_sigma
             trace.note("residual inverse iteration stalled at %.3e after %d "
                        "steps; bordered Newton from there" % (res, taken))
-            yield from _newton_rows(pencil, state, res=res)
+            yield from _newton_rows(pencil, state, res=res, inexact=True)
 
 
 def warm_start(mesh, k, const_eps2=2.0, rq_steps=8, alpha1=1.0):

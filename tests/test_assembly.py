@@ -245,7 +245,7 @@ def test_nonlinear_forms_on_the_pattern_match_scipy_sums_bitwise(level):
 
     mesh = msh.build_mesh(level)
     pieces = asm._pieces(mesh)
-    p = NonlinearPencil.from_mesh(mesh, K_PATTERN[0], silver(), alpha1=1.3)
+    p = NonlinearPencil(asm.assemble_tm(mesh, K_PATTERN[0]), silver(), alpha1=1.3)
     _assert_same_bytes(p.mass.mat, pieces.M1 + pieces.M2, "mass")
     K = p.forms.K.mat
     for lam in (0.5, 6.0, 20.0):

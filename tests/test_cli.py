@@ -50,6 +50,25 @@ def test_nonconvergence_exits_two_with_partial_trace(tmp_path, capsys):
     assert all(line.split(",")[rel_err] == "nan" for line in lines[1:])
 
 
+def test_missed_gmres_tolerance_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
+    from blochfem import linalg
+
+    monkeypatch.setattr(linalg, "GMRES_MAX_ITER", 1)
+    ini = tmp_path / "run.ini"
+    ini.write_text((REPO / "configs" / "experiment3.ini").read_text()
+                   .replace("max_level = 3", "max_level = 1"))
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--config", str(ini), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("blochfem run: GMRES left a relative residual of ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    # the partial trace: header, the three L0 rows, and the L1 rows before
+    # the solve that failed
+    lines = out.read_text().splitlines()
+    assert 4 <= len(lines) < 7
+    assert [line.split(",")[1] for line in lines[1:4]] == ["0", "0", "0"]
+
+
 def test_missing_config_exits_one(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 1
     assert "cannot read" in capsys.readouterr().err

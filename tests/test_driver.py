@@ -146,7 +146,7 @@ def test_newton_solve_steps_is_the_schedules_level0_leg():
     )
     level0 = [r for r in driver.run_schedule(cfg) if r.mesh_level == 0]
     mesh = build_mesh(0)
-    pencil = newton.NonlinearPencil.from_mesh(mesh, cfg.k, cfg.model)
+    pencil = newton.NonlinearPencil(asm.assemble_tm(mesh, cfg.k), cfg.model)
     u0, omega0 = newton.warm_start(mesh, cfg.k)
     tr = IterationTrace()
     state = newton.newton_solve(pencil, u0, omega0, steps=3, trace=tr)
@@ -159,9 +159,10 @@ def test_newton_solve_steps_is_the_schedules_level0_leg():
     assert abs(np.vdot(pencil.mass @ y, state.u) - 1.0) <= 1e-12
 
 
-def test_refined_newton_levels_factor_once(monkeypatch):
-    # L0 pays one bordered LU per step; each refined level one LU of
-    # T(sigma), and no bordered LU; the dual norm of K + M factors nothing
+def test_refined_newton_levels_factor_nothing(monkeypatch):
+    # L0 pays the warm start's LU and one bordered LU per step; the refined
+    # levels solve T(sigma) by GMRES on the FFT inverse of K + M, which
+    # factors nothing either
     sizes = []
     real_init = linalg.Factorization.__init__
 
@@ -176,10 +177,43 @@ def test_refined_newton_levels_factor_once(monkeypatch):
     )
     tr = driver.run_schedule(cfg)
     assert tr[-1].residual_dual <= 1e-12
-    for n in (1024, 4096):
-        assert sizes.count(n) == 1
-        assert sizes.count(n + 1) == 0
-    assert sizes.count(257) == 3
+    assert sorted(sizes) == [256, 257, 257, 257]
+
+
+def test_experiment3_factors_nothing_above_level_0(monkeypatch):
+    # the schedule factors on L0 only, and the L4 reference not at all
+    sizes = []
+    real_init = linalg.Factorization.__init__
+
+    def counting_init(self, A):
+        real_init(self, A)
+        sizes.append(self.n)
+
+    monkeypatch.setattr(linalg.Factorization, "__init__", counting_init)
+    cfg = replace(driver.RunConfig.from_ini(REPO / "configs" / "experiment3.ini"),
+                  out=None)
+    final = driver.run_schedule(cfg).final
+    assert sizes and max(sizes) == 257
+    sizes.clear()
+    ref = driver.compute_reference(cfg, final)
+    assert ref.level == 4 and ref.residual_dual <= driver.REFERENCE_TOL
+    assert sizes == []
+
+
+def test_a_missed_gmres_tolerance_aborts_with_the_partial_trace(monkeypatch):
+    monkeypatch.setattr(linalg, "GMRES_MAX_ITER", 1)
+    cfg = driver.RunConfig(
+        experiment="newton", model=silver(), steps_per_mesh=3, max_level=1,
+        tol=1e-12,
+    )
+    with pytest.raises(NonConvergenceError, match="GMRES") as info:
+        driver.run_schedule(cfg)
+    tr = info.value.trace
+    # the L0 leg, then the L1 rows before the solve that failed
+    levels = [r.mesh_level for r in tr]
+    assert levels[:3] == [0, 0, 0] and set(levels[3:]) <= {1}
+    assert len(levels) < 6
+    assert tr.notes[-1].startswith("aborted: GMRES")
 
 
 def test_newton_seed_does_not_pick_the_band():

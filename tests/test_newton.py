@@ -70,7 +70,7 @@ def level1():
 @pytest.fixture(scope="module")
 def silver_run(level1):
     mesh, forms = level1
-    p = NonlinearPencil.from_mesh(mesh, K_POINT, silver())
+    p = NonlinearPencil(assemble_tm(mesh, K_POINT), silver())
     u0, om0 = warm_start(mesh, K_POINT, const_eps2=2.0, rq_steps=8)
     tr = IterationTrace()
     state = newton_solve(p, u0, om0, tol=1e-12, mesh_level=1, trace=tr)
@@ -172,7 +172,7 @@ def factor_sizes(monkeypatch):
 @pytest.mark.parametrize("k", DUAL_K_POINTS)
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_dual_norm_of_k_plus_m_takes_the_fft(level, k, factor_sizes):
-    p = NonlinearPencil.from_mesh(build_mesh(level), k, silver())
+    p = NonlinearPencil(assemble_tm(build_mesh(level), k), silver())
     dual = p.dual
     assert factor_sizes == []
     A = (p.forms.K.mat + p.mass.mat).tocsr()
@@ -213,7 +213,7 @@ def test_dual_norm_off_a_mesh_lattice_factors(factor_sizes):
 def test_l4_dual_norm_set_up_peaks_within_16_mib_of_k_plus_m():
     # the FFT inverse reads cell (0, 0)'s rows; nothing nnz-long is built
     # beyond the sum K + M that the solve keeps
-    p = NonlinearPencil.from_mesh(build_mesh(4), K_POINT, silver())
+    p = NonlinearPencil(assemble_tm(build_mesh(4), K_POINT), silver())
     tracemalloc.start()
     try:
         dual = p.dual
@@ -221,6 +221,22 @@ def test_l4_dual_norm_set_up_peaks_within_16_mib_of_k_plus_m():
     finally:
         tracemalloc.stop()
     assert peak - dual.fact.mat.data.nbytes <= 16 * MIB
+
+
+@pytest.mark.parametrize("k", DUAL_K_POINTS)
+def test_gmres_solve_meets_its_tolerance_on_t_sigma(k, factor_sizes):
+    # sigma half a unit above the warm start's lam: T(sigma) is indefinite,
+    # with lam1 below sigma, and off the spectrum. GMRES on the FFT inverse
+    # of K + M brings its residual to INNER_RTOL of the right-hand side's,
+    # in the 2-norm it stops on, and factors nothing
+    sigma = warm_start(build_mesh(0), k)[1] ** 2 + 0.5
+    p = NonlinearPencil(assemble_tm(build_mesh(2), k), silver())
+    T = p.T(sigma)
+    rng = np.random.default_rng(2)
+    b = rng.standard_normal(p.n) + 1j * rng.standard_normal(p.n)
+    x = linalg.gmres_solve(T, b, p.dual.precondition)
+    assert np.linalg.norm(b - T @ x) <= linalg.INNER_RTOL * np.linalg.norm(b)
+    assert factor_sizes == [256]  # the warm start's L0 LU only
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +366,7 @@ def test_residual_inverse_iteration_converges_on_toy():
 def _prolongated_coarse(level):
     """Field and lam of a converged Newton solve one level below ``level``."""
     coarse, fine = build_mesh(level - 1), build_mesh(level)
-    p = NonlinearPencil.from_mesh(coarse, K_POINT, silver())
+    p = NonlinearPencil(assemble_tm(coarse, K_POINT), silver())
     u0, om0 = warm_start(coarse, K_POINT, const_eps2=2.0, rq_steps=8)
     state = newton_solve(p, u0, om0, tol=1e-12)
     return fine, prolongate(state.u, coarse, fine), state.lam
@@ -359,7 +375,7 @@ def _prolongated_coarse(level):
 @pytest.mark.parametrize("level", [1, 2])
 def test_residual_inverse_iteration_agrees_with_bordered_newton(level):
     fine, u, sigma = _prolongated_coarse(level)
-    p = NonlinearPencil.from_mesh(fine, K_POINT, silver())
+    p = NonlinearPencil(assemble_tm(fine, K_POINT), silver())
     tol = 1e-12
     rii = residual_inverse_iteration(p, u, sigma, tol=tol, max_steps=40)
     lam = newton_solve(p, u, math.sqrt(sigma), tol=tol, max_steps=40).lam
@@ -372,7 +388,7 @@ def test_stalled_residual_inverse_iteration_falls_back_to_newton(monkeypatch):
     # tol far below the rounding floor: the shifted iteration stalls and
     # hands over to bordered Newton, which cannot reach tol either
     fine, u, sigma = _prolongated_coarse(1)
-    p = NonlinearPencil.from_mesh(fine, K_POINT, silver())
+    p = NonlinearPencil(assemble_tm(fine, K_POINT), silver())
     sizes = []
     newton_steps = []
     real_init, real_step = linalg.Factorization.__init__, newton.newton_step
@@ -381,9 +397,9 @@ def test_stalled_residual_inverse_iteration_falls_back_to_newton(monkeypatch):
         real_init(self, A)
         sizes.append(self.n)
 
-    def counting_step(pencil, state):
+    def counting_step(pencil, state, **kw):
         newton_steps.append(state.lam)
-        return real_step(pencil, state)
+        return real_step(pencil, state, **kw)
 
     monkeypatch.setattr(linalg.Factorization, "__init__", counting_init)
     monkeypatch.setattr(newton, "newton_step", counting_step)
@@ -395,9 +411,9 @@ def test_stalled_residual_inverse_iteration_falls_back_to_newton(monkeypatch):
     # start row, shifted steps, then one row per Newton step
     assert len(tr) - 1 - len(newton_steps) > newton.STALL_STEPS
     assert len(tr) - 1 <= 30
-    # one shifted LU, then one bordered LU per Newton step; the dual norm
-    # of K + M factors nothing
-    assert sizes == [p.n] + [p.n + 1] * len(newton_steps)
+    # the shifted and the bordered systems are solved by GMRES, on the FFT
+    # inverse of K + M, which factors nothing either
+    assert sizes == []
 
 
 # ---------------------------------------------------------------------------
