@@ -16,9 +16,11 @@ bits write the same hex.
 ``--compare`` diffs two such files point by point: status and the hex of
 lambda and mu_ref, and prints per workload the largest relative shift of
 lambda, of mu_ref and of the final residual_dual (which a change of the
-dual-norm solver moves without moving lambda). It exits 1 when status,
-lambda or mu_ref differ; a file written before residual_dual was stored
-still compares. Only ``perfbench/`` is read, never written.
+dual-norm solver moves without moving lambda), then each file's
+non-passing points and largest gate margin, and whether the two pass
+sets are the same. It exits 1 when status, lambda or mu_ref differ; a
+file written before residual_dual was stored still compares. Only
+``perfbench/`` is read, never written.
 """
 
 import argparse
@@ -99,14 +101,21 @@ def replay(workloads):
             rec["index"] = i
             points.append(rec)
         result[workload] = points
-        bad = [p["index"] for p in points if p["status"] != "pass"]
-        margins = sorted(((p["margin"], p["index"]) for p in points
-                          if p["margin"] is not None), reverse=True)
+        bad, margins = _gate_summary(points)
         print("%s: %d of %d pass in %.1fs; not passing %s; largest margins %s"
               % (workload, len(points) - len(bad), len(points),
                  time.perf_counter() - t0, bad,
                  ", ".join("%.3g (point %d)" % m for m in margins[:2])))
     return result
+
+
+def _gate_summary(points):
+    """The indices of the points that do not pass, and the (margin, index)
+    pairs of the points with a margin, largest first."""
+    bad = [p["index"] for p in points if p["status"] != "pass"]
+    margins = sorted(((p["margin"], p["index"]) for p in points
+                      if p.get("margin") is not None), reverse=True)
+    return bad, margins
 
 
 def _largest_shift(pa, pb, field):
@@ -124,7 +133,9 @@ def compare(a, b):
     Prints per workload the count of identical points and the largest
     relative shift of lambda, of mu_ref and of the final residual_dual,
     with the point it comes from, so that aim 1's 1e-12 rule can be read
-    when the bits move.
+    when the bits move; then each side's non-passing points and largest
+    gate margin, so that a change that moves bits shows whether it kept
+    the pass set.
     """
     diffs = []
     for workload in sorted(set(a) | set(b)):
@@ -148,7 +159,16 @@ def compare(a, b):
                 shifts.append("%s %.3g (point %d)" % ((name,) + largest))
         print("%s: %d of %d points identical; largest relative shift: %s"
               % (workload, same, len(pa), ", ".join(shifts) or "none"))
+        (bad_a, margins_a), (bad_b, margins_b) = _gate_summary(pa), _gate_summary(pb)
+        print("%s: not passing %s -> %s (%s); largest margin %s -> %s"
+              % (workload, bad_a, bad_b,
+                 "same pass set" if bad_a == bad_b else "pass sets differ",
+                 _margin_text(margins_a), _margin_text(margins_b)))
     return diffs
+
+
+def _margin_text(margins):
+    return "%.3g (point %d)" % margins[0] if margins else "none"
 
 
 def main(argv=None):

@@ -367,10 +367,10 @@ def _newton_level(config, mesh, coarse, trace, leg):
     (:data:`~blochfem.linalg.INNER_RTOL`) on the FFT inverse of K + M, and
     a solve that misses it raises NonConvergenceError. The reference runs
     this branch on the level above. Level 0, or the only level of a
-    ``fine_only`` run,
-    runs :func:`~blochfem.newton.newton_solve` from the warm start, a
-    fixed-step or a tolerance leg as ``leg`` says, and hands its last state
-    on.
+    ``fine_only`` run, runs :func:`~blochfem.newton.newton_solve` from the
+    warm start's (u, lam), a fixed-step or a tolerance leg as ``leg`` says,
+    and hands its last state on. Every bordered step, here or after a
+    stall, normalizes against the iterate it starts from.
     """
     pencil = NonlinearPencil(assemble_tm(mesh, config.k), config.model,
                              alpha1=config.alpha1)
@@ -381,15 +381,15 @@ def _newton_level(config, mesh, coarse, trace, leg):
         return residual_inverse_iteration(
             pencil, u, state.lam, mesh_level=mesh.level, trace=trace, **leg
         )
-    u, omega = warm_start(
+    u, lam = warm_start(
         mesh, config.k, const_eps2=config.warm_eps2,
         rq_steps=config.warm_rq_steps, alpha1=config.alpha1,
     )
     trace.note(
         "warm start: %d Rayleigh steps on the eps2=%g model, omega0=%.6g"
-        % (config.warm_rq_steps, config.warm_eps2, omega)
+        % (config.warm_rq_steps, config.warm_eps2, math.sqrt(lam))
     )
-    return newton_solve(pencil, u, omega, mesh_level=mesh.level, trace=trace,
+    return newton_solve(pencil, u, lam, mesh_level=mesh.level, trace=trace,
                         **leg)
 
 

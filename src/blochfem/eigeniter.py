@@ -46,7 +46,6 @@ __all__ = [
     "BREAKDOWN_TOL",
     "DROP_TOL",
     "Pencil",
-    "default_start",
     "iterate",
     "inverse_power_rq",
     "inverse_power_plain",
@@ -165,11 +164,6 @@ class Pencil:
         keep its numerically singular auxiliary mass out of every solve).
         """
         return self.factorization.solve(self.M_w @ q)
-
-
-def default_start(n):
-    """All-ones start (overlaps the sign-definite ground mode)."""
-    return np.ones(n, dtype=complex)
 
 
 def _start_vector(pencil, u0):

@@ -8,23 +8,21 @@ omega <-> -omega sign ambiguity never enters. The residual map is
 
 Two iterations solve T(lam) u = 0:
 
-* **Bordered Newton** (:func:`newton_step`, :func:`newton_solve`), closed by
-  the normalization P_y u = y^H M u = 1 against a vector y (M is the plain,
-  unweighted mass). :func:`newton_solve` is the level-0 leg of a schedule:
-  a fixed-step leg, and the hand-over from residual inverse iteration,
-  keep y fixed at their mass-normalized start; a tolerance leg takes y to
-  be the mass-normalized iterate each step starts from. One step solves
+* **Bordered Newton** (:func:`newton_step`, :func:`newton_solve`). Every
+  step is closed by one normalization: with u the iterate it starts from,
+  mass-normalized (u^H M u = 1, M the plain, unweighted mass), it solves
   the bordered Hermitian-plus-border system
 
-      [[T(lam), dT(lam) u], [y^H M, 0]] (s, nu) = (-T(lam) u, 0)
+      [[T(lam), dT(lam) u], [u^H M, 0]] (s, nu) = (-T(lam) u, 0)
 
   as one system -- T(lam) itself turns singular at convergence, so
   eliminating through it is exactly the wrong move, while the bordered
-  matrix stays well conditioned. The constraint row forces y^H M s = 0, so
-  the normalization survives every update; an explicit renormalization
-  after each step removes roundoff drift. On level 0 each step factors
-  the sparse (n+1) x (n+1) matrix, and converges quadratically from a good
-  enough start.
+  matrix stays well conditioned. The constraint row forces u^H M s = 0, so
+  the update is M-orthogonal to the iterate and the border follows the
+  eigenvector even from a start as far off as a warm start; dividing the
+  new field by its component along u removes roundoff drift. On level 0
+  each step factors the sparse (n+1) x (n+1) matrix, and converges
+  quadratically from a good enough start.
 * **Residual inverse iteration** (:func:`residual_inverse_iteration`;
   Neumaier, SIAM J. Numer. Anal. 22(5), 1985) for a start that comes with
   a good shift sigma, such as a coarse mesh's eigenpair. Each step takes
@@ -37,7 +35,7 @@ Two iterations solve T(lam) u = 0:
   keeps the linear rate (Szyld & Xue, Numer. Math. 123, 2013). Once it
   stops gaining it hands its iterate to bordered Newton, whose bordered
   systems GMRES solves to the same relative tolerance, preconditioned by
-  diag(B, 1/(y^H M B M y)) with B that inverse: inexact Newton steps
+  diag(B, 1/(u^H M B M u)) with B that inverse: inexact Newton steps
   (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982). A GMRES
   solve that misses its tolerance within
   :data:`~blochfem.linalg.GMRES_MAX_ITER` iterations raises
@@ -50,6 +48,7 @@ rows and applies the stop rules; a hand-over continues the same leg, under
 its one step budget and its one floor history.
 """
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -160,52 +159,37 @@ class NonlinearPencil:
 
 @dataclass
 class NewtonState:
-    """One Newton iterate: field u (with P_y u = 1), eigenvalue lam, and y."""
+    """One Newton iterate: field u and eigenvalue lam."""
 
     u: np.ndarray
     lam: float
-    y: np.ndarray
-
-    @classmethod
-    def normalized(cls, pencil, u, lam):
-        """(u, lam) with u mass-normalized and y = u, so that P_y u = 1."""
-        u = _mass_normalized(pencil, u)
-        return cls(u=u, lam=lam, y=u)
-
-
-def _normalized_against(u, my):
-    pyu = np.vdot(my, u)
-    if abs(pyu) < 1e-300:
-        raise ValueError(
-            "updated field is orthogonal to the normalization functional; "
-            "pick a different y"
-        )
-    return u / pyu
 
 
 def newton_step(pencil, state, inexact=False):
-    """One bordered Newton update; returns the new state.
+    """One bordered Newton update from ``state``; returns the new state.
 
-    The bordered system is factored, or with ``inexact`` solved by
-    :func:`~blochfem.linalg.gmres_solve`, preconditioned by the block
-    diagonal diag(B, 1/(y^H M B M y)) with B the inverse of K + M that
-    :attr:`NonlinearPencil.dual` holds; that solve raises
-    NonConvergenceError when GMRES misses its tolerance.
+    The step normalizes against its start: u is ``state.u`` mass-normalized,
+    and the new field u' has u^H M u' = 1. The bordered system is factored,
+    or with ``inexact`` solved by :func:`~blochfem.linalg.gmres_solve`,
+    preconditioned by the block diagonal diag(B, 1/(u^H M B M u)) with B
+    the inverse of K + M that :attr:`NonlinearPencil.dual` holds; that
+    solve raises NonConvergenceError when GMRES misses its tolerance.
 
     Raises SingularMatrixError if the bordered matrix cannot be factored,
     which means the current (u, lam) sits where the border fails to control
-    the nullspace -- restart closer to the eigenpair or change y.
+    the nullspace -- restart closer to the eigenpair.
     """
+    u = _mass_normalized(pencil, state.u)
     T = pencil.T(state.lam)
-    c = pencil.dT(state.lam) @ state.u
-    my = pencil.mass @ state.y
+    c = pencil.dT(state.lam) @ u
+    w = pencil.mass @ u  # the border row is w^H
     n = pencil.n
-    rhs = np.concatenate([-(T @ state.u), [0.0]])
+    rhs = np.concatenate([-(T @ u), [0.0]])
     if inexact:
-        sol = _bordered_gmres(pencil, T, c, my, rhs)
+        sol = _bordered_gmres(pencil, T, c, w, rhs)
     else:
         bordered = sparse.bmat(
-            [[T, c.reshape(n, 1)], [my.conj().reshape(1, n), None]],
+            [[T, c.reshape(n, 1)], [w.conj().reshape(1, n), None]],
             format="csr",
         )
         try:
@@ -213,24 +197,26 @@ def newton_step(pencil, state, inexact=False):
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 "bordered Newton matrix is singular at lam = %r; restart from "
-                "a better (u, lam) or choose a different normalization vector "
-                "y (%s)" % (state.lam, exc)
+                "a better (u, lam) (%s)" % (state.lam, exc)
             ) from exc
-    u = state.u + sol[:n]
+    u = u + sol[:n]
     # nu is real up to roundoff (Hermitian T, real lam); keep lam real
     lam = state.lam + sol[n].real
-    u = _normalized_against(u, my)
-    return NewtonState(u=u, lam=lam, y=state.y)
+    pu = np.vdot(w, u)
+    if abs(pu) < 1e-300:
+        raise ValueError("updated field is orthogonal to the iterate it "
+                         "was updated from")
+    return NewtonState(u=u / pu, lam=lam)
 
 
-def _bordered_gmres(pencil, T, c, my, rhs):
-    """GMRES on [[T, c], [my^H, 0]] (s, nu) = rhs, block-preconditioned."""
+def _bordered_gmres(pencil, T, c, w, rhs):
+    """GMRES on [[T, c], [w^H, 0]] (s, nu) = rhs, block-preconditioned."""
     n = pencil.n
     B = pencil.dual.precondition
-    scale = 1.0 / np.vdot(my, B(my)).real
+    scale = 1.0 / np.vdot(w, B(w)).real
 
     def apply(x):
-        return np.concatenate([T @ x[:n] + c * x[n], [np.vdot(my, x[:n])]])
+        return np.concatenate([T @ x[:n] + c * x[n], [np.vdot(w, x[:n])]])
 
     def precond(r):
         return np.concatenate([B(r[:n]), [scale * r[n]]])
@@ -239,51 +225,44 @@ def _bordered_gmres(pencil, T, c, my, rhs):
     return gmres_solve(op, rhs, precond)
 
 
-def newton_solve(pencil, u0, omega0, *, steps=None, tol=None, max_steps=30,
+def newton_solve(pencil, u0, lam0, *, steps=None, tol=None, max_steps=30,
                  mesh_level=0, trace=None):
-    """Bordered Newton from (u0, omega0): ``steps`` steps, or until the dual
+    """Bordered Newton from (u0, lam0): ``steps`` steps, or until the dual
     residual reaches ``tol``.
 
-    The start is mass-normalized, with lam0 = omega0**2 as
-    :func:`warm_start` hands it over. A fixed-step leg normalizes every
-    step against that start. A tolerance leg normalizes each step against
-    the iterate it starts from, mass-normalized, so the update is
-    M-orthogonal to it and the border follows the eigenvector even from a
-    start as far off as a warm start; its trace records the residual of
-    the *start* as its first row, which ``max_steps`` does not count, then
-    one row per step, so decay diagnostics see the full history.
-    Divergence (three consecutive residual increases), a stall on the
-    rounding floor and running out of steps all raise NonConvergenceError
-    with the trace attached (:func:`~blochfem.eigeniter.iterate`).
+    The start field is mass-normalized, and lam0 is taken as it is, as
+    :func:`warm_start` returns it. Each step normalizes against the iterate it starts from
+    (:func:`newton_step`). A tolerance leg records the residual of the
+    *start* as its first row, which ``max_steps`` does not count, then one
+    row per step, so decay diagnostics see the full history. Divergence
+    (three consecutive residual increases), a stall on the rounding floor
+    and running out of steps all raise NonConvergenceError with the trace
+    attached (:func:`~blochfem.eigeniter.iterate`).
 
-    Returns the last :class:`NewtonState`: P_y u = 1 for its y, the start
-    of a fixed-step leg or the iterate before u of a tolerance leg.
+    Returns the last :class:`NewtonState`.
     """
-    state = NewtonState.normalized(pencil, np.asarray(u0, dtype=complex),
-                                   float(omega0) ** 2)
-    rebase = tol is not None
-    return iterate(_newton_rows(pencil, state, rebase), pencil.n, trace,
+    u0 = _mass_normalized(pencil, np.asarray(u0, dtype=complex))
+    state = NewtonState(u=u0, lam=float(lam0))
+    start_row = tol is not None
+    return iterate(_newton_rows(pencil, state, start_row), pencil.n, trace,
                    mesh_level, steps=steps, tol=tol, max_steps=max_steps,
-                   start_row=rebase, name="Newton")[1]
+                   start_row=start_row, name="Newton")[1]
 
 
-def _newton_rows(pencil, state, rebase=False, res=None, inexact=False):
+def _newton_rows(pencil, state, start_row=False, res=None, inexact=False):
     """Rows of bordered Newton steps from ``state``, each solved as
     ``inexact`` says (:func:`newton_step`).
 
-    With ``rebase`` the residual of ``state`` comes first and every step is
-    normalized against the iterate it starts from; otherwise each step is
-    normalized against ``state.y``. Given that residual (or ``res``), as
-    tolerance legs are, the rows raise NonConvergenceError once it grew
-    three rows in a row; they test it on resuming, after the row's ``tol``.
+    With ``start_row`` the residual of ``state`` comes first. Given that
+    residual (or ``res``), as tolerance legs are, the rows raise
+    NonConvergenceError once it grew three rows in a row; they test it on
+    resuming, after the row's ``tol``.
     """
-    if rebase:
+    if start_row:
         res = pencil.residual_dual(state.u, state.lam)
         yield state, state.lam, state.lam, res
     worse = 0
     while True:
-        if rebase:
-            state = NewtonState.normalized(pencil, state.u, state.lam)
         state = newton_step(pencil, state, inexact=inexact)
         new_res = pencil.residual_dual(state.u, state.lam)
         yield state, state.lam, state.lam, new_res
@@ -348,16 +327,17 @@ def residual_inverse_iteration(pencil, u0, sigma, steps=None, tol=None,
     the tolerance run records the start's residual as its first row, which
     ``max_steps`` does not count, as :func:`newton_solve` does. Once the
     residual of a tolerance run has fallen by less than STALL_DROP over
-    STALL_STEPS steps, bordered Newton, normalized against the iterate it
-    is handed and solved by GMRES the same way (:func:`newton_step` with
-    ``inexact``), continues the leg: the rest of its budget, its floor
-    stop, and three rises from there. A GMRES solve that misses its
-    tolerance raises NonConvergenceError with the trace so far.
+    STALL_STEPS steps, bordered Newton, solved by GMRES the same way
+    (:func:`newton_step` with ``inexact``), continues the leg from the
+    iterate it is handed: the rest of its budget, its floor stop, and three
+    rises from there. A GMRES solve that misses its tolerance raises
+    NonConvergenceError with the trace so far.
 
     Each step builds T(lam) once, for the row's residual and the next
     update.
 
-    Returns a :class:`NewtonState` with y = u (so P_y u = u^H M u = 1).
+    Returns the last :class:`NewtonState`; u is mass-normalized unless a
+    bordered step made it.
     """
     if trace is None:
         trace = IterationTrace()
@@ -369,11 +349,14 @@ def residual_inverse_iteration(pencil, u0, sigma, steps=None, tol=None,
 
 def _rii_rows(pencil, u0, sigma, trace, to_tol):
     """Rows of residual inverse iteration; ``to_tol`` adds the start row and
-    the hand-over to bordered Newton, which reads the stall off ``trace``."""
+    the hand-over to bordered Newton, noted in ``trace``."""
     u = _mass_normalized(pencil, np.asarray(u0, dtype=complex))
     lam = rayleigh_functional(pencil, u, sigma)
     if to_tol:
-        yield NewtonState(u=u, lam=lam, y=u), lam, lam, pencil.residual_dual(u, lam)
+        res = pencil.residual_dual(u, lam)
+        yield NewtonState(u=u, lam=lam), lam, lam, res
+        # this leg's residuals, the newest STALL_STEPS + 1
+        recent = collections.deque([res], maxlen=STALL_STEPS + 1)
     T_sigma = pencil.T(sigma)
     precond = pencil.dual.precondition
     T_lam = pencil.T(lam)
@@ -384,12 +367,12 @@ def _rii_rows(pencil, u0, sigma, trace, to_tol):
         lam = rayleigh_functional(pencil, u, lam)
         T_lam = pencil.T(lam)
         res = pencil.residual_dual(u, lam, T_lam)
-        state = NewtonState(u=u, lam=lam, y=u)
+        state = NewtonState(u=u, lam=lam)
         yield state, lam, lam, res
-        # iterate has recorded this row as trace[-1]; from taken ==
-        # STALL_STEPS on, the row STALL_STEPS back lies within this leg
-        if (to_tol and taken >= STALL_STEPS
-                and res > trace[-1 - STALL_STEPS].residual_dual / STALL_DROP):
+        if not to_tol:
+            continue
+        recent.append(res)
+        if len(recent) > STALL_STEPS and res > recent[0] / STALL_DROP:
             # free both before the bordered steps build their own
             del T_lam, T_sigma
             trace.note("residual inverse iteration stalled at %.3e after %d "
@@ -402,7 +385,7 @@ def warm_start(mesh, k, const_eps2=2.0, rq_steps=8, alpha1=1.0):
 
     Freezes the dispersive permittivity at ``const_eps2``, runs ``rq_steps``
     Rayleigh-quotient inverse-power steps on the resulting linear pencil
-    (unit shift), and returns that iterate together with omega0 = sqrt(lam).
+    (unit shift), and returns that iterate and its eigenvalue lam.
     ``rq_steps = 0`` skips the iteration and returns the all-ones start with
     its raw Rayleigh value.
     """
@@ -421,7 +404,7 @@ def warm_start(mesh, k, const_eps2=2.0, rq_steps=8, alpha1=1.0):
         raise NonConvergenceError(
             f"warm start produced a non-positive eigenvalue {lam}"
         )
-    return pencil.normalized(u), math.sqrt(lam)
+    return pencil.normalized(u), lam
 
 
 def decay_exponent(residuals, transitions=3, saturation=5.0):

@@ -31,7 +31,6 @@ from blochfem.companion import build_companion, shift_lower_bound, solve_lineari
 from blochfem.eigeniter import (
     Pencil,
     arnoldi,
-    default_start,
     inverse_power_plain,
     inverse_power_rq,
 )
@@ -192,7 +191,7 @@ def test_c02_monotone_rayleigh_quotients(exp1_run, exp2_run):
 
 def test_c03_scaled_iterate_identity(disk_pencil1):
     p = disk_pencil1
-    u0 = p.normalized(default_start(p.n))
+    u0 = p.normalized(np.ones(p.n, dtype=complex))
     worst = 0.0
     for j in range(1, 11):
         tr_u, uj = inverse_power_rq(p, u0, steps=j)
@@ -215,7 +214,7 @@ def test_c03_scaled_iterate_identity(disk_pencil1):
 
 def test_c04_krylov_dominates_power(disk_pencil1):
     p = disk_pencil1
-    u0 = default_start(p.n)
+    u0 = np.ones(p.n, dtype=complex)
     mus_pow = inverse_power_rq(p, u0, steps=9)[0].mus()
     mu1 = inverse_power_rq(p, u0, tol=1e-12)[0][-1].mu
     sandwich_ok = True
@@ -224,7 +223,7 @@ def test_c04_krylov_dominates_power(disk_pencil1):
         sandwich_ok &= mu1 <= res.mu + 1e-12 <= mus_pow[m - 2] + 2e-12
 
     p0 = Pencil.on_mesh(build_mesh(0), K_POINT, (1.0, 8.0), 1.0)
-    full = arnoldi(p0, default_start(p0.n), m=p0.n)
+    full = arnoldi(p0, np.ones(p0.n, dtype=complex), m=p0.n)
     dense = sla.eigh(p0.A_beta.mat.toarray(), p0.M_w.mat.toarray(), eigvals_only=True)
     gap = abs(full.mu - dense[0])
 

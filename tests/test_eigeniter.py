@@ -13,7 +13,6 @@ from blochfem.eigeniter import (
     ArnoldiResult,
     Pencil,
     arnoldi,
-    default_start,
     inverse_power_plain,
     inverse_power_rq,
     iterate,
@@ -113,13 +112,14 @@ def test_scaled_iterate_identity():
 
 def test_homogeneous_cell_reaches_fourier_value():
     p = Pencil.on_mesh(build_mesh(1), K_POINT, (1.0, 1.0), 1.0)
-    tr, _ = inverse_power_rq(p, default_start(p.n), tol=1e-10)
+    tr, _ = inverse_power_rq(p, np.ones(p.n, dtype=complex), tol=1e-10)
     assert tr[-1].lam == pytest.approx(ANALYTIC_HOMOG, rel=1e-10)
     assert tr.is_monotone_per_level()
 
 
 def test_disk_pencil_monotone_and_converges(disk_pencil):
-    tr, _ = inverse_power_rq(disk_pencil, default_start(disk_pencil.n), tol=1e-10)
+    tr, _ = inverse_power_rq(disk_pencil, np.ones(disk_pencil.n, dtype=complex),
+                             tol=1e-10)
     assert tr.is_monotone_per_level()
     assert tr[-1].residual_dual <= 1e-10
     # residuals of the tail decrease at the two-eigenvalue rate, i.e. the
@@ -136,7 +136,7 @@ def test_scaling_invariance_of_mu(disk_pencil):
 
 def test_trace_bookkeeping(disk_pencil):
     tr, _ = inverse_power_rq(
-        disk_pencil, default_start(disk_pencil.n), steps=4, mesh_level=3,
+        disk_pencil, np.ones(disk_pencil.n, dtype=complex), steps=4, mesh_level=3,
     )
     assert [r.j for r in tr] == [1, 2, 3, 4]
     assert all(r.mesh_level == 3 for r in tr)
@@ -145,7 +145,7 @@ def test_trace_bookkeeping(disk_pencil):
     assert all(r.wall_seconds >= 0 for r in tr)
     # appending to an existing trace continues the global step numbering
     tr2, _ = inverse_power_rq(
-        disk_pencil, default_start(disk_pencil.n), steps=2, trace=tr
+        disk_pencil, np.ones(disk_pencil.n, dtype=complex), steps=2, trace=tr
     )
     assert tr2 is tr and [r.j for r in tr][-2:] == [5, 6]
 
@@ -184,7 +184,8 @@ def test_arnoldi_m1_is_rayleigh_quotient(disk_pencil):
 
 
 def test_arnoldi_full_space_matches_dense_oracle(disk_pencil):
-    res = arnoldi(disk_pencil, default_start(disk_pencil.n), m=disk_pencil.n)
+    res = arnoldi(disk_pencil, np.ones(disk_pencil.n, dtype=complex),
+                  m=disk_pencil.n)
     dense = sla.eigh(
         disk_pencil.A_beta.mat.toarray(), disk_pencil.M_w.mat.toarray(), eigvals_only=True
     )
@@ -192,7 +193,7 @@ def test_arnoldi_full_space_matches_dense_oracle(disk_pencil):
 
 
 def test_arnoldi_sandwich(disk_pencil):
-    u0 = default_start(disk_pencil.n)
+    u0 = np.ones(disk_pencil.n, dtype=complex)
     tr_pow, _ = inverse_power_rq(disk_pencil, u0, steps=9)
     mus_pow = tr_pow.mus()
     tr_conv, _ = inverse_power_rq(disk_pencil, u0, tol=1e-12)
@@ -218,7 +219,7 @@ def test_arnoldi_breakdown_on_invariant_subspace():
 
 
 def test_arnoldi_lam_property(disk_pencil):
-    res = arnoldi(disk_pencil, default_start(disk_pencil.n), m=3)
+    res = arnoldi(disk_pencil, np.ones(disk_pencil.n, dtype=complex), m=3)
     assert res.lam == res.mu - 1.0
 
 
@@ -236,7 +237,7 @@ def test_rejects_zero_start(disk_pencil):
 
 
 def test_rejects_bad_step_requests(disk_pencil):
-    u0 = default_start(disk_pencil.n)
+    u0 = np.ones(disk_pencil.n, dtype=complex)
     with pytest.raises(ValueError):
         inverse_power_rq(disk_pencil, u0)  # neither steps nor tol
     with pytest.raises(ValueError):
@@ -248,7 +249,7 @@ def test_rejects_bad_step_requests(disk_pencil):
 def test_nonconvergence_attaches_partial_trace(disk_pencil):
     with pytest.raises(NonConvergenceError) as err:
         inverse_power_rq(
-            disk_pencil, default_start(disk_pencil.n), tol=1e-14, max_steps=3
+            disk_pencil, np.ones(disk_pencil.n, dtype=complex), tol=1e-14, max_steps=3
         )
     assert err.value.trace is not None
     assert len(err.value.trace) == 3
@@ -259,7 +260,7 @@ def test_stall_at_the_floor_raises_within_a_few_steps(disk_pencil):
     tol = 1e-15
     with pytest.raises(NonConvergenceError, match="has not halved") as err:
         inverse_power_rq(
-            disk_pencil, default_start(disk_pencil.n), tol=tol, max_steps=2000
+            disk_pencil, np.ones(disk_pencil.n, dtype=complex), tol=tol, max_steps=2000
         )
     res = err.value.trace.residuals()
     near = int(np.argmax(res <= FLOOR_FACTOR * tol))
@@ -284,7 +285,7 @@ def test_lopcg_takes_fewer_steps_than_inverse_power():
 
 
 def test_lopcg_rows_are_the_residuals_of_their_iterates(disk_pencil):
-    u0 = default_start(disk_pencil.n)
+    u0 = np.ones(disk_pencil.n, dtype=complex)
     full, _ = lopcg(disk_pencil, u0, tol=1e-12, dual=disk_pencil.dual)
     for row in full:
         # stopping at a row's residual returns that row's iterate
@@ -297,7 +298,7 @@ def test_lopcg_rows_are_the_residuals_of_their_iterates(disk_pencil):
 @pytest.mark.parametrize("level", [0, 1])
 def test_lopcg_mu_never_rises(level):
     p = Pencil.on_mesh(build_mesh(level), K_POINT, (1.0, 8.0), 1.0)
-    trace, _ = lopcg(p, default_start(p.n), tol=1e-13, dual=p.dual)
+    trace, _ = lopcg(p, np.ones(p.n, dtype=complex), tol=1e-13, dual=p.dual)
     mus = trace.mus()
     assert trace[-1].residual_dual <= 1e-13
     assert np.all(np.diff(mus) <= 1e-12 * np.abs(mus[1:]))
@@ -305,7 +306,7 @@ def test_lopcg_mu_never_rises(level):
 
 def test_lopcg_without_dual_steps_with_the_inverse(disk_pencil):
     # the rows record residual_dual and the search direction is step(x)
-    u0 = default_start(disk_pencil.n)
+    u0 = np.ones(disk_pencil.n, dtype=complex)
     stepped, _ = lopcg(disk_pencil, u0, tol=1e-11)
     dual, _ = lopcg(disk_pencil, u0, tol=1e-11, dual=disk_pencil.dual)
     assert stepped[-1].residual_dual <= 1e-11
@@ -330,7 +331,7 @@ def test_lopcg_eigenvector_start_returns_after_its_first_row():
 
 def test_ritz_step_carries_the_products_of_the_move(disk_pencil):
     p = disk_pencil
-    x, move = p.normalized(default_start(p.n)), None
+    x, move = p.normalized(np.ones(p.n, dtype=complex)), None
     for _ in range(4):
         Ax, Mx = p.A_beta @ x, p.M_w @ x
         z = p.step(x)
@@ -354,7 +355,7 @@ def test_lopcg_drops_a_dependent_direction():
 
 def test_lopcg_below_the_floor_raises_with_the_partial_trace(disk_pencil):
     # the level-0 residual floor is about 2e-15
-    u0 = default_start(disk_pencil.n)
+    u0 = np.ones(disk_pencil.n, dtype=complex)
     with pytest.raises(NonConvergenceError, match="has not halved") as err:
         lopcg(disk_pencil, u0, tol=1e-16, max_steps=200, dual=disk_pencil.dual)
     assert FLOOR_STEPS < len(err.value.trace) < 200
