@@ -12,6 +12,10 @@ the same bits can be compared with ``diff``:
   and (1, 8), then at L2 the shifted operator A_beta (beta = 1) and the
   dual operator K + M_w of a beta = 2.5 pencil on M_w = M1 + 8 M2, and
   ``build_companion`` for an empty and a two-pole model;
+* the L2 and L4 power references of ``configs/experiment1.ini`` (its
+  schedule ending on L1, and as shipped), as ``driver.compute_reference``
+  builds them: A_beta, M_w, the inverse symbol of the FFT bound B, the
+  lifted start, and ``mu_ref``;
 * ``eval``, ``eval_lambda``, ``eval_dlambda``, ``real_poles`` and
   ``transfer`` for seven models over a lambda grid that enters every pole's
   guard window. A refused evaluation (or a division by zero, as a damped
@@ -25,15 +29,18 @@ import hashlib
 import os
 import pathlib
 import sys
+from dataclasses import replace
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from blochfem import assembly, companion, dispersion as dp, mesh as msh  # noqa: E402
+from blochfem import assembly, companion, driver, mesh as msh  # noqa: E402
+from blochfem import dispersion as dp  # noqa: E402
 from blochfem.eigeniter import Pencil  # noqa: E402
 
 K = (0.7, 0.3)
@@ -69,6 +76,32 @@ def _digest(*arrays):
 def _sparse(A):
     A = A.tocsr()
     return _digest(A.data, A.indices, A.indptr)
+
+
+def _reference_lines():
+    """The power reference of experiment1 above a schedule ending on L1,
+    and above its own (L3), as ``compute_reference`` hands it to LOPCG."""
+    cfg = replace(driver.RunConfig.from_ini(ROOT / "configs" / "experiment1.ini"),
+                  out=None)
+    lopcg, lines = driver.lopcg, []
+    for max_level in (1, cfg.max_level):
+        seen = {}
+
+        def spy(pencil, u, dual=None, **kw):
+            seen.update(pencil=pencil, u=u, dual=dual)
+            return lopcg(pencil, u, dual=dual, **kw)
+        driver.lopcg = spy
+        try:
+            ref = driver.compute_reference(replace(cfg, max_level=max_level))
+        finally:
+            driver.lopcg = lopcg
+        name = "L%d.reference" % (max_level + 1)
+        lines += [(name + ".A_beta", _sparse(seen["pencil"].A_beta.mat)),
+                  (name + ".M_w", _sparse(seen["pencil"].M_w.mat)),
+                  (name + ".B", _digest(seen["dual"].B.inv)),
+                  (name + ".start", _digest(seen["u"])),
+                  (name + ".mu_ref", float(ref.mu_ref).hex())]
+    return lines
 
 
 def _lambda_grid():
@@ -118,6 +151,8 @@ def main():
         cs = companion.build_companion(mesh, K, MODELS[name])
         lines.append(("L2.companion.%s" % name,
                       _sparse(cs.A_beta.mat) + _sparse(cs.M_w.mat)))
+
+    lines += _reference_lines()
 
     lams = _lambda_grid()
     omegas = np.concatenate([np.sqrt(lams[lams >= 0.0]), -np.sqrt(lams[lams >= 0.0])])

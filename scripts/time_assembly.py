@@ -6,8 +6,10 @@ of the L4 power reference.
 
 Reference: ``driver.compute_reference`` of ``configs/experiment1.ini``
 from its schedule's final state, as ``blochfem run`` makes it, split into
-its stages: the cold L4 pieces, the pencil (A_beta, M_w and the lifted
-start), the FFT bound B of ``BoundedDualNorm`` and the LOPCG leg. Prints
+its stages: the start lifted onto L4, the one-shot pencil
+(``assembly.reference_pencil``: A_beta, M_w and cell (0, 0)'s rows of
+the region masses, no cached pieces), the FFT bound B of
+``BoundedDualNorm`` and the LOPCG leg. Prints
 each stage's time, its tracemalloc peak above what was held when it
 started, and the process's ru_maxrss after it (tracemalloc's own
 bookkeeping included). It runs first, while the process holds nothing
@@ -119,13 +121,8 @@ def reference_stages():
                   out=None)
     final = driver.run_schedule(cfg).final
     stages = _Stages()
-    power_pencil = driver._power_pencil
-
-    def pencil(config, mesh, coarse):
-        stages.run("cold pieces", assembly._pieces, mesh)
-        return stages.run("pencil", power_pencil, config, mesh, coarse)
-
-    patched = dict(_power_pencil=pencil,
+    patched = dict(prolongate=stages.wrap("start", driver.prolongate),
+                   reference_pencil=stages.wrap("pencil", driver.reference_pencil),
                    BoundedDualNorm=stages.wrap("B", driver.BoundedDualNorm),
                    lopcg=stages.wrap("LOPCG", driver.lopcg))
     saved = {name: getattr(driver, name) for name in patched}

@@ -15,16 +15,16 @@ point. The permittivity enters only through the weighted mass.
 
 Every matrix is built from region-restricted pieces (chi_1- and chi_2-
 weighted), assembled once per mesh level and kept until
-:func:`release_pieces` drops them (a reference does, once it no longer
-reads them), with the disk indicator evaluated at quadrature points: 3x3
-Gauss per cell, upgraded to 4x4 on interface-cut cells (cells whose corners
-disagree on chi_2). Only the cells whose Gauss points straddle the
-interface run the weighted quadrature; a cell wholly on one side takes its
-rule's reference element there. Each of the two cell sets is scattered in
-the entry order of scipy's COO -> CSR conversion, captured once per mesh
-as an int32 slot and a uint8 key per entry, so its sums are bitwise the
-ones that conversion builds; the pieces are summed :data:`BLOCK` pattern
-positions at a time, so no nnz-long scratch array is made.
+:func:`release_pieces` drops them, with the disk indicator evaluated at
+quadrature points: 3x3 Gauss per cell, upgraded to 4x4 on interface-cut
+cells (cells whose corners disagree on chi_2). Only the cells whose Gauss
+points straddle the interface run the weighted quadrature; a cell wholly
+on one side takes its rule's reference element there. Each of the two
+cell sets is scattered in the entry order of scipy's COO -> CSR
+conversion, captured once per mesh as an int32 slot and a uint8 key per
+entry, so its sums are bitwise the ones that conversion builds; the
+pieces are summed :data:`BLOCK` pattern positions at a time, so no
+nnz-long scratch array is made.
 
 Every mesh has one read-only CSR pattern, the full Q2 coupling pattern
 (the union of the two cell sets' patterns, which is K0's). Each
@@ -40,7 +40,10 @@ on it. So every per-k form, K(k), M, the weighted mass and the shifted
 and nonlinear operators built from them, is one numpy expression on data
 vectors, and all of them share the pattern's arrays; a power level's
 pencil (A_beta, M_w) is summed from the pieces a block at a time
-(``assemble_tm`` with ``shift``), without K(k) or M held whole. Adding
+(``assemble_tm`` with ``shift``), without K(k) or M held whole. A mesh
+whose forms are built once, a power reference's, keeps no pieces:
+:func:`reference_pencil` sums its pencil straight from the scatter, in
+the same order, and keeps of M1 and M2 only cell (0, 0)'s rows. Adding
 0.0 where a summand has no entry is exact, so those sums are bitwise
 scipy's sparse sums. scipy's would also drop an entry that cancels to
 exactly 0.0, which stays here as a stored zero; the tests find none in K,
@@ -66,7 +69,7 @@ __all__ = [
     "AssembledForms",
     "assemble_tm",
     "weighted_mass",
-    "region_masses",
+    "reference_pencil",
     "release_pieces",
     "max_asymmetry",
 ]
@@ -193,10 +196,10 @@ class _CellSet:
             self.mixed.append(at)
             self.source.append(code_r[at] - 162)
 
-    def scatter(self, lo, hi, acc):
-        """Adds to ``acc[region, kind]`` the sums, at the positions lo to
+    def scatter(self, lo, hi, acc, kinds):
+        """Adds to ``acc[region, i]`` the sums, at the positions lo to
         hi - 1 of the pattern the slots point into, of element matrices
-        ``kind`` (0 K, 1 M, 2 Cx, 3 Cy) over these cells, weighted by
+        ``kinds[i]`` (0 K, 1 M, 2 Cx, 3 Cy) over these cells, weighted by
         region 1 (``region`` 0) or region 2 (1)."""
         for region in (0, 1):
             slot = self.slot[region]
@@ -209,16 +212,16 @@ class _CellSet:
             i, j = np.searchsorted(mixed, (a, b))
             mixed = mixed[i:j] - a
             source = self.source[region][i:j]
-            for kind in range(4):
+            for c, kind in enumerate(kinds):
                 weights = self.reference[kind].reshape(-1).take(keys)
                 weights[mixed] = self.batch[region][kind].reshape(-1)[source]
-                acc[region, kind] += np.bincount(at, weights, minlength=hi - lo)
+                acc[region, c] += np.bincount(at, weights, minlength=hi - lo)
 
 
-def _mesh_pattern(sets, n):
-    """The mesh's CSR pattern, the union of its cell sets' patterns; points
-    each set's slots at their positions in it, and frees the set's own
-    pattern.
+def _cell_sets(mesh):
+    """The mesh's two cell sets (3x3 Gauss on plain cells, 4x4 on cells
+    whose corners disagree on chi_2) and its CSR pattern, the union of
+    theirs, read-only; each set's slots point at their positions in it.
 
     One scipy sum of the two sets' patterns, with data 1 on the first and
     2 on the second, does the merge. Both patterns and their union are
@@ -226,6 +229,11 @@ def _mesh_pattern(sets, n):
     of the union that carry its bit. A set's scatter then adds in its own
     order, straight into the mesh's positions: bitwise its own sum.
     """
+    corners = DISK.chi2(mesh.cell_corners())             # (ncell, 4)
+    cut = np.any(corners != corners[:, :1], axis=1)
+    sets = [_CellSet(mesh, np.flatnonzero(~cut), QUAD_PLAIN),
+            _CellSet(mesh, np.flatnonzero(cut), QUAD_CUT)]
+    n = mesh.dof_count
     flags = [sparse.csr_matrix((np.full(s.indices.size, 1 << i, dtype=np.int8),
                                 s.indices, s.indptr), shape=(n, n))
              for i, s in enumerate(sets)]
@@ -235,7 +243,34 @@ def _mesh_pattern(sets, n):
         where = np.flatnonzero(union.data & (1 << i)).astype(np.int32)
         s.slot = [where.take(slot) for slot in s.slot]
         del s.indices, s.indptr
-    return union.indices, union.indptr
+    union.indices.flags.writeable = False
+    union.indptr.flags.writeable = False
+    return sets, union.indices, union.indptr
+
+
+def _scattered(sets, nnz, kinds):
+    """Per block of :data:`BLOCK` pattern positions, its slice and the
+    region 1 and region 2 sums there of element matrices ``kinds``
+    (``acc[region, i]`` of kind ``kinds[i]``), the plain cells' then the
+    cut cells' added in."""
+    for lo in range(0, nnz, BLOCK):
+        hi = min(lo + BLOCK, nnz)
+        acc = np.zeros((2, len(kinds), hi - lo))
+        for s in sets:
+            s.scatter(lo, hi, acc, kinds)
+        yield slice(lo, hi), acc
+
+
+def _csr(data, indices, indptr):
+    n = indptr.size - 1
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _mirror(indices, indptr):
+    """The position of each entry's mirror (j, i) on a symmetric pattern:
+    entry p of the transposed arange sits at the position of p's mirror."""
+    return _csr(np.arange(indices.size, dtype=np.int32), indices,
+                indptr).T.tocsr().data
 
 
 class _RegionPieces:
@@ -253,49 +288,29 @@ class _RegionPieces:
     """
 
     def __init__(self, mesh):
-        corners = DISK.chi2(mesh.cell_corners())             # (ncell, 4)
-        cut = np.any(corners != corners[:, :1], axis=1)
-        sets = [_CellSet(mesh, np.flatnonzero(~cut), QUAD_PLAIN),
-                _CellSet(mesh, np.flatnonzero(cut), QUAD_CUT)]
-        n = mesh.dof_count
-        self.shape = (n, n)
-        self.indices, self.indptr = _mesh_pattern(sets, n)
-        self.indices.flags.writeable = False
-        self.indptr.flags.writeable = False
+        sets, self.indices, self.indptr = _cell_sets(mesh)
         nnz = self.indices.size
         self.m1, self.m2, self.k0, cx, cy = (np.empty(nnz) for _ in range(5))
-        # a block at a time: region 1 and region 2 sums of the four kinds,
-        # the plain cells' then the cut cells' added in
-        for lo in range(0, nnz, BLOCK):
-            hi = min(lo + BLOCK, nnz)
-            acc = np.zeros((2, 4, hi - lo))
-            for s in sets:
-                s.scatter(lo, hi, acc)
-            self.m1[lo:hi], self.m2[lo:hi] = acc[:, 1]
+        for s, acc in _scattered(sets, nnz, range(4)):
+            self.m1[s], self.m2[s] = acc[:, 1]
             for kind, data in ((0, self.k0), (2, cx), (3, cy)):
-                np.add(acc[0, kind], acc[1, kind], out=data[lo:hi])
+                np.add(acc[0, kind], acc[1, kind], out=data[s])
         del sets, acc
-        # the Q2 coupling pattern is symmetric: entry p of the transposed
-        # arange sits at the position of p's mirror
-        mirror = self._csr(np.arange(nnz, dtype=np.int32)).T.tocsr().data
+        mirror = _mirror(self.indices, self.indptr)
         self.dx = cx[mirror]
         self.dx -= cx
         del cx
         self.dy = cy[mirror]
         self.dy -= cy
 
-    def _csr(self, data):
-        return sparse.csr_matrix((data, self.indices, self.indptr),
-                                 shape=self.shape)
-
     def form(self, data):
         """The Hermitian matrix with entries ``data`` on the mesh's pattern."""
-        return HermitianSparse(self._csr(data))
+        return HermitianSparse(_csr(data, self.indices, self.indptr))
 
     def __getattr__(self, name):
         if name not in ("M1", "M2", "K0", "Dx", "Dy"):
             raise AttributeError(name)
-        A = compact(self._csr(getattr(self, name.lower())))
+        A = compact(_csr(getattr(self, name.lower()), self.indices, self.indptr))
         setattr(self, name, A)
         return A
 
@@ -326,10 +341,23 @@ def _check_weights(w1, w2):
         raise ValueError("mass weights must be finite")
 
 
+def _wave_vector(k):
+    kx, ky = float(k[0]), float(k[1])
+    if not (np.isfinite(kx) and np.isfinite(ky)):
+        raise ValueError("wave vector components must be finite")
+    return kx, ky
+
+
+def _real_tm(m1, m2, k0, k2):
+    """The data of K0 + |k|^2 M, the real part of K(k), and of M, from
+    those of M1, M2 and K0, with |k|^2 = ``k2``."""
+    M = m1 + m2
+    return k0 + k2 * M, M
+
+
 def _tm(p, s, kx, ky):
     """The data of K(k) and M on the entries ``s`` of the pattern."""
-    M = p.m1[s] + p.m2[s]
-    K = p.k0[s] + (kx * kx + ky * ky) * M
+    K, M = _real_tm(p.m1[s], p.m2[s], p.k0[s], kx * kx + ky * ky)
     if kx != 0.0 or ky != 0.0:
         K = K.astype(complex)
         # i kx Dx is imaginary: scipy's complex sum adds zeros to the real
@@ -339,6 +367,19 @@ def _tm(p, s, kx, ky):
         if ky != 0.0:
             K.imag += ky * p.dy[s]
     return K, M
+
+
+def _shift(K, m1, m2, weights, beta, A, Mw):
+    """Writes M_w = w1 * M1 + w2 * M2 into ``Mw`` and A_beta = K + beta * M_w
+    into ``A``, on the entries of the data ``K``, ``m1`` and ``m2``."""
+    w1, w2 = weights
+    np.add(w1 * m1, w2 * m2, out=Mw)
+    np.add(K, beta * Mw, out=A)
+
+
+def _stiffness_dtype(kx, ky):
+    """The dtype of K(k) and A_beta: real at k = 0 only."""
+    return complex if kx != 0.0 or ky != 0.0 else float
 
 
 def assemble_tm(mesh, k, shift=None):
@@ -356,9 +397,7 @@ def assemble_tm(mesh, k, shift=None):
     expressions of K, M and :func:`weighted_mass`: bitwise the sum of those
     forms, but neither K nor M is ever held whole.
     """
-    kx, ky = float(k[0]), float(k[1])
-    if not (np.isfinite(kx) and np.isfinite(ky)):
-        raise ValueError("wave vector components must be finite")
+    kx, ky = _wave_vector(k)
     p = _pieces(mesh)
     if shift is not None:
         return _shifted_forms(p, kx, ky, *shift)
@@ -368,19 +407,82 @@ def assemble_tm(mesh, k, shift=None):
 
 
 def _shifted_forms(p, kx, ky, weights, beta):
-    w1, w2 = weights
-    _check_weights(w1, w2)
+    _check_weights(*weights)
     beta = float(beta)
-    nnz = p.indices.size
-    A = np.empty(nnz, dtype=complex if kx != 0.0 or ky != 0.0 else float)
-    Mw = np.empty(nnz)
-    for lo in range(0, nnz, BLOCK):
+    A = np.empty(p.indices.size, dtype=_stiffness_dtype(kx, ky))
+    Mw = np.empty(A.size)
+    for lo in range(0, A.size, BLOCK):
         s = slice(lo, lo + BLOCK)
         K = _tm(p, s, kx, ky)[0]
-        np.add(w1 * p.m1[s], w2 * p.m2[s], out=Mw[s])
-        np.add(K, beta * Mw[s], out=A[s])
+        _shift(K, p.m1[s], p.m2[s], weights, beta, A[s], Mw[s])
         del K
     return p.form(A), p.form(Mw)
+
+
+def reference_pencil(mesh, k, weights, beta):
+    """The pencil (A_beta, M_w) of ``assemble_tm(mesh, k, shift=(weights,
+    beta))``, bitwise, built without the region pieces, and the region
+    masses M1 and M2 on cell (0, 0)'s rows alone.
+
+    For a mesh whose forms are built once, as a reference's finer mesh
+    is: nothing is cached, and the scatter of the region pieces runs
+    :data:`BLOCK` positions at a time, once per convection element whose
+    wave-vector component is nonzero, then once for the stiffness and mass
+    elements together. A convection pass sums Cx (or Cy) whole and adds
+    kx Dx (or ky Dy) into the imaginary part of A_beta, in
+    :func:`assemble_tm`'s order; the last pass writes the real part of
+    A_beta and M_w block by block, with its expressions. Besides the cell
+    sets, the pattern, A_beta and M_w, the build holds at most one of Cx
+    and Cy and the mirror map; K0, M1, M2, Dx and Dy are never whole.
+
+    Returns ``((A_beta, M_w), (M1, M2))``: A_beta and M_w
+    :class:`HermitianSparse` on the mesh's pattern, M1 and M2 CSR matrices
+    that store the rows of the DOFs of cell (0, 0) only, which is what
+    :class:`~blochfem.linalg.BoundedDualNorm` reads of them.
+    """
+    kx, ky = _wave_vector(k)
+    _check_weights(*weights)
+    beta = float(beta)
+    sets, indices, indptr = _cell_sets(mesh)
+    n, nnz = mesh.dof_count, indices.size
+    A = np.empty(nnz, dtype=_stiffness_dtype(kx, ky))
+    if A.dtype.kind == "c":
+        A.imag = 0.0
+        mirror = _mirror(indices, indptr)
+        for kind, component in ((2, kx), (3, ky)):
+            if component == 0.0:
+                continue
+            c = np.empty(nnz)
+            for s, acc in _scattered(sets, nnz, (kind,)):
+                np.add(acc[0, 0], acc[1, 0], out=c[s])
+            for lo in range(0, nnz, BLOCK):
+                s = slice(lo, lo + BLOCK)
+                A.imag[s] += component * (c[mirror[s]] - c[s])
+            del c
+        del mirror
+
+    # cell (0, 0): the DOFs (0, 0), (1, 0), (0, 1) and (1, 1) of the lattice
+    d = 2 * mesh.ncell_side
+    rows = np.array([0, 1, d, d + 1])
+    cell = np.concatenate([np.arange(indptr[i], indptr[i + 1]) for i in rows])
+    masses = np.empty((2, cell.size))
+    Mw = np.empty(nnz)
+    for s, acc in _scattered(sets, nnz, (0, 1)):
+        m1, m2 = acc[:, 1]
+        K = _real_tm(m1, m2, np.add(acc[0, 0], acc[1, 0]), kx * kx + ky * ky)[0]
+        if A.dtype.kind == "c":
+            K = K.astype(complex)
+            K.imag = A.imag[s]
+        _shift(K, m1, m2, weights, beta, A[s], Mw[s])
+        i, j = np.searchsorted(cell, (s.start, s.stop))
+        masses[:, i:j] = acc[:, 1, cell[i:j] - s.start]
+    del sets, acc, K
+    counts = np.zeros(n + 1, dtype=indptr.dtype)
+    counts[rows + 1] = indptr[rows + 1] - indptr[rows]
+    cell_indptr = np.cumsum(counts, dtype=indptr.dtype)
+    return ((HermitianSparse(_csr(A, indices, indptr)),
+             HermitianSparse(_csr(Mw, indices, indptr))),
+            tuple(_csr(m, indices[cell], cell_indptr) for m in masses))
 
 
 def weighted_mass(mesh, w1, w2):
@@ -389,9 +491,3 @@ def weighted_mass(mesh, w1, w2):
     _check_weights(w1, w2)
     p = _pieces(mesh)
     return p.form(w1 * p.m1 + w2 * p.m2)
-
-
-def region_masses(mesh):
-    """M1 and M2, the mesh's cached region masses, on its pattern."""
-    p = _pieces(mesh)
-    return p.form(p.m1), p.form(p.m2)

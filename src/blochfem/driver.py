@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import dispersion
-from .assembly import assemble_tm, region_masses, release_pieces
+from .assembly import assemble_tm, reference_pencil, release_pieces
 from .companion import (
     build_companion,
     default_big_start,
@@ -414,10 +414,13 @@ def compute_reference(config, final=None, tol=REFERENCE_TOL):
     nothing.
 
     A reference is the last thing a run solves, so it releases the cached
-    region pieces (:func:`~blochfem.assembly.release_pieces`): the
-    schedule's before the finer mesh is built, and the finer mesh's once
-    its operators are, M1 and M2 taken, before the bound's symbol and the
-    leg. A schedule run after it builds each level again.
+    region pieces (:func:`~blochfem.assembly.release_pieces`) before the
+    finer mesh is built, and keeps none of that mesh: the power family
+    builds its pencil there with
+    :func:`~blochfem.assembly.reference_pencil`, which caches nothing and
+    keeps of M1 and M2 only the rows the bound reads; the other families
+    release the finer mesh's pieces once their operators are built. A
+    schedule run after it builds each level again.
     """
     config.validate()
     if config.experiment == "homogeneous_check":
@@ -437,13 +440,11 @@ def compute_reference(config, final=None, tol=REFERENCE_TOL):
     elif config.experiment == "newton":
         _newton_level(config, mesh, final, trace, leg)
     else:
-        pencil, u = _power_pencil(config, mesh, final)
-        masses = region_masses(mesh)
-        release_pieces()
-        dual = BoundedDualNorm(pencil.dual_operator(), *masses,
-                               (config.alpha1, config.model.c), tol)
-        # the bound keeps only its stencil of them
-        del masses
+        weights, beta = (config.alpha1, config.model.c), config.resolved_beta()
+        u = prolongate(final[1].u, final[0], mesh)
+        forms, masses = reference_pencil(mesh, config.k, weights, beta)
+        pencil = Pencil(*forms, beta)
+        dual = BoundedDualNorm(pencil.dual_operator(), *masses, weights, tol)
         lopcg(pencil, u, dual=dual, mesh_level=mesh.level, trace=trace, **leg)
     last = trace[-1]
     return ReferenceSolution(

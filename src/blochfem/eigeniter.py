@@ -340,35 +340,65 @@ def _ritz_step(pencil, x, Ax, Mx, z, p):
     Gram-Schmidt updates with the coefficients it applies to p, so that
     only z is multiplied. Returns the new iterate and the new move with its
     products.
+
+    The basis and its products are held once, as the columns of three
+    arrays, each written as its direction is normalized. Gram-Schmidt reads
+    contiguous vectors instead (a strided ``vdot`` sums in another order),
+    so z's columns are copied out while p is orthogonalized against them.
     """
-    V, AV, MV = [x], [Ax], [Mx]
-    for w, Aw, Mw in ((z, None, None), p or (None, None, None)):
-        if w is None:
+    directions = [(z, None, None)] + ([p] if p is not None else [])
+    shape = (x.size, 1 + len(directions))
+    dtype = np.result_type(x, Ax, Mx, z)
+    V, AV, MV = (np.empty(shape, dtype=dtype) for _ in range(3))
+    V[:, 0], AV[:, 0], MV[:, 0] = x, Ax, Mx
+    basis = [(x, Ax, Mx)]
+    m = 1
+    for i, direction in enumerate(directions, 1):
+        columns = (V[:, m], AV[:, m], MV[:, m])
+        if not _orthonormalize(pencil, basis, direction, columns):
             continue
-        length = np.linalg.norm(w)
-        for _pass in range(2):
-            for v, Av, Mv in zip(V, AV, MV):
-                c = np.vdot(Mv, w)
-                w = w - v * c
-                if Aw is not None:
-                    Aw, Mw = Aw - Av * c, Mw - Mv * c
-        if not np.linalg.norm(w) > DROP_TOL * length:
-            continue
-        if Aw is None:
-            Aw, Mw = pencil.A_beta @ w, pencil.M_w @ w
-        nrm = np.sqrt(np.vdot(w, Mw).real)
-        V.append(w / nrm)
-        AV.append(Aw / nrm)
-        MV.append(Mw / nrm)
-    V, AV, MV = (np.column_stack(cols) for cols in (V, AV, MV))
-    K_small = V.conj().T @ AV
-    M_small = V.conj().T @ MV
+        if i < len(directions):
+            basis.append(tuple(col.copy() for col in columns))
+        m += 1
+    del basis, columns
+    if m < shape[1]:
+        V, AV, MV = (np.ascontiguousarray(B[:, :m]) for B in (V, AV, MV))
+    Vh = V.conj().T
+    K_small = Vh @ AV
+    M_small = Vh @ MV
+    del Vh
     _, vecs = scipy.linalg.eigh(
         0.5 * (K_small + K_small.conj().T), 0.5 * (M_small + M_small.conj().T),
         subset_by_index=[0, 0],
     )
     y = vecs[:, 0]
     return V @ y, tuple(B[:, 1:] @ y[1:] for B in (V, AV, MV))
+
+
+def _orthonormalize(pencil, basis, direction, columns):
+    """Writes ``direction``, a vector w with A_beta w and M_w w (both None
+    to be taken afresh), M_w-orthonormalized against ``basis`` by two
+    Gram-Schmidt passes, into ``columns``. Returns False, and writes
+    nothing, when the passes shrink w below :data:`DROP_TOL` of its
+    length. Copies are updated in place: bitwise w = w - v * c, with no
+    second copy."""
+    w, Aw, Mw = (None if u is None else u.copy() for u in direction)
+    length = np.linalg.norm(w)
+    for _pass in range(2):
+        for v, Av, Mv in basis:
+            c = np.vdot(Mv, w)
+            w -= v * c
+            if Aw is not None:
+                Aw -= Av * c
+                Mw -= Mv * c
+    if not np.linalg.norm(w) > DROP_TOL * length:
+        return False
+    if Aw is None:
+        Aw, Mw = pencil.A_beta @ w, pencil.M_w @ w
+    nrm = np.sqrt(np.vdot(w, Mw).real)
+    for col, u in zip(columns, (w, Aw, Mw)):
+        np.divide(u, nrm, out=col)
+    return True
 
 
 @dataclass

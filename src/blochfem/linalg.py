@@ -30,7 +30,7 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .errors import NonConvergenceError, SingularMatrixError
-from .mesh import CellPeriodicInverse
+from .mesh import CellPeriodicInverse, cell_stencil
 
 __all__ = [
     "HermitianSparse",
@@ -326,7 +326,7 @@ class DualNorm:
         Kd, Md = shared_data(K, M)
         A = with_data(_as_csr(K), Kd + Md)
         if cell_periodic:
-            inverse = CellPeriodicInverse.of_cell(A, A.data.take)
+            inverse = CellPeriodicInverse.of_cell(A)
             if inverse is not None:
                 self.fact = _PeriodicSolve(A, inverse)
                 self.precondition = inverse
@@ -381,22 +381,26 @@ class BoundedDualNorm:
 
     B is the FFT inverse of the unit-weight K + w*M
     (:class:`~blochfem.mesh.CellPeriodicInverse`), which is cell-periodic
-    by construction. Its stencil is read from cell (0, 0)'s rows alone: the
-    entries of ``A`` there minus those of (w1 - w)*M1 and (w2 - w)*M2. ``A``
-    is CSR, and ``M1`` and ``M2`` hold the region masses on its pattern;
-    ``tol`` is the tolerance of the leg it serves (see
-    :meth:`norm_and_solve`).
+    by construction. Its stencil is read from cell (0, 0)'s rows alone:
+    the stencil of ``A`` there minus (w1 - w) times that of ``M1`` and
+    (w2 - w) times that of ``M2``. ``A`` is CSR; ``M1`` and ``M2`` hold the
+    region masses on at least those rows
+    (:func:`~blochfem.assembly.reference_pencil` keeps no others). ``tol``
+    is the tolerance of the leg it serves (see :meth:`norm_and_solve`).
     """
 
     def __init__(self, A, M1, M2, weights, tol):
         self.A = _as_csr(A)
-        Ad, m1, m2 = shared_data(self.A, M1, M2)
         w1, w2 = weights
         w = min(w1, w2)
         self.kappa = max(w1, w2) / w
         self.tol = float(tol)
-        self.B = CellPeriodicInverse.of_cell(
-            self.A, lambda pos: Ad[pos] - (w1 - w) * m1[pos] - (w2 - w) * m2[pos])
+        stencils = [cell_stencil(_as_csr(X)) for X in (self.A, M1, M2)]
+        self.B = None
+        if all(s is not None for s in stencils):
+            sA, s1, s2 = stencils
+            self.B = CellPeriodicInverse.of_stencil(
+                sA - (w1 - w) * s1 - (w2 - w) * s2, self.A.shape[0])
         if self.B is None:
             raise ValueError("K + w*M is not cell-periodic on a mesh's DOF lattice")
 

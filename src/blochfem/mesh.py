@@ -31,6 +31,7 @@ __all__ = [
     "PeriodicMesh",
     "build_mesh",
     "CellPeriodicInverse",
+    "cell_stencil",
     "prolongate",
     "evaluate",
 ]
@@ -142,9 +143,10 @@ class CellPeriodicInverse:
     operators assembled with one weight on both regions are such operators
     up to quadrature rounding: K(k), M and their sums.
 
-    Build it with :meth:`of_cell`, which reads cell (0, 0)'s rows alone.
-    Nothing is checked against the other rows: whoever builds the operator
-    knows from its weights that it repeats. Calling it applies the inverse
+    Build it with :meth:`of_cell`, which reads cell (0, 0)'s rows alone,
+    or with :meth:`of_stencil` from such rows' stencil. Nothing is checked
+    against the other rows: whoever builds the operator knows from its
+    weights that it repeats. Calling it applies the inverse
     of the operator's cell-(0, 0) stencil.
     """
 
@@ -156,21 +158,23 @@ class CellPeriodicInverse:
         self.inv = np.ascontiguousarray(inv.transpose(2, 3, 0, 1))
 
     @classmethod
-    def of_cell(cls, A, entries):
+    def of_cell(cls, A):
         """The inverse of the operator that repeats cell (0, 0)'s rows of
         CSR ``A`` over the cells, or None when ``A`` is not on the DOF
         lattice of a mesh, couples a DOF of cell (0, 0) beyond lattice
-        offset 2, or its symbol is singular.
+        offset 2, or its symbol is singular. Only those rows, at most 100
+        entries, are read."""
+        return cls.of_stencil(cell_stencil(A), A.shape[0])
 
-        ``entries(pos)`` gives the entries at the positions ``pos`` of a
-        data vector on ``A``'s pattern. Only those of cell (0, 0)'s rows,
-        at most 100, are read.
-        """
-        stencil = _cell_stencil(A, entries)
+    @classmethod
+    def of_stencil(cls, stencil, n):
+        """The inverse of the operator that repeats ``stencil``, a
+        :func:`cell_stencil`, over the cells of the ``n``-DOF lattice, or
+        None when ``stencil`` is None or its symbol is singular."""
         if stencil is None:
             return None
         try:
-            return cls(stencil.reshape(4, 5, 5), math.isqrt(A.shape[0]) // 2,
+            return cls(stencil.reshape(4, 5, 5), math.isqrt(n) // 2,
                        real=stencil.dtype.kind != "c")
         except np.linalg.LinAlgError:
             return None
@@ -193,7 +197,7 @@ class CellPeriodicInverse:
         return z.real.copy() if self.real and not np.iscomplexobj(r) else z
 
 
-def _cell_stencil(A, entries):
+def cell_stencil(A):
     """The stencil of cell (0, 0)'s rows of CSR ``A``, or None when ``A`` is
     not on the DOF lattice of a mesh or couples there beyond lattice offset
     2.
@@ -201,8 +205,7 @@ def _cell_stencil(A, entries):
     The stencil is 100 long, 0 where the rows store nothing: slot
     25 * (type of the row's DOF) + 5 * (dy + 2) + (dx + 2) holds the entry
     at lattice offset (dx, dy), modulo the lattice side, from the row's DOF
-    to the column's. Its entries are ``entries(pos)`` at the rows'
-    positions ``pos``.
+    to the column's. No other row of ``A`` is read.
     """
     n = A.shape[0]
     d = math.isqrt(n)
@@ -219,9 +222,8 @@ def _cell_stencil(A, entries):
     dy = (cols // d - kind // 2 + 2) % d
     if max(dx.max(initial=0), dy.max(initial=0)) > 4:
         return None
-    values = entries(pos)
-    stencil = np.zeros(100, dtype=values.dtype)
-    stencil[25 * kind + 5 * dy + dx] = values
+    stencil = np.zeros(100, dtype=A.dtype)
+    stencil[25 * kind + 5 * dy + dx] = A.data[pos]
     return stencil
 
 

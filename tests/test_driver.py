@@ -357,6 +357,24 @@ def test_power_reference_factors_nothing_and_converges_from_a_stalling_start(mon
     assert ref.lam_ref == pytest.approx(final[1].lam, rel=1e-4)
 
 
+def test_power_reference_builds_no_region_pieces_and_factors_nothing(monkeypatch):
+    # experiment1: the L4 pencil comes from reference_pencil, which caches
+    # nothing; the schedule's pieces are released, none are built at L4
+    cfg = replace(driver.RunConfig.from_ini(REPO / "configs" / "experiment1.ini"),
+                  out=None)
+    final = driver.run_schedule(cfg).final
+    builds, sizes = [], []
+    build, factor = asm._RegionPieces, linalg.Factorization.__init__
+    monkeypatch.setattr(asm, "_RegionPieces",
+                        lambda mesh: builds.append(mesh.level) or build(mesh))
+    monkeypatch.setattr(linalg.Factorization, "__init__",
+                        lambda self, A: factor(self, A) or sizes.append(self.n))
+    ref = driver.compute_reference(cfg, final)
+    assert ref.level == cfg.max_level + 1 == 4
+    assert builds == [] and sizes == []
+    assert asm._PIECES_CACHE == {}
+
+
 # ---------------------------------------------------------------------------
 # persistence
 

@@ -9,7 +9,7 @@ from scipy import sparse
 
 from blochfem import dispersion, driver
 from blochfem import linalg as lin
-from blochfem.assembly import assemble_tm, region_masses
+from blochfem.assembly import assemble_tm, reference_pencil
 from blochfem.errors import SingularMatrixError
 from blochfem.mesh import CellPeriodicInverse, build_mesh
 from test_mesh import cell_periodic
@@ -249,10 +249,12 @@ def experiment1(level, k):
     )
 
 
-def bounded(pencil, mesh, tol=driver.REFERENCE_TOL):
-    """The reference's bounded dual norm of experiment1's pencil on ``mesh``."""
-    return lin.BoundedDualNorm(pencil.dual_operator(), *region_masses(mesh),
-                               (1.0, 8.0), tol)
+def bounded(pencil, mesh, k, tol=driver.REFERENCE_TOL):
+    """The reference's bounded dual norm of experiment1's pencil on ``mesh``
+    at ``k``, on the region masses of cell (0, 0)'s rows that
+    ``reference_pencil`` keeps."""
+    masses = reference_pencil(mesh, k, (1.0, 8.0), pencil.beta)[1]
+    return lin.BoundedDualNorm(pencil.dual_operator(), *masses, (1.0, 8.0), tol)
 
 
 @pytest.mark.parametrize("k", K_POINTS)
@@ -260,7 +262,7 @@ def test_fft_bound_brackets_the_dual_norm_at_L2(k):
     # r^H B r >= r^H (K + M_w)^{-1} r >= r^H B r / kappa, kappa = 8
     mesh = build_mesh(2)
     pencil, _ = driver._power_pencil(experiment1(2, k), mesh, None)
-    dual = bounded(pencil, mesh)
+    dual = bounded(pencil, mesh, k)
     assert dual.kappa == 8.0
     rng = np.random.default_rng(7)
     for _ in range(4):
@@ -277,8 +279,8 @@ def test_conjugate_gradients_bound_the_dual_norm_between_the_thresholds(k):
     mesh = build_mesh(2)
     pencil, _ = driver._power_pencil(experiment1(2, k), mesh, None)
     r = np.random.default_rng(11).standard_normal(pencil.n) + 0.5j
-    est = bounded(pencil, mesh).norm_and_solve(r)[0]
-    val, y = bounded(pencil, mesh, tol=est / 2).norm_and_solve(r)
+    est = bounded(pencil, mesh, k).norm_and_solve(r)[0]
+    val, y = bounded(pencil, mesh, k, tol=est / 2).norm_and_solve(r)
     exact, z = pencil.dual.norm_and_solve(r)
     # an upper bound in exact arithmetic; PCG run to 1e-6 leaves a gap
     # below the rounding of the two inner products (2e-14 measured)
@@ -297,9 +299,9 @@ def test_cell_reader_applies_the_checked_inverse_bitwise(level, k):
     K, M = forms.K.mat, forms.M.mat
     A = lin.with_data(K, K.data + 1.0 * M.data)
     assert cell_periodic(A)
-    checked = CellPeriodicInverse.of_cell(A, A.data.take)
+    checked = CellPeriodicInverse.of_cell(A)
     r = np.array([1.0, 1j]) @ np.random.default_rng(level).standard_normal((2, pencil.n))
-    assert bounded(pencil, mesh).B(r).tobytes() == checked(r).tobytes()
+    assert bounded(pencil, mesh, k).B(r).tobytes() == checked(r).tobytes()
 
 
 def test_bounded_dual_norm_needs_a_mesh_lattice():

@@ -19,7 +19,7 @@ def test_stop_row_never_reads_below_the_exact_dual_norm(level, k):
     mesh = build_mesh(level)
     pencil, u = driver._power_pencil(cfg, mesh, driver.run_schedule(cfg).final)
     tol = driver.REFERENCE_TOL
-    trace, x = lopcg(pencil, u, tol, dual=bounded(pencil, mesh))
+    trace, x = lopcg(pencil, u, tol, dual=bounded(pencil, mesh, k))
     last = trace[-1]
     r = pencil.A_beta @ x - last.mu * (pencil.M_w @ x)
     assert isinstance(pencil.dual.fact, lin.Factorization)
