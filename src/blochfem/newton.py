@@ -42,6 +42,13 @@ Two iterations solve T(lam) u = 0:
   NonConvergenceError; no inexact step is handed on. The rows record the
   exact dual norm of T(lam) u either way.
 
+Each row multiplies its field u once by K, M1 and M2 (:class:`Products`).
+T(lam) u is the sum K u - lam*alpha1*M1 u - lam*eps2(lam)*M2 u of those
+products, for the row's residual and for the right-hand side of the next
+solve; an assembled T(lam) would round away the cancellation of its
+entries near an eigenvalue. T is assembled only as the operator of a
+solve: T(sigma), and T(lam) inside the bordered matrix.
+
 Both are generators of trace rows (:func:`_newton_rows`, :func:`_rii_rows`)
 run by :func:`~blochfem.eigeniter.iterate`, which times and records the
 rows and applies the stop rules; a hand-over continues the same leg, under
@@ -51,7 +58,7 @@ its one step budget and its one floor history.
 import collections
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sparse
@@ -68,6 +75,7 @@ from .trace import IterationTrace
 __all__ = [
     "NonlinearPencil",
     "NewtonState",
+    "Products",
     "newton_step",
     "newton_solve",
     "rayleigh_functional",
@@ -111,7 +119,8 @@ class NonlinearPencil:
 
     @property
     def mass(self):
-        """Plain mass M1 + M2: the normalization and residual weight."""
+        """Plain mass M = M1 + M2, assembled: the weight of :attr:`dual`.
+        A normalization takes M u as M1 u + M2 u (:class:`Products`)."""
         return self.forms.M
 
     @property
@@ -127,7 +136,17 @@ class NonlinearPencil:
             self._dual = DualNorm(self.forms.K, self.mass, cell_periodic=True)
         return self._dual
 
+    def products(self, u):
+        """The :class:`Products` of the field ``u``: one pass of K, M1 and
+        M2. Products are returned as they are."""
+        if isinstance(u, Products):
+            return u
+        f = self.forms
+        return Products(u, f.K @ u, f.M1 @ u, f.M2 @ u)
+
     def T(self, lam):
+        """The assembled T(lam): the operator of a solve. A residual sums
+        products instead (:meth:`apply`)."""
         lam = float(lam)
         eps2 = dispersion.eval_lambda(self.model, lam)
         f = self.forms
@@ -135,7 +154,8 @@ class NonlinearPencil:
         return with_data(f.K.mat, K - lam * self.alpha1 * M1 - lam * eps2 * M2)
 
     def dT(self, lam):
-        """d/dlam of T: -alpha1*M1 - (eps2 + lam*eps2')*M2."""
+        """d/dlam of T: -alpha1*M1 - (eps2 + lam*eps2')*M2, assembled. A
+        step sums dT(lam) u from products (:meth:`apply_derivative`)."""
         lam = float(lam)
         eps2 = dispersion.eval_lambda(self.model, lam)
         deps2 = dispersion.eval_dlambda(self.model, lam)
@@ -143,34 +163,84 @@ class NonlinearPencil:
         M1, M2 = shared_data(f.M1, f.M2)
         return with_data(f.M1.mat, -self.alpha1 * M1 - (eps2 + lam * deps2) * M2)
 
-    def residual_dual(self, u, lam, T=None):
+    def apply(self, p, lam):
+        """T(lam) u = K u - (lam*alpha1) M1 u - (lam*eps2) M2 u from u's
+        :class:`Products` ``p``.
+
+        Near an eigenvalue the entries of an assembled T(lam) cancel, and
+        rounding them leaves T(lam) @ u an error above tol = 1e-12 on L3;
+        the sum of the products keeps the error of K u, M1 u and M2 u.
+        """
+        lam = float(lam)
+        eps2 = dispersion.eval_lambda(self.model, lam)
+        return p.Ku - (lam * self.alpha1) * p.M1u - (lam * eps2) * p.M2u
+
+    def apply_derivative(self, p, lam):
+        """dT(lam) u = -alpha1 M1 u - (eps2 + lam*eps2') M2 u from u's
+        :class:`Products` ``p``."""
+        lam = float(lam)
+        eps2 = dispersion.eval_lambda(self.model, lam)
+        deps2 = dispersion.eval_dlambda(self.model, lam)
+        return -self.alpha1 * p.M1u - (eps2 + lam * deps2) * p.M2u
+
+    def residual_dual(self, u, lam):
         """Dual norm sqrt(r^H (K+M)^{-1} r) of r = T(lam) u, u the
         mass-normalized field, through :attr:`dual`.
 
-        ``T`` is T(lam) when the caller has built it already.
+        ``u`` is a field or its :class:`Products`; r is summed from the
+        products (:meth:`apply`), and no T(lam) is assembled.
         """
-        nrm = math.sqrt(np.vdot(u, self.mass @ u).real)
-        if nrm <= 0.0:
-            raise ValueError("residual of a zero field")
-        if T is None:
-            T = self.T(lam)
-        return self.dual(T @ (u / nrm))
+        p = self.products(u)
+        return self.dual(self.apply(p, lam) / p.mass_norm())
+
+
+@dataclass
+class Products:
+    """A field u with K u, M1 u and M2 u, the one product pass from which a
+    Newton row takes its mass norm, its Rayleigh functional, T(lam) u and
+    dT(lam) u (:meth:`NonlinearPencil.products`)."""
+
+    u: np.ndarray
+    Ku: np.ndarray
+    M1u: np.ndarray
+    M2u: np.ndarray
+
+    @property
+    def Mu(self):
+        """M u with M = M1 + M2, the plain mass."""
+        return self.M1u + self.M2u
+
+    def mass_norm(self):
+        nrm = math.sqrt(max(np.vdot(self.u, self.Mu).real, 0.0))
+        if not nrm > 0.0:
+            raise ValueError("cannot normalize a zero field")
+        return nrm
+
+    def normalized(self):
+        """The products of u / ||u||_M, scaled from these."""
+        s = 1.0 / self.mass_norm()
+        return Products(s * self.u, s * self.Ku, s * self.M1u, s * self.M2u)
 
 
 @dataclass
 class NewtonState:
-    """One Newton iterate: field u and eigenvalue lam."""
+    """One Newton iterate: field u and eigenvalue lam, with u's
+    :class:`Products` when the row that made it took them."""
 
     u: np.ndarray
     lam: float
+    products: Products = field(default=None, repr=False, compare=False)
 
 
 def newton_step(pencil, state, inexact=False):
-    """One bordered Newton update from ``state``; returns the new state.
+    """One bordered Newton update from ``state``; returns the new state,
+    with the products of its field.
 
     The step normalizes against its start: u is ``state.u`` mass-normalized,
-    and the new field u' has u^H M u' = 1. The bordered system is factored,
-    or with ``inexact`` solved by :func:`~blochfem.linalg.gmres_solve`,
+    and the new field u' has u^H M u' = 1. Its right-hand side -T(lam) u,
+    border column dT(lam) u and border row M u come from u's products; the
+    bordered matrix holds the assembled T(lam). It is factored, or with
+    ``inexact`` solved by :func:`~blochfem.linalg.gmres_solve`,
     preconditioned by the block diagonal diag(B, 1/(u^H M B M u)) with B
     the inverse of K + M that :attr:`NonlinearPencil.dual` holds; that
     solve raises NonConvergenceError when GMRES misses its tolerance.
@@ -179,12 +249,13 @@ def newton_step(pencil, state, inexact=False):
     which means the current (u, lam) sits where the border fails to control
     the nullspace -- restart closer to the eigenpair.
     """
-    u = _mass_normalized(pencil, state.u)
+    p = pencil.products(state.u if state.products is None else state.products)
+    p = p.normalized()
     T = pencil.T(state.lam)
-    c = pencil.dT(state.lam) @ u
-    w = pencil.mass @ u  # the border row is w^H
+    c = pencil.apply_derivative(p, state.lam)
+    w = p.Mu  # the border row is w^H
     n = pencil.n
-    rhs = np.concatenate([-(T @ u), [0.0]])
+    rhs = np.concatenate([-pencil.apply(p, state.lam), [0.0]])
     if inexact:
         sol = _bordered_gmres(pencil, T, c, w, rhs)
     else:
@@ -199,14 +270,15 @@ def newton_step(pencil, state, inexact=False):
                 "bordered Newton matrix is singular at lam = %r; restart from "
                 "a better (u, lam) (%s)" % (state.lam, exc)
             ) from exc
-    u = u + sol[:n]
+    u = p.u + sol[:n]
     # nu is real up to roundoff (Hermitian T, real lam); keep lam real
     lam = state.lam + sol[n].real
     pu = np.vdot(w, u)
     if abs(pu) < 1e-300:
         raise ValueError("updated field is orthogonal to the iterate it "
                          "was updated from")
-    return NewtonState(u=u / pu, lam=lam)
+    u = u / pu
+    return NewtonState(u=u, lam=lam, products=pencil.products(u))
 
 
 def _bordered_gmres(pencil, T, c, w, rhs):
@@ -241,8 +313,8 @@ def newton_solve(pencil, u0, lam0, *, steps=None, tol=None, max_steps=30,
 
     Returns the last :class:`NewtonState`.
     """
-    u0 = _mass_normalized(pencil, np.asarray(u0, dtype=complex))
-    state = NewtonState(u=u0, lam=float(lam0))
+    p = pencil.products(np.asarray(u0, dtype=complex)).normalized()
+    state = NewtonState(u=p.u, lam=float(lam0), products=p)
     start_row = tol is not None
     return iterate(_newton_rows(pencil, state, start_row), pencil.n, trace,
                    mesh_level, steps=steps, tol=tol, max_steps=max_steps,
@@ -251,7 +323,8 @@ def newton_solve(pencil, u0, lam0, *, steps=None, tol=None, max_steps=30,
 
 def _newton_rows(pencil, state, start_row=False, res=None, inexact=False):
     """Rows of bordered Newton steps from ``state``, each solved as
-    ``inexact`` says (:func:`newton_step`).
+    ``inexact`` says (:func:`newton_step`); ``state`` carries its
+    products, and each row takes its residual from those of its field.
 
     With ``start_row`` the residual of ``state`` comes first. Given that
     residual (or ``res``), as tolerance legs are, the rows raise
@@ -259,12 +332,12 @@ def _newton_rows(pencil, state, start_row=False, res=None, inexact=False):
     resuming, after the row's ``tol``.
     """
     if start_row:
-        res = pencil.residual_dual(state.u, state.lam)
+        res = pencil.residual_dual(state.products, state.lam)
         yield state, state.lam, state.lam, res
     worse = 0
     while True:
         state = newton_step(pencil, state, inexact=inexact)
-        new_res = pencil.residual_dual(state.u, state.lam)
+        new_res = pencil.residual_dual(state.products, state.lam)
         yield state, state.lam, state.lam, new_res
         if res is None:
             continue
@@ -283,13 +356,13 @@ def rayleigh_functional(pencil, u, lam):
     With a = u^H K u, b1 = u^H M1 u and b2 = u^H M2 u (real, the matrices
     being Hermitian) the equation reads a = lam*(alpha1*b1 + eps2(lam)*b2);
     scalar Newton from ``lam`` solves it. For a constant permittivity this
-    is the Rayleigh quotient. Raises NonConvergenceError if the scalar
-    iteration does not settle.
+    is the Rayleigh quotient. ``u`` is a field or its :class:`Products`.
+    Raises NonConvergenceError if the scalar iteration does not settle.
     """
-    f = pencil.forms
-    a = np.vdot(u, f.K @ u).real
-    b1 = pencil.alpha1 * np.vdot(u, f.M1 @ u).real
-    b2 = np.vdot(u, f.M2 @ u).real
+    p = pencil.products(u)
+    a = np.vdot(p.u, p.Ku).real
+    b1 = pencil.alpha1 * np.vdot(p.u, p.M1u).real
+    b2 = np.vdot(p.u, p.M2u).real
     lam = float(lam)
     for _ in range(FUNCTIONAL_MAXIT):
         eps2 = dispersion.eval_lambda(pencil.model, lam)
@@ -304,13 +377,6 @@ def rayleigh_functional(pencil, u, lam):
     raise NonConvergenceError(
         "Rayleigh functional found no root next to lam = %r" % lam
     )
-
-
-def _mass_normalized(pencil, u):
-    nrm = math.sqrt(max(np.vdot(u, pencil.mass @ u).real, 0.0))
-    if not nrm > 0.0:
-        raise ValueError("cannot normalize a zero field")
-    return u / nrm
 
 
 def residual_inverse_iteration(pencil, u0, sigma, steps=None, tol=None,
@@ -333,8 +399,10 @@ def residual_inverse_iteration(pencil, u0, sigma, steps=None, tol=None,
     rises from there. A GMRES solve that misses its tolerance raises
     NonConvergenceError with the trace so far.
 
-    Each step builds T(lam) once, for the row's residual and the next
-    update.
+    Each step multiplies its iterate once by K, M1 and M2 (:class:`Products`):
+    the mass norm, the Rayleigh functional, the row's residual and the next
+    right-hand side T(lam) u all come from those products. The one T built
+    is T(sigma), the operator of the solves.
 
     Returns the last :class:`NewtonState`; u is mass-normalized unless a
     bordered step made it.
@@ -350,31 +418,28 @@ def residual_inverse_iteration(pencil, u0, sigma, steps=None, tol=None,
 def _rii_rows(pencil, u0, sigma, trace, to_tol):
     """Rows of residual inverse iteration; ``to_tol`` adds the start row and
     the hand-over to bordered Newton, noted in ``trace``."""
-    u = _mass_normalized(pencil, np.asarray(u0, dtype=complex))
-    lam = rayleigh_functional(pencil, u, sigma)
+    p = pencil.products(np.asarray(u0, dtype=complex)).normalized()
+    lam = rayleigh_functional(pencil, p, sigma)
     if to_tol:
-        res = pencil.residual_dual(u, lam)
-        yield NewtonState(u=u, lam=lam), lam, lam, res
+        res = pencil.residual_dual(p, lam)
+        yield NewtonState(u=p.u, lam=lam, products=p), lam, lam, res
         # this leg's residuals, the newest STALL_STEPS + 1
         recent = collections.deque([res], maxlen=STALL_STEPS + 1)
     T_sigma = pencil.T(sigma)
     precond = pencil.dual.precondition
-    T_lam = pencil.T(lam)
     for taken in itertools.count(1):
-        u = _mass_normalized(pencil, u - gmres_solve(T_sigma, T_lam @ u, precond))
-        # free it before its successor is built
-        del T_lam
-        lam = rayleigh_functional(pencil, u, lam)
-        T_lam = pencil.T(lam)
-        res = pencil.residual_dual(u, lam, T_lam)
-        state = NewtonState(u=u, lam=lam)
+        u = p.u - gmres_solve(T_sigma, pencil.apply(p, lam), precond)
+        p = pencil.products(u).normalized()
+        lam = rayleigh_functional(pencil, p, lam)
+        res = pencil.residual_dual(p, lam)
+        state = NewtonState(u=p.u, lam=lam, products=p)
         yield state, lam, lam, res
         if not to_tol:
             continue
         recent.append(res)
         if len(recent) > STALL_STEPS and res > recent[0] / STALL_DROP:
-            # free both before the bordered steps build their own
-            del T_lam, T_sigma
+            # free it before the bordered steps build their own T
+            del T_sigma
             trace.note("residual inverse iteration stalled at %.3e after %d "
                        "steps; bordered Newton from there" % (res, taken))
             yield from _newton_rows(pencil, state, res=res, inexact=True)

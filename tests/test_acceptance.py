@@ -7,12 +7,14 @@ Every test prints a single verdict line
 so a verbose run shows one pass/fail per criterion and the measured numbers
 survive in the captured output.
 
-Two clauses fail by measurement on this implementation and are asserted at
-their stated thresholds anyway (an honest red is worth more than a test bent
-until it passes): the absolute 1e-13 Newton residual in [c07b] sits below
-the float64 iterate floor of the 16384-DOF fine mesh, and the 0.67x wall
-ratio in [c08] is out of reach once direct sparse factorizations dominate
-both protocols. Each failing test prints the measurements behind that claim.
+One clause fails by measurement on this implementation and is asserted at
+its stated threshold anyway (an honest red is worth more than a test bent
+until it passes): the 0.67x wall ratio in [c08] is out of reach once direct
+sparse factorizations dominate both protocols. The test prints the
+measurements behind that claim. The absolute 1e-13 Newton residual in
+[c07b] is met on the 16384-DOF fine mesh: the residual sums T(lam) u from
+the products K u, M1 u and M2 u, where an assembled T(lam) rounded it to a
+floor of about 4.5e-13.
 """
 
 import dataclasses
@@ -317,11 +319,11 @@ def test_c07a_newton_decay_exponent(newton_fine):
 
 
 def test_c07b_newton_absolute_residual(exp3_cfg, newton_fine):
-    # measure the iterate floor across fine-mesh sizes to show what the
-    # absolute threshold collides with: the floor grows ~4-6x per level,
-    # consistent with eps_machine * h^-2 through the mass normalization and
-    # the dual norm, and sits above 1e-13 at the 16384-DOF level this
-    # configuration pins.
+    # measure the residual floor across fine-mesh sizes next to the
+    # absolute threshold: with T(lam) u summed from the products of the
+    # iterate it grows about 2x per level and stays below 1e-13 at the
+    # 16384-DOF level this configuration pins (an assembled T(lam) put it
+    # at 4.5e-13 there)
     floors = {}
     for level in (1, 2):
         tr = driver.run_schedule(
@@ -337,8 +339,7 @@ def test_c07b_newton_absolute_residual(exp3_cfg, newton_fine):
         "Newton absolute residual",
         ok,
         "min dual residual over 8 fine-mesh iterations: %.2e vs 1e-13; "
-        "measured iterate floors by level: %s (float64 floor at the pinned "
-        "fine level sits ~7x above the threshold; the exponent clause above "
+        "measured residual floors by level: %s (the exponent clause above "
         "measures the method itself)"
         % (
             reached,

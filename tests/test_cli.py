@@ -69,29 +69,26 @@ def test_missed_gmres_tolerance_exits_two_with_one_line(tmp_path, capsys, monkey
     assert [line.split(",")[1] for line in lines[1:4]] == ["0", "0", "0"]
 
 
-def test_near_gamma_newton_run_meets_tol_or_fails_loudly(tmp_path, capsys):
+def test_near_gamma_newton_runs_meet_tol(tmp_path, capsys):
     # next to Gamma sigma, the coarse lambda, sits by the finer level's
-    # smallest eigenvalue, and restarted GMRES on T(sigma) may stagnate.
-    # The run either meets tol, or exits 2 with one stderr line and its
-    # partial trace
-    text = ((REPO / "configs" / "experiment3.ini").read_text()
-            .replace("kx = 1.5707963267948966", "kx = 1e-3")
-            .replace("ky = 3.141592653589793", "ky = 0.0"))
-    assert "kx = 1e-3" in text and "ky = 0.0" in text
-    ini = tmp_path / "run.ini"
-    ini.write_text(text)
-    out = tmp_path / "trace.csv"
-    code = main(["run", "--config", str(ini), "--out", str(out)])
-    err = capsys.readouterr().err
-    lines = out.read_text().splitlines()
-    assert lines[0] == CSV_HEADER and len(lines) > 1
-    if code == 0:
-        residual = CSV_HEADER.split(",").index("residual_dual")
-        assert float(lines[-1].split(",")[residual]) <= 1e-12
-    else:
-        assert code == 2
-        assert err.startswith("blochfem run: ")
-        assert err.count("\n") == 1 and err.endswith("\n")
+    # smallest eigenvalue, so T(sigma) is nearly singular; with T(lam) u
+    # summed from the products K u, M1 u and M2 u the refined levels still
+    # meet tol, and the run exits 0
+    residual = CSV_HEADER.split(",").index("residual_dual")
+    for kx, ky in (("1e-3", "0.0"), ("0.0", "1e-3"), ("1e-4", "0.0")):
+        text = ((REPO / "configs" / "experiment3.ini").read_text()
+                .replace("kx = 1.5707963267948966", "kx = " + kx)
+                .replace("ky = 3.141592653589793", "ky = " + ky))
+        assert "kx = " + kx in text and "ky = " + ky in text
+        ini = tmp_path / "run.ini"
+        ini.write_text(text)
+        out = tmp_path / "trace.csv"
+        code = main(["run", "--config", str(ini), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 0, (kx, ky, err)
+        lines = out.read_text().splitlines()
+        assert lines[0] == CSV_HEADER and len(lines) > 1
+        assert float(lines[-1].split(",")[residual]) <= 1e-12, (kx, ky)
 
 
 def test_missing_config_exits_one(tmp_path, capsys):

@@ -210,6 +210,35 @@ def test_experiment3_factors_nothing_above_level_0(monkeypatch):
     assert sizes == []
 
 
+def test_experiment3_builds_t_only_as_a_solve_operator(monkeypatch):
+    # residuals and right-hand sides sum T(lam) u from the products K u,
+    # M1 u and M2 u; T is built only for a solve: T(sigma) once per refined
+    # level, sigma the lam the level below ended on, and T(lam) in each
+    # bordered matrix
+    builds, steps = [], []
+    real_T, real_step = newton.NonlinearPencil.T, newton.newton_step
+
+    def counting_T(self, lam):
+        builds.append((self.n, float(lam)))
+        return real_T(self, lam)
+
+    def counting_step(pencil, state, **kw):
+        steps.append((pencil.n, float(state.lam)))
+        return real_step(pencil, state, **kw)
+
+    monkeypatch.setattr(newton.NonlinearPencil, "T", counting_T)
+    monkeypatch.setattr(newton, "newton_step", counting_step)
+    cfg = replace(driver.RunConfig.from_ini(REPO / "configs" / "experiment3.ini"),
+                  out=None)
+    tr = driver.run_schedule(cfg)
+    ref = driver.compute_reference(cfg, tr.final)
+    ends = {r.mesh_level: (r.dofs, r.lam) for r in tr}
+    sigmas = [(ends[level + 1][0], ends[level][1]) for level in range(cfg.max_level)]
+    sigmas.append((ref.dofs, tr.final[1].lam))
+    assert steps
+    assert sorted(builds) == sorted(steps + sigmas)
+
+
 def test_a_missed_gmres_tolerance_aborts_with_the_partial_trace(monkeypatch):
     monkeypatch.setattr(linalg, "GMRES_MAX_ITER", 1)
     cfg = driver.RunConfig(

@@ -2,13 +2,14 @@
 normalization, agreement, failure policies, decay diagnostics."""
 
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from blochfem import dispersion, linalg, newton
+from blochfem import dispersion, driver, linalg, newton
 from blochfem.assembly import AssembledForms, assemble_tm, weighted_mass
 from blochfem.eigeniter import Pencil, inverse_power_rq
 from blochfem.errors import NonConvergenceError, SingularMatrixError
@@ -29,6 +30,7 @@ from test_dispersion import silver
 from test_mesh import cell_periodic
 
 K_POINT = (np.pi / 2, np.pi)
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 def diag_forms(k, m1, m2):
@@ -248,6 +250,22 @@ def test_t_and_dt_hermitian(level1):
             assert worst <= 1e-13 * scale
 
 
+def test_products_apply_the_assembled_t_and_dt(level1):
+    # T(lam) u and dT(lam) u summed from the products K u, M1 u and M2 u
+    # are the assembled operators applied to u, up to rounding
+    _, forms = level1
+    p = NonlinearPencil(forms, model=silver(), alpha1=1.3)
+    rng = np.random.default_rng(4)
+    v = rng.standard_normal(p.n) + 1j * rng.standard_normal(p.n)
+    prod = p.products(v)
+    assert p.products(prod) is prod
+    for lam in (0.5, 6.0, 20.0):
+        for summed, mat in ((p.apply(prod, lam), p.T(lam)),
+                            (p.apply_derivative(prod, lam), p.dT(lam))):
+            want = mat @ v
+            assert np.linalg.norm(summed - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_dt_is_directional_derivative(level1):
     _, forms = level1
     p = NonlinearPencil(forms, model=silver(), alpha1=1.0)
@@ -378,6 +396,25 @@ def test_residual_inverse_iteration_agrees_with_bordered_newton(level):
     assert p.residual_dual(rii.u, rii.lam) <= tol
 
 
+def test_residual_dual_is_accurate_at_experiment3s_final_state():
+    # the residual is an exact dual norm only if T(lam) u is: on
+    # experiment3's L3 state it must agree with T(lam) u formed in
+    # clongdouble from the same float64 forms, u and lam. An assembled
+    # T(lam) rounds its cancelling entries and misses by 4e-13 there
+    cfg = driver.RunConfig.from_ini(REPO / "configs" / "experiment3.ini")
+    mesh, state = driver.run_schedule(cfg).final
+    p = NonlinearPencil(assemble_tm(mesh, cfg.k), cfg.model, alpha1=cfg.alpha1)
+    u = state.u.astype(np.clongdouble)
+    lam = np.longdouble(state.lam)
+    eps2 = np.longdouble(dispersion.eval_lambda(cfg.model, state.lam))
+    Ku, M1u, M2u = (A.mat.astype(np.clongdouble) @ u
+                    for A in (p.forms.K, p.forms.M1, p.forms.M2))
+    r = Ku - lam * np.longdouble(cfg.alpha1) * M1u - lam * eps2 * M2u
+    r /= np.sqrt(np.vdot(u, M1u + M2u).real)
+    exact = p.dual(r.astype(complex))
+    assert abs(p.residual_dual(state.u, state.lam) - exact) <= 1e-13
+
+
 def test_stalled_residual_inverse_iteration_falls_back_to_newton(monkeypatch):
     # tol far below the rounding floor: the shifted iteration stalls and
     # hands over to bordered Newton, which cannot reach tol either
@@ -442,7 +479,7 @@ def test_three_rises_count_from_the_hand_over():
     scripted = iter([1e-3, 2e-3, 3e-3, 4e-3, 5e-3, 6e-3, 7e-3])
 
     class Rigged(NonlinearPencil):
-        def residual_dual(self, u, lam, T=None):
+        def residual_dual(self, u, lam):
             return next(scripted)
 
     p = Rigged(
