@@ -361,16 +361,16 @@ def _newton_level(config, mesh, coarse, trace, leg):
     """Bordered Newton from the warm start, or residual inverse iteration.
 
     A refined level runs :func:`~blochfem.newton.residual_inverse_iteration`
-    from the prolongated field, with sigma the coarse lambda; it factors
-    nothing, its solves with T(sigma) and those of the bordered steps it
-    may hand over to being GMRES solves to a relative 1e-3
-    (:data:`~blochfem.linalg.INNER_RTOL`) on the FFT inverse of K + M, and
-    a solve that misses it raises NonConvergenceError. The reference runs
+    from the prolongated field, with sigma the coarse lambda, and nothing
+    else; it factors nothing, its solves with T(sigma) being GMRES solves
+    to a relative 1e-3 (:data:`~blochfem.linalg.INNER_RTOL`) on the FFT
+    inverse of K + M. A solve that misses it, a stall on the rounding floor
+    and a spent step budget raise NonConvergenceError. The reference runs
     this branch on the level above. Level 0, or the only level of a
     ``fine_only`` run, runs :func:`~blochfem.newton.newton_solve` from the
     warm start's (u, lam), a fixed-step or a tolerance leg as ``leg`` says,
-    and hands its last state on. Every bordered step, here or after a
-    stall, normalizes against the iterate it starts from.
+    and hands its last state on. Every bordered step factors its matrix
+    and normalizes against the iterate it starts from.
     """
     pencil = NonlinearPencil(assemble_tm(mesh, config.k), config.model,
                              alpha1=config.alpha1)

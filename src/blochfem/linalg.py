@@ -4,9 +4,9 @@ All heavy lifting is delegated to scipy.sparse / SuperLU and numpy.fft;
 this module pins the contracts the eigensolvers rely on:
 
 * a thin CSR wrapper for matrices that are Hermitian by construction (the
-  check is made once per region-piece build, in
-  ``assembly._RegionPieces``), whose forms of one mesh share one read-only
-  pattern, so that their sums are sums of data vectors,
+  element matrices are checked in ``assembly._CellSet``, which serves both
+  ``_RegionPieces`` and ``reference_pencil``), whose forms of one mesh share
+  one read-only pattern, so that their sums are sums of data vectors,
 * reusable factorizations with an explicit singularity signal and a
   1e-10 backward-error guarantee (one step of iterative refinement),
 * inexact solves by preconditioned GMRES (:func:`gmres_solve`) to a fixed
@@ -84,10 +84,11 @@ def _bump_imag_warnings():
 class HermitianSparse:
     """A CSR matrix that is Hermitian by construction, as ``.mat``.
 
-    Nothing is checked here. The region pieces every matrix is built from
-    are checked once when they are assembled; real-weighted sums of them,
-    the exactly Hermitian Bloch cross term and literal conjugate-transpose
-    blocks stay Hermitian. Real symmetric matrices keep their real dtype.
+    Nothing is checked here. ``assembly._CellSet`` checks the element
+    matrices that both the region pieces and ``assembly.reference_pencil``
+    are built from; real-weighted sums of them, the exactly Hermitian Bloch
+    cross term and literal conjugate-transpose blocks stay Hermitian. Real
+    symmetric matrices keep their real dtype.
 
     The forms of one mesh share one read-only CSR pattern (``indices``,
     ``indptr``): :func:`with_data` puts new entries on it without copying
@@ -239,7 +240,7 @@ def gmres_solve(A, b, precond):
     """x with ||b - A x|| <= :data:`INNER_RTOL` * ||b|| (2-norms), by GMRES
     preconditioned with ``precond``, a callable that approximates A^{-1}.
 
-    ``A`` is a sparse matrix or a :class:`~scipy.sparse.linalg.LinearOperator`.
+    ``A`` is a sparse matrix: T(sigma), in residual inverse iteration.
     GMRES restarts every :data:`GMRES_RESTART` iterations; after
     :data:`GMRES_MAX_ITER` of them without the tolerance it raises
     :class:`~blochfem.errors.NonConvergenceError` instead of returning the

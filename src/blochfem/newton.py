@@ -20,27 +20,26 @@ Two iterations solve T(lam) u = 0:
   matrix stays well conditioned. The constraint row forces u^H M s = 0, so
   the update is M-orthogonal to the iterate and the border follows the
   eigenvector even from a start as far off as a warm start; dividing the
-  new field by its component along u removes roundoff drift. On level 0
-  each step factors the sparse (n+1) x (n+1) matrix, and converges
-  quadratically from a good enough start.
+  new field by its component along u removes roundoff drift. Each step
+  factors the sparse (n+1) x (n+1) matrix, and converges quadratically
+  from a good enough start. It is the leg of level 0, and of the only
+  level of a ``fine_only`` run.
 * **Residual inverse iteration** (:func:`residual_inverse_iteration`;
   Neumaier, SIAM J. Numer. Anal. 22(5), 1985) for a start that comes with
-  a good shift sigma, such as a coarse mesh's eigenpair. Each step takes
-  lam from the scalar Rayleigh functional u^H T(lam) u = 0 and updates
-  u <- u - T(sigma)^{-1} T(lam) u, converging linearly at a rate
-  proportional to |lam - sigma|. It factors nothing: the solve with
-  T(sigma) is GMRES (:func:`~blochfem.linalg.gmres_solve`) to a residual
-  of :data:`~blochfem.linalg.INNER_RTOL` = 1e-3 of the right-hand side's,
+  a good shift sigma, such as a coarse mesh's eigenpair; it is the only
+  leg of a refined level. Each step takes lam from the scalar Rayleigh
+  functional u^H T(lam) u = 0 and updates u <- u - T(sigma)^{-1} T(lam) u,
+  converging linearly at a rate proportional to |lam - sigma|. It factors
+  nothing: the solve with T(sigma) is GMRES
+  (:func:`~blochfem.linalg.gmres_solve`) to a residual of
+  :data:`~blochfem.linalg.INNER_RTOL` = 1e-3 of the right-hand side's,
   preconditioned by the FFT inverse of K + M that the dual norms use, which
-  keeps the linear rate (Szyld & Xue, Numer. Math. 123, 2013). Once it
-  stops gaining it hands its iterate to bordered Newton, whose bordered
-  systems GMRES solves to the same relative tolerance, preconditioned by
-  diag(B, 1/(u^H M B M u)) with B that inverse: inexact Newton steps
-  (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982). A GMRES
+  keeps the linear rate (Szyld & Xue, Numer. Math. 123, 2013). A GMRES
   solve that misses its tolerance within
   :data:`~blochfem.linalg.GMRES_MAX_ITER` iterations raises
-  NonConvergenceError; no inexact step is handed on. The rows record the
-  exact dual norm of T(lam) u either way.
+  NonConvergenceError, and so does a leg that stops on the rounding floor
+  or runs out of steps; no partial answer is handed on. The rows record
+  the exact dual norm of T(lam) u.
 
 Each row multiplies its field u once by K, M1 and M2 (:class:`Products`).
 T(lam) u is the sum K u - lam*alpha1*M1 u - lam*eps2(lam)*M2 u of those
@@ -51,18 +50,14 @@ solve: T(sigma), and T(lam) inside the bordered matrix.
 
 Both are generators of trace rows (:func:`_newton_rows`, :func:`_rii_rows`)
 run by :func:`~blochfem.eigeniter.iterate`, which times and records the
-rows and applies the stop rules; a hand-over continues the same leg, under
-its one step budget and its one floor history.
+rows and applies the stop rules.
 """
 
-import collections
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse.linalg import LinearOperator
 
 from . import dispersion
 from .assembly import AssembledForms
@@ -70,7 +65,6 @@ from .eigeniter import Pencil, inverse_power_rq, iterate
 from .errors import NonConvergenceError, SingularMatrixError
 from .linalg import (DualNorm, Factorization, gmres_solve, rayleigh_quotient,
                      shared_data, with_data)
-from .trace import IterationTrace
 
 __all__ = [
     "NonlinearPencil",
@@ -89,11 +83,6 @@ __all__ = [
 # FUNCTIONAL_RTOL relative, and gives up after FUNCTIONAL_MAXIT steps
 FUNCTIONAL_RTOL = 1e-14
 FUNCTIONAL_MAXIT = 50
-
-# residual_inverse_iteration hands over to bordered Newton once its residual
-# has fallen by less than STALL_DROP over the last STALL_STEPS steps
-STALL_DROP = 10.0
-STALL_STEPS = 2
 
 
 @dataclass
@@ -232,18 +221,14 @@ class NewtonState:
     products: Products = field(default=None, repr=False, compare=False)
 
 
-def newton_step(pencil, state, inexact=False):
+def newton_step(pencil, state):
     """One bordered Newton update from ``state``; returns the new state,
     with the products of its field.
 
     The step normalizes against its start: u is ``state.u`` mass-normalized,
     and the new field u' has u^H M u' = 1. Its right-hand side -T(lam) u,
     border column dT(lam) u and border row M u come from u's products; the
-    bordered matrix holds the assembled T(lam). It is factored, or with
-    ``inexact`` solved by :func:`~blochfem.linalg.gmres_solve`,
-    preconditioned by the block diagonal diag(B, 1/(u^H M B M u)) with B
-    the inverse of K + M that :attr:`NonlinearPencil.dual` holds; that
-    solve raises NonConvergenceError when GMRES misses its tolerance.
+    bordered matrix holds the assembled T(lam) and is factored.
 
     Raises SingularMatrixError if the bordered matrix cannot be factored,
     which means the current (u, lam) sits where the border fails to control
@@ -251,25 +236,21 @@ def newton_step(pencil, state, inexact=False):
     """
     p = pencil.products(state.u if state.products is None else state.products)
     p = p.normalized()
-    T = pencil.T(state.lam)
     c = pencil.apply_derivative(p, state.lam)
     w = p.Mu  # the border row is w^H
     n = pencil.n
     rhs = np.concatenate([-pencil.apply(p, state.lam), [0.0]])
-    if inexact:
-        sol = _bordered_gmres(pencil, T, c, w, rhs)
-    else:
-        bordered = sparse.bmat(
-            [[T, c.reshape(n, 1)], [w.conj().reshape(1, n), None]],
-            format="csr",
-        )
-        try:
-            sol = Factorization(bordered).solve(rhs)
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(
-                "bordered Newton matrix is singular at lam = %r; restart from "
-                "a better (u, lam) (%s)" % (state.lam, exc)
-            ) from exc
+    bordered = sparse.bmat(
+        [[pencil.T(state.lam), c.reshape(n, 1)], [w.conj().reshape(1, n), None]],
+        format="csr",
+    )
+    try:
+        sol = Factorization(bordered).solve(rhs)
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(
+            "bordered Newton matrix is singular at lam = %r; restart from "
+            "a better (u, lam) (%s)" % (state.lam, exc)
+        ) from exc
     u = p.u + sol[:n]
     # nu is real up to roundoff (Hermitian T, real lam); keep lam real
     lam = state.lam + sol[n].real
@@ -279,22 +260,6 @@ def newton_step(pencil, state, inexact=False):
                          "was updated from")
     u = u / pu
     return NewtonState(u=u, lam=lam, products=pencil.products(u))
-
-
-def _bordered_gmres(pencil, T, c, w, rhs):
-    """GMRES on [[T, c], [w^H, 0]] (s, nu) = rhs, block-preconditioned."""
-    n = pencil.n
-    B = pencil.dual.precondition
-    scale = 1.0 / np.vdot(w, B(w)).real
-
-    def apply(x):
-        return np.concatenate([T @ x[:n] + c * x[n], [np.vdot(w, x[:n])]])
-
-    def precond(r):
-        return np.concatenate([B(r[:n]), [scale * r[n]]])
-
-    op = LinearOperator((n + 1, n + 1), matvec=apply, dtype=complex)
-    return gmres_solve(op, rhs, precond)
 
 
 def newton_solve(pencil, u0, lam0, *, steps=None, tol=None, max_steps=30,
@@ -321,22 +286,22 @@ def newton_solve(pencil, u0, lam0, *, steps=None, tol=None, max_steps=30,
                    start_row=start_row, name="Newton")[1]
 
 
-def _newton_rows(pencil, state, start_row=False, res=None, inexact=False):
-    """Rows of bordered Newton steps from ``state``, each solved as
-    ``inexact`` says (:func:`newton_step`); ``state`` carries its
-    products, and each row takes its residual from those of its field.
+def _newton_rows(pencil, state, start_row=False):
+    """Rows of bordered Newton steps from ``state`` (:func:`newton_step`);
+    ``state`` carries its products, and each row takes its residual from
+    those of its field.
 
-    With ``start_row`` the residual of ``state`` comes first. Given that
-    residual (or ``res``), as tolerance legs are, the rows raise
-    NonConvergenceError once it grew three rows in a row; they test it on
-    resuming, after the row's ``tol``.
+    With ``start_row`` the residual of ``state`` comes first, as tolerance
+    legs have it, and the rows raise NonConvergenceError once it grew three
+    rows in a row; they test it on resuming, after the row's ``tol``.
     """
+    res = None
     if start_row:
         res = pencil.residual_dual(state.products, state.lam)
         yield state, state.lam, state.lam, res
     worse = 0
     while True:
-        state = newton_step(pencil, state, inexact=inexact)
+        state = newton_step(pencil, state)
         new_res = pencil.residual_dual(state.products, state.lam)
         yield state, state.lam, state.lam, new_res
         if res is None:
@@ -380,7 +345,7 @@ def rayleigh_functional(pencil, u, lam):
 
 
 def residual_inverse_iteration(pencil, u0, sigma, steps=None, tol=None,
-                               max_steps=None, mesh_level=0, trace=None):
+                               max_steps=30, mesh_level=0, trace=None):
     """Residual inverse iteration from ``u0`` with the shift ``sigma``.
 
     Each step updates u <- u - T(sigma)^{-1} T(lam) u, normalizes u in the
@@ -391,58 +356,40 @@ def residual_inverse_iteration(pencil, u0, sigma, steps=None, tol=None,
     preconditioned by :attr:`NonlinearPencil.dual`'s inverse of K + M. Runs
     ``steps`` steps, or iterates until the dual residual reaches ``tol``;
     the tolerance run records the start's residual as its first row, which
-    ``max_steps`` does not count, as :func:`newton_solve` does. Once the
-    residual of a tolerance run has fallen by less than STALL_DROP over
-    STALL_STEPS steps, bordered Newton, solved by GMRES the same way
-    (:func:`newton_step` with ``inexact``), continues the leg from the
-    iterate it is handed: the rest of its budget, its floor stop, and three
-    rises from there. A GMRES solve that misses its tolerance raises
-    NonConvergenceError with the trace so far.
+    ``max_steps`` does not count, as :func:`newton_solve` does. A stall on
+    the rounding floor, ``max_steps`` steps without reaching ``tol``, and a
+    GMRES solve that misses its tolerance raise NonConvergenceError with the
+    trace so far (:func:`~blochfem.eigeniter.iterate`).
 
     Each step multiplies its iterate once by K, M1 and M2 (:class:`Products`):
     the mass norm, the Rayleigh functional, the row's residual and the next
     right-hand side T(lam) u all come from those products. The one T built
     is T(sigma), the operator of the solves.
 
-    Returns the last :class:`NewtonState`; u is mass-normalized unless a
-    bordered step made it.
+    Returns the last :class:`NewtonState`, u mass-normalized.
     """
-    if trace is None:
-        trace = IterationTrace()
-    rows = _rii_rows(pencil, u0, sigma, trace, to_tol=tol is not None)
-    return iterate(rows, pencil.n, trace, mesh_level, steps=steps, tol=tol,
-                   max_steps=max_steps, start_row=tol is not None,
-                   name="residual inverse iteration")[1]
+    start_row = tol is not None
+    return iterate(_rii_rows(pencil, u0, sigma, start_row), pencil.n, trace,
+                   mesh_level, steps=steps, tol=tol, max_steps=max_steps,
+                   start_row=start_row, name="residual inverse iteration")[1]
 
 
-def _rii_rows(pencil, u0, sigma, trace, to_tol):
-    """Rows of residual inverse iteration; ``to_tol`` adds the start row and
-    the hand-over to bordered Newton, noted in ``trace``."""
+def _rii_rows(pencil, u0, sigma, start_row):
+    """Rows of residual inverse iteration; with ``start_row`` the residual of
+    the start comes first."""
     p = pencil.products(np.asarray(u0, dtype=complex)).normalized()
     lam = rayleigh_functional(pencil, p, sigma)
-    if to_tol:
-        res = pencil.residual_dual(p, lam)
-        yield NewtonState(u=p.u, lam=lam, products=p), lam, lam, res
-        # this leg's residuals, the newest STALL_STEPS + 1
-        recent = collections.deque([res], maxlen=STALL_STEPS + 1)
+    if start_row:
+        yield (NewtonState(u=p.u, lam=lam, products=p), lam, lam,
+               pencil.residual_dual(p, lam))
     T_sigma = pencil.T(sigma)
     precond = pencil.dual.precondition
-    for taken in itertools.count(1):
+    while True:
         u = p.u - gmres_solve(T_sigma, pencil.apply(p, lam), precond)
         p = pencil.products(u).normalized()
         lam = rayleigh_functional(pencil, p, lam)
-        res = pencil.residual_dual(p, lam)
-        state = NewtonState(u=p.u, lam=lam, products=p)
-        yield state, lam, lam, res
-        if not to_tol:
-            continue
-        recent.append(res)
-        if len(recent) > STALL_STEPS and res > recent[0] / STALL_DROP:
-            # free it before the bordered steps build their own T
-            del T_sigma
-            trace.note("residual inverse iteration stalled at %.3e after %d "
-                       "steps; bordered Newton from there" % (res, taken))
-            yield from _newton_rows(pencil, state, res=res, inexact=True)
+        yield (NewtonState(u=p.u, lam=lam, products=p), lam, lam,
+               pencil.residual_dual(p, lam))
 
 
 def warm_start(mesh, k, const_eps2=2.0, rq_steps=8, alpha1=1.0):

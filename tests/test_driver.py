@@ -214,7 +214,8 @@ def test_experiment3_builds_t_only_as_a_solve_operator(monkeypatch):
     # residuals and right-hand sides sum T(lam) u from the products K u,
     # M1 u and M2 u; T is built only for a solve: T(sigma) once per refined
     # level, sigma the lam the level below ended on, and T(lam) in each
-    # bordered matrix
+    # bordered matrix, which only level 0 builds: every refined level and
+    # the reference run residual inverse iteration and nothing else
     builds, steps = [], []
     real_T, real_step = newton.NonlinearPencil.T, newton.newton_step
 
@@ -235,7 +236,7 @@ def test_experiment3_builds_t_only_as_a_solve_operator(monkeypatch):
     ends = {r.mesh_level: (r.dofs, r.lam) for r in tr}
     sigmas = [(ends[level + 1][0], ends[level][1]) for level in range(cfg.max_level)]
     sigmas.append((ref.dofs, tr.final[1].lam))
-    assert steps
+    assert [n for n, _ in steps] == [256] * cfg.steps_per_mesh
     assert sorted(builds) == sorted(steps + sigmas)
 
 
