@@ -12,7 +12,13 @@ The two variants produce the same normalized iterates and the same mu
 sequence; they differ only in the length of the raw vectors (the Rayleigh
 scaling keeps them O(1), the plain variant converges to a vector of M_w-norm
 1/mu). Residuals are always evaluated on the normalized iterate and measured
-in the dual norm induced by K + M_w.
+in the dual norm induced by K + M_w. A row records :meth:`Pencil.residual_dual`,
+a solve with K + M_w, except where that operator is A_beta itself
+(beta == 1): there a row whose step is sure to be used takes the next
+row's step first and its residual from that step, so it solves once. Such
+a row records an estimate within about 1e-5 relative of the norm; the row
+that stops a leg and every row on the rounding floor record the exact norm
+(:func:`_power_rows`).
 
 :func:`lopcg` iterates a good start (a coarser mesh's eigenvector) down to a
 tolerance, a three-vector Rayleigh-Ritz projection taking the place of the
@@ -30,6 +36,7 @@ trace rows run by :func:`iterate`, which times and records the rows and
 owns the step count, tolerance, step budget and rounding-floor stop.
 """
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -74,6 +81,23 @@ DROP_TOL = 1e-15
 FLOOR_FACTOR = 100.0
 FLOOR_STEPS = 5
 
+# A power row that takes its dual residual from the next step
+# (_dual_from_step) takes the exact norm instead where the square it
+# estimates is at most LOOK_AHEAD_GUARD times the size of its rounding
+# error, ||A_beta|| (eps (||q|| + |mu| ||w||))^2. That error lowers the
+# square by about twice the size, 2e-5 relative at the guard. The row's r
+# is summed from the products of the raw iterate, not rounded as the exact
+# norm's is, which moves the square by as much again on the last rows of
+# a leg. Measured on one BLAS thread: the look-ahead rows of experiment1's
+# schedule and of its fine_only variant, and of experiment1's settings at
+# test_linalg.K_POINTS, read 5.3e6 to 1.4e27 times that size, and their
+# estimates were within 8.1e-6 relative of the LU dual norm (3.1e-7 at
+# experiment1's own k). The rows of the homogeneous cell (homogeneous,
+# L0-L4, and all nine points of sweep_gamma_x), whose legs sit on the
+# rounding floor, read -0.63 to 0.054, where the estimate carries nothing
+# of a norm of 7e-15 to 2e-13.
+LOOK_AHEAD_GUARD = 1e5
+
 
 class Pencil:
     """Shifted positive definite pencil (A_beta, M_w) with cached solvers.
@@ -81,7 +105,9 @@ class Pencil:
     The factorization of A_beta and the dual-norm factorization of
     K + M_w = A_beta + (1-beta) M_w are built lazily and reused for every
     step. For beta == 1 the two matrices coincide bitwise, so one
-    factorization serves both purposes. A_beta and M_w are
+    factorization serves both purposes, and a power row can take its
+    residual from the next step instead of a solve of its own
+    (:func:`_power_rows`). A_beta and M_w are
     :class:`HermitianSparse`, Hermitian by construction; built by
     :meth:`on_mesh` they share the mesh's one pattern, so the dual
     operator is a sum of their data vectors, and neither K(k) nor the
@@ -127,6 +153,10 @@ class Pencil:
 
     @property
     def dual(self):
+        """The :class:`~blochfem.linalg.DualNorm` of K + M_w: the
+        factorization of A_beta itself for beta == 1. The rows of a power
+        leg on such a pencil take most of their residuals from their next
+        step and call it only where that estimate would not do."""
         if self._dual is None:
             if self.beta == 1.0:
                 fact = self.factorization
@@ -149,9 +179,12 @@ class Pencil:
     def residual_dual(self, q, mu):
         """Dual norm of (K - lam*M_w) q = (A_beta - mu*M_w) q.
 
-        This is the residual a power or LOPCG row records and a leg stops
-        on. Like :meth:`step`, a subclass may override it (the rational
-        linearization reports the residual of the nonlinear problem).
+        This is the residual a LOPCG row records and a leg stops on, and
+        the residual of a power row, which records it exactly wherever its
+        step leaves it no estimate (:func:`_power_rows`). Like
+        :meth:`step`, a subclass may override it (the rational
+        linearization reports the residual of the nonlinear problem), and
+        its power rows then record it on every row.
         """
         r = self.A_beta @ q - mu * (self.M_w @ q)
         return self.dual(r)
@@ -229,23 +262,80 @@ def iterate(rows, n, trace, mesh_level, steps=None, tol=None, max_steps=None,
         rows.close()
 
 
-def _power_rows(pencil, u0, scale_by_mu):
+def _looks_ahead(pencil):
+    """Whether a power row can take its residual from the next step: its
+    dual operator K + M_w is A_beta itself (beta == 1,
+    :meth:`Pencil.dual_operator`) and it records :meth:`Pencil.residual_dual`,
+    not a residual a subclass or the instance puts in its place."""
+    return (pencil.beta == 1.0 and getattr(pencil.residual_dual, "__func__", None)
+            is Pencil.residual_dual)
+
+
+def _dual_from_step(pencil, r, q, mu, w):
+    """The dual norm of a row's residual ``r`` = A_beta q - mu M_w q,
+    taken from the next step w = A_beta^{-1} M_w q, for a pencil whose
+    dual operator is A_beta.
+
+    Then d = q - mu w is A_beta^{-1} r, and of all y, y = d gives the
+    largest 2 Re(r^H y) - y^H A_beta y, which is r^H A_beta^{-1} r. So at
+    the computed d, a rounding error e of w and of the difference lowers
+    the square by e^H A_beta e only, where r^H d would carry r^H e.
+    Returns None where the square is at most :data:`LOOK_AHEAD_GUARD`
+    times ||A_beta|| (eps (||q|| + |mu| ||w||))^2, the size of e^H A_beta e
+    for a difference rounded entry by entry: there the square carries
+    nothing of the norm, and only a solve with r gives it.
+    """
+    d = q - mu * w
+    sq = 2.0 * np.vdot(r, d).real - np.vdot(d, pencil.A_beta @ d).real
+    rounding = np.finfo(float).eps * (np.linalg.norm(q) + abs(mu) * np.linalg.norm(w))
+    if not sq > LOOK_AHEAD_GUARD * pencil.factorization.norm * rounding ** 2:
+        return None
+    return float(np.sqrt(sq))
+
+
+def _power_rows(pencil, u0, scale_by_mu, steps=None, tol=None, max_steps=None):
+    """The rows of a power leg of ``steps`` rows, or of at most ``max_steps``
+    rows to ``tol``.
+
+    Where a row's dual operator is A_beta itself (:func:`_looks_ahead`),
+    a row whose step is sure to be used takes the next row's step before it
+    yields, and its residual from that step (:func:`_dual_from_step`): in a
+    fixed-step leg every row but the last, in a tolerance leg a row whose
+    predecessor recorded a residual above ``FLOOR_FACTOR * tol``. It takes
+    the exact :meth:`Pencil.residual_dual` instead where that estimate sits
+    at its rounding level or within ``2 * tol``, so the row that stops a
+    leg records its exact residual. Every other row records the exact
+    residual and leaves its step to the next row.
+    """
+    ahead = _looks_ahead(pencil)
+    last = steps or max_steps
     u = _start_vector(pencil, u0)
     mu = rayleigh_quotient(u, pencil.A_beta, pencil.M_w)
     q = pencil.normalized(u)
-    while True:
-        w = pencil.step(q)
+    w, prev = None, 0.0
+    for row in itertools.count(1):
+        if w is None:
+            w = pencil.step(q)
         raw = mu * w if scale_by_mu else w
-        Mraw = pencil.M_w @ raw
+        Araw, Mraw = pencil.A_beta @ raw, pencil.M_w @ raw
         nrm = pencil.norm_m(raw, Mraw)
         if nrm == 0.0 or not np.isfinite(nrm):
             raise NonConvergenceError(
                 "iterate collapsed to zero (start vector numerically "
                 "orthogonal to the whole spectrum?)"
             )
-        mu = rayleigh_quotient(raw, pencil.A_beta, pencil.M_w, Bu=Mraw)
+        mu = rayleigh_quotient(raw, pencil.A_beta, pencil.M_w, Au=Araw, Bu=Mraw)
         q = raw / nrm
-        yield raw, mu, mu - pencil.beta, pencil.residual_dual(q, mu)
+        w = res = None
+        if ahead and row != last and (tol is None or prev > FLOOR_FACTOR * tol):
+            w = pencil.step(q)
+            res = _dual_from_step(pencil, (Araw - mu * Mraw) / nrm, q, mu, w)
+            if res is not None and tol is not None and res <= 2.0 * tol:
+                res = None
+        if res is None:
+            res = pencil.residual_dual(q, mu)
+        prev = res
+        yield raw, mu, mu - pencil.beta, res
 
 
 def inverse_power_rq(pencil, u0, steps=None, tol=None, mesh_level=0, trace=None,
@@ -257,12 +347,17 @@ def inverse_power_rq(pencil, u0, steps=None, tol=None, mesh_level=0, trace=None,
     Takes ``steps`` solves, or iterates until the dual residual drops to
     ``tol`` under the budget and floor stop of :func:`iterate`, which raise
     :class:`NonConvergenceError` with the partial trace attached. Rows
-    record :meth:`Pencil.residual_dual` of the normalized iterate.
+    record the dual residual of the normalized iterate: exactly,
+    :meth:`Pencil.residual_dual`, on the row that stops a tolerance leg, on
+    the rounding floor and wherever beta != 1 or a subclass records its
+    own residual; otherwise estimated from the next step, within about
+    1e-5 relative (:func:`_power_rows`).
 
     Returns ``(trace, u)`` with ``u`` the raw (unnormalized) last iterate.
     """
-    return iterate(_power_rows(pencil, u0, True), pencil.n, trace,
-                   mesh_level, steps=steps, tol=tol, max_steps=max_steps)
+    leg = dict(steps=steps, tol=tol, max_steps=max_steps)
+    return iterate(_power_rows(pencil, u0, True, **leg), pencil.n, trace,
+                   mesh_level, **leg)
 
 
 def inverse_power_plain(pencil, v0, steps=None, tol=None, mesh_level=0,
@@ -272,8 +367,9 @@ def inverse_power_plain(pencil, v0, steps=None, tol=None, mesh_level=0,
     Same mu/residual trace as :func:`inverse_power_rq` from the same start;
     only the raw iterate lengths differ (their M_w-norms converge to 1/mu).
     """
-    return iterate(_power_rows(pencil, v0, False), pencil.n, trace,
-                   mesh_level, steps=steps, tol=tol, max_steps=max_steps)
+    leg = dict(steps=steps, tol=tol, max_steps=max_steps)
+    return iterate(_power_rows(pencil, v0, False, **leg), pencil.n, trace,
+                   mesh_level, **leg)
 
 
 def lopcg(pencil, u0, tol, max_steps=10000, mesh_level=0, trace=None,

@@ -286,18 +286,18 @@ class _PeriodicSolve:
         return x + self._inverse(b - matvec(self.mat, x))
 
 
-def rayleigh_quotient(u, A, B, Bu=None):
+def rayleigh_quotient(u, A, B, Au=None, Bu=None):
     """(u^H A u) / (u^H B u) for a Hermitian pencil; returns a real number.
 
-    ``Bu`` is the product B u when the caller already holds it. The
-    imaginary parts of numerator and denominator are checked against a
-    1e-12 relative threshold and then discarded; exceedances bump the
-    module-level diagnostics counter.
+    ``Au`` and ``Bu`` are the products A u and B u when the caller already
+    holds them. The imaginary parts of numerator and denominator are
+    checked against a 1e-12 relative threshold and then discarded;
+    exceedances bump the module-level diagnostics counter.
     """
     u = np.asarray(u)
     if not np.any(u):
         raise ValueError("Rayleigh quotient of the zero vector")
-    num = np.vdot(u, matvec(_as_csr(A), u))
+    num = np.vdot(u, matvec(_as_csr(A), u) if Au is None else Au)
     den = np.vdot(u, matvec(_as_csr(B), u) if Bu is None else Bu)
     if abs(num.imag) > 1e-12 * abs(num) or abs(den.imag) > 1e-12 * abs(den):
         _bump_imag_warnings()

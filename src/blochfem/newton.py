@@ -90,7 +90,8 @@ class NonlinearPencil:
     """T(lam) = K - lam*(alpha1*M1 + eps2(lam)*M2) and its lam-derivative.
 
     ``forms`` holds K, M1, M2 and the plain mass M = M1 + M2 on one
-    pattern, so T(lam) and dT(lam) are sums of their data vectors.
+    pattern, so T(lam) is a sum of their data vectors. The derivative is
+    only applied, summed from products (:meth:`apply_derivative`).
     """
 
     forms: AssembledForms
@@ -141,16 +142,6 @@ class NonlinearPencil:
         f = self.forms
         K, M1, M2 = shared_data(f.K, f.M1, f.M2)
         return with_data(f.K.mat, K - lam * self.alpha1 * M1 - lam * eps2 * M2)
-
-    def dT(self, lam):
-        """d/dlam of T: -alpha1*M1 - (eps2 + lam*eps2')*M2, assembled. A
-        step sums dT(lam) u from products (:meth:`apply_derivative`)."""
-        lam = float(lam)
-        eps2 = dispersion.eval_lambda(self.model, lam)
-        deps2 = dispersion.eval_dlambda(self.model, lam)
-        f = self.forms
-        M1, M2 = shared_data(f.M1, f.M2)
-        return with_data(f.M1.mat, -self.alpha1 * M1 - (eps2 + lam * deps2) * M2)
 
     def apply(self, p, lam):
         """T(lam) u = K u - (lam*alpha1) M1 u - (lam*eps2) M2 u from u's

@@ -1,7 +1,11 @@
-"""Exit codes and plumbing of the console entry point (all in-process)."""
+"""Exit codes and plumbing of the console entry point (in-process, but for
+``python -m blochfem``)."""
 
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -89,6 +93,22 @@ def test_near_gamma_newton_runs_meet_tol(tmp_path, capsys):
         lines = out.read_text().splitlines()
         assert lines[0] == CSV_HEADER and len(lines) > 1
         assert float(lines[-1].split(",")[residual]) <= 1e-12, (kx, ky)
+
+
+def test_module_runs_from_a_checkout(tmp_path):
+    # ``python -m blochfem`` with the source tree on the path, not installed
+    ini = tmp_path / "run.ini"
+    ini.write_text(FAST_LINEAR)
+    out = tmp_path / "trace.csv"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "blochfem", "run", "--config", str(ini),
+         "--out", str(out), "--threads", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "lambda =" in done.stdout
+    assert out.read_text().splitlines()[0] == CSV_HEADER
 
 
 def test_missing_config_exits_one(tmp_path, capsys):

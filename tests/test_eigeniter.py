@@ -1,12 +1,17 @@
 """Power iterations and Arnoldi: hand oracles, dense oracles, exact identities."""
 
+import pathlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from blochfem import dispersion, driver, eigeniter
 from blochfem.assembly import assemble_tm
+from blochfem.companion import EliminatedPencil, build_companion
 from blochfem.eigeniter import (
     FLOOR_FACTOR,
     FLOOR_STEPS,
@@ -20,10 +25,13 @@ from blochfem.eigeniter import (
     lopcg,
 )
 from blochfem.errors import NonConvergenceError
-from blochfem.linalg import HermitianSparse, rayleigh_quotient
+from blochfem.linalg import Factorization, HermitianSparse, rayleigh_quotient
 from blochfem.mesh import build_mesh
 from blochfem.trace import IterationTrace
 
+from test_linalg import K_POINTS, experiment1
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 K_POINT = (np.pi / 2, np.pi)
 ANALYTIC_HOMOG = (np.pi / 2) ** 2 + np.pi ** 2  # smallest |k+2*pi*n|^2
 
@@ -376,6 +384,109 @@ def test_beta_one_reuses_solver_factorization(level0):
     p = Pencil.on_mesh(mesh, K_POINT, (1.0, 1.0), 1.0)
     _ = p.factorization
     assert p.dual.fact is p.factorization
+
+
+# ---------------------------------------------------------------------------
+# power rows that take their residual from the next step
+
+
+class RowSpy:
+    """Counts ``Factorization.solve`` calls and exact residuals
+    (``Pencil.residual_dual``), and records every power row as
+    ``(pencil, raw, mu, residual, exact)``, ``exact`` telling whether the
+    row took the exact norm itself."""
+
+    def __init__(self, monkeypatch):
+        self.solves = self.exact_norms = 0
+        self.rows = []
+        solve, residual_dual = Factorization.solve, Pencil.residual_dual
+        power_rows = eigeniter._power_rows
+
+        def counting_solve(fact, b):
+            self.solves += 1
+            return solve(fact, b)
+
+        def counting_residual(pencil, q, mu):
+            self.exact_norms += 1
+            return residual_dual(pencil, q, mu)
+
+        def recording_rows(pencil, *args, **kwargs):
+            before = self.exact_norms
+            for raw, mu, lam, res in power_rows(pencil, *args, **kwargs):
+                self.rows.append((pencil, raw, mu, res, self.exact_norms > before))
+                yield raw, mu, lam, res
+                before = self.exact_norms
+
+        monkeypatch.setattr(Factorization, "solve", counting_solve)
+        monkeypatch.setattr(Pencil, "residual_dual", counting_residual)
+        monkeypatch.setattr(eigeniter, "_power_rows", recording_rows)
+        self._residual_dual = residual_dual
+
+    def exact(self, pencil, raw, mu):
+        """The exact dual residual of a row's iterate, uncounted: the row
+        normalizes ``raw`` to the same bits."""
+        return self._residual_dual(pencil, pencil.normalized(raw), mu)
+
+
+def test_experiment1_schedule_solves_once_per_row(monkeypatch):
+    # one step per row, plus one solve per row that takes the exact norm:
+    # the first row of the fine leg, the rows after a residual within
+    # FLOOR_FACTOR of tol, and the last row of each coarse leg; two solves
+    # per row, 78, before rows took their residual from the next step
+    spy = RowSpy(monkeypatch)
+    trace = driver.run_schedule(driver.RunConfig.from_ini(CONFIGS / "experiment1.ini"))
+    assert len(spy.rows) == len(trace) == 39
+    assert spy.exact_norms == sum(row[4] for row in spy.rows) == 10
+    assert spy.solves == len(trace) + spy.exact_norms == 49
+
+
+@pytest.mark.parametrize("k", K_POINTS)
+def test_look_ahead_rows_are_the_dual_norm_and_the_stop_row_is_exact(monkeypatch, k):
+    spy = RowSpy(monkeypatch)
+    trace = driver.run_schedule(experiment1(4, k))
+    ahead = 0
+    for (pencil, raw, mu, res, exact), row in zip(spy.rows, trace):
+        assert row.residual_dual == res
+        if not exact and row.mesh_level >= 1:
+            want = spy.exact(pencil, raw, mu)
+            assert abs(res - want) <= 1e-4 * want, (row.j, res, want)
+            ahead += 1
+    assert ahead >= 10
+    # the row that stops the fine leg records the exact norm, bitwise
+    pencil, raw, mu, res, exact = spy.rows[-1]
+    assert exact and res == spy.exact(pencil, raw, mu) <= 1e-10
+
+
+def test_rows_on_the_rounding_floor_take_the_exact_norm(monkeypatch):
+    # the homogeneous cell's legs sit on the rounding floor, where
+    # r^H (q - mu w) cancels: every row takes the exact norm, none reads 0
+    cfg = replace(driver.RunConfig.from_ini(CONFIGS / "homogeneous.ini"), max_level=3)
+    spy = RowSpy(monkeypatch)
+    trace = driver.run_schedule(cfg)
+    assert spy.solves == 2 * len(trace)
+    assert all(exact for *_, exact in spy.rows)
+    for pencil, raw, mu, res, _ in spy.rows:
+        assert res == spy.exact(pencil, raw, mu) > 0.0
+
+
+def test_shifted_and_eliminated_pencils_solve_twice_per_row(monkeypatch):
+    mesh = build_mesh(1)
+    shifted = Pencil.on_mesh(mesh, K_POINT, (1.0, 8.0), 2.5)
+    spy = RowSpy(monkeypatch)
+    trace, _ = inverse_power_rq(shifted, np.ones(shifted.n, dtype=complex), steps=5)
+    assert spy.solves == 2 * len(trace) == 10
+    # beta = 1 on the companion pencil, whose rows record the nonlinear
+    # residual: one step and one such residual per row
+    model = dispersion.SimplifiedDL(
+        alpha2=2.0, terms=(dispersion.LorentzTerm(xi2=98.696, eta2=55.2698),))
+    pencil = build_companion(mesh, K_POINT, model, beta=1.0)
+    calls = []
+    for name in ("step", "residual_dual"):
+        method = getattr(EliminatedPencil, name)
+        monkeypatch.setattr(EliminatedPencil, name,
+                            lambda self, *a, _m=method, _n=name: calls.append(_n) or _m(self, *a))
+    trace, _ = inverse_power_rq(pencil, np.ones(pencil.n, dtype=complex), steps=5)
+    assert calls == ["step", "residual_dual"] * 5
 
 
 # ---------------------------------------------------------------------------
