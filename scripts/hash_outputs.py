@@ -8,10 +8,10 @@ the same bits can be compared with ``diff``:
 
 * the region pieces M1, M2, K0, Dx and Dy (data, indices, indptr) at L0-L5,
   the mesh's cell_dofs, dof_coords and cell origins;
-* ``assemble_tm`` at k = (0.7, 0.3), ``weighted_mass`` at weights (1, 1)
-  and (1, 8), then at L2 the shifted operator A_beta (beta = 1) and the
-  dual operator K + M_w of a beta = 2.5 pencil on M_w = M1 + 8 M2, and
-  ``build_companion`` for an empty and a two-pole model;
+* ``assemble_tm`` at k = (0.7, 0.3), then at L2 the shifted operator
+  A_beta (beta = 1) and the dual operator K + M_w of a beta = 2.5 pencil
+  on M_w = M1 + 8 M2, and ``build_companion`` for an empty and a two-pole
+  model;
 * the L2 and L4 power references of ``configs/experiment1.ini`` (its
   schedule ending on L1, and as shipped), as ``driver.compute_reference``
   builds them: A_beta, M_w, the inverse symbol of the FFT bound B, the
@@ -139,9 +139,6 @@ def main():
             continue
         forms = assembly.assemble_tm(mesh, K)
         lines.append(("L%d.assemble_tm" % level, _sparse(forms.K.mat)))
-        for w in ((1.0, 1.0), (1.0, 8.0)):
-            A = assembly.weighted_mass(mesh, *w)
-            lines.append(("L%d.weighted_mass%r" % (level, w), _sparse(A.mat)))
     mesh = msh.build_mesh(2)
     lines.append(("L2.A_beta(beta=1)", _sparse(
         Pencil.on_mesh(mesh, K, (1.0, 8.0), 1.0).A_beta.mat)))

@@ -1,4 +1,4 @@
-"""Assembly of Bloch-shifted stiffness and weighted mass matrices (Q2).
+"""Assembly of Bloch-shifted stiffness and region mass matrices (Q2).
 
 For a wave vector k, the TM sesquilinear form expands as
 
@@ -11,7 +11,8 @@ which discretizes (row = test function) to
 
 with convection matrices Cx[a, b] = int phi_a d/dx phi_b. The i-times-
 antisymmetric cross term makes K(k) Hermitian *by construction* in floating
-point. The permittivity enters only through the weighted mass.
+point. The permittivity enters only through the weighted mass
+M_w = w1*M1 + w2*M2 of the region masses, summed by each solver.
 
 Every matrix is built from region-restricted pieces (chi_1- and chi_2-
 weighted), assembled once per mesh level and kept until
@@ -36,18 +37,18 @@ carrying its own slot numbers, worked out once per mesh; a set then
 scatters straight into those positions, still in its own captured order
 (scipy's per-row sort is not stable, so two sets' orders differ). The
 mirror map of the symmetric pattern comes from one transpose of an arange
-on it. So every per-k form, K(k), M, the weighted mass and the shifted
+on it. So every per-k form, K(k), the weighted masses and the shifted
 and nonlinear operators built from them, is one numpy expression on data
 vectors, and all of them share the pattern's arrays; a power level's
 pencil (A_beta, M_w) is summed from the pieces a block at a time
-(``assemble_tm`` with ``shift``), without K(k) or M held whole. A mesh
+(``assemble_tm`` with ``shift``), without K(k) held whole. A mesh
 whose forms are built once, a power reference's, keeps no pieces:
 :func:`reference_pencil` sums its pencil straight from the scatter, in
 the same order, and keeps of M1 and M2 only cell (0, 0)'s rows. Adding
 0.0 where a summand has no entry is exact, so those sums are bitwise
 scipy's sparse sums. scipy's would also drop an entry that cancels to
 exactly 0.0, which stays here as a stored zero; the tests find none in K,
-M, M_w or A_beta at four wave vectors on L0-L4.
+M_w or A_beta at four wave vectors on L0-L4.
 
 Quadrature rounding is the one place where symmetry can break, so the
 stiffness and mass element matrices are checked once per build. The scatter
@@ -68,7 +69,6 @@ from .q2 import tensor_rule
 __all__ = [
     "AssembledForms",
     "assemble_tm",
-    "weighted_mass",
     "reference_pencil",
     "release_pieces",
     "max_asymmetry",
@@ -85,12 +85,11 @@ HERMITIAN_RTOL = 1e-13
 @dataclass
 class AssembledForms:
     """Assembled matrices of one Bloch problem on one mesh: K (Hermitian
-    stiffness at the given k), M (plain mass) and M1 / M2 (masses restricted
-    to regions 1 / 2; M = M1 + M2 exactly), all on the mesh's one pattern,
-    where M1 and M2 store zeros outside their regions."""
+    stiffness at the given k) and M1 / M2 (masses restricted to regions
+    1 / 2), all on the mesh's one pattern, where M1 and M2 store zeros
+    outside their regions."""
 
     K: HermitianSparse
-    M: HermitianSparse
     M1: HermitianSparse
     M2: HermitianSparse
 
@@ -349,15 +348,14 @@ def _wave_vector(k):
 
 
 def _real_tm(m1, m2, k0, k2):
-    """The data of K0 + |k|^2 M, the real part of K(k), and of M, from
-    those of M1, M2 and K0, with |k|^2 = ``k2``."""
-    M = m1 + m2
-    return k0 + k2 * M, M
+    """The data of K0 + |k|^2 M, the real part of K(k), from those of M1,
+    M2 and K0, with M = M1 + M2 and |k|^2 = ``k2``."""
+    return k0 + k2 * (m1 + m2)
 
 
 def _tm(p, s, kx, ky):
-    """The data of K(k) and M on the entries ``s`` of the pattern."""
-    K, M = _real_tm(p.m1[s], p.m2[s], p.k0[s], kx * kx + ky * ky)
+    """The data of K(k) on the entries ``s`` of the pattern."""
+    K = _real_tm(p.m1[s], p.m2[s], p.k0[s], kx * kx + ky * ky)
     if kx != 0.0 or ky != 0.0:
         K = K.astype(complex)
         # i kx Dx is imaginary: scipy's complex sum adds zeros to the real
@@ -366,7 +364,7 @@ def _tm(p, s, kx, ky):
             K.imag += kx * p.dx[s]
         if ky != 0.0:
             K.imag += ky * p.dy[s]
-    return K, M
+    return K
 
 
 def _shift(K, m1, m2, weights, beta, A, Mw):
@@ -383,27 +381,27 @@ def _stiffness_dtype(kx, ky):
 
 
 def assemble_tm(mesh, k, shift=None):
-    """TM-mode forms: M = M1 + M2 and the Bloch stiffness
+    """TM-mode forms: the region masses M1 and M2 and the Bloch stiffness
 
-        K = K0 + |k|^2 M + i kx Dx + i ky Dy,
+        K = K0 + |k|^2 M + i kx Dx + i ky Dy,   M = M1 + M2,
 
     Hermitian by construction. The permittivity enters TM problems only
-    through the weighted mass (pivot inner product), built by weighted_mass.
+    through the weighted mass M_w = w1 * M1 + w2 * M2 (pivot inner
+    product), which its solver sums from M1 and M2.
 
     With ``shift = (weights, beta)`` it returns instead the pair
     (A_beta, M_w) of a power level's pencil: M_w = w1 * M1 + w2 * M2 for
     ``weights`` = (w1, w2), and A_beta = K + beta * M_w. Both are summed
     from the cached pieces :data:`BLOCK` entries at a time, with the
-    expressions of K, M and :func:`weighted_mass`: bitwise the sum of those
-    forms, but neither K nor M is ever held whole.
+    expressions of K and M_w: bitwise the sum of those forms, but K is
+    never held whole.
     """
     kx, ky = _wave_vector(k)
     p = _pieces(mesh)
     if shift is not None:
         return _shifted_forms(p, kx, ky, *shift)
-    K, M = _tm(p, slice(None), kx, ky)
-    return AssembledForms(K=p.form(K), M=p.form(M), M1=p.form(p.m1),
-                          M2=p.form(p.m2))
+    return AssembledForms(K=p.form(_tm(p, slice(None), kx, ky)),
+                          M1=p.form(p.m1), M2=p.form(p.m2))
 
 
 def _shifted_forms(p, kx, ky, weights, beta):
@@ -413,7 +411,7 @@ def _shifted_forms(p, kx, ky, weights, beta):
     Mw = np.empty(A.size)
     for lo in range(0, A.size, BLOCK):
         s = slice(lo, lo + BLOCK)
-        K = _tm(p, s, kx, ky)[0]
+        K = _tm(p, s, kx, ky)
         _shift(K, p.m1[s], p.m2[s], weights, beta, A[s], Mw[s])
         del K
     return p.form(A), p.form(Mw)
@@ -469,7 +467,7 @@ def reference_pencil(mesh, k, weights, beta):
     Mw = np.empty(nnz)
     for s, acc in _scattered(sets, nnz, (0, 1)):
         m1, m2 = acc[:, 1]
-        K = _real_tm(m1, m2, np.add(acc[0, 0], acc[1, 0]), kx * kx + ky * ky)[0]
+        K = _real_tm(m1, m2, np.add(acc[0, 0], acc[1, 0]), kx * kx + ky * ky)
         if A.dtype.kind == "c":
             K = K.astype(complex)
             K.imag = A.imag[s]
@@ -484,10 +482,3 @@ def reference_pencil(mesh, k, weights, beta):
              HermitianSparse(_csr(Mw, indices, indptr))),
             tuple(_csr(m, indices[cell], cell_indptr) for m in masses))
 
-
-def weighted_mass(mesh, w1, w2):
-    """w1 * M1 + w2 * M2 (the weighted pivot inner product), from the
-    mesh's cached region masses, on the mesh's pattern."""
-    _check_weights(w1, w2)
-    p = _pieces(mesh)
-    return p.form(w1 * p.m1 + w2 * p.m2)

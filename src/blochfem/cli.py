@@ -34,6 +34,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
+def _positive_int(text):
+    """A ``--threads`` value: a positive integer, or a usage error."""
+    if not (text.isdigit() and int(text) > 0):
+        raise argparse.ArgumentTypeError("must be a positive integer, got %r" % text)
+    return int(text)
+
+
 def build_parser():
     parser = _Parser(
         prog="blochfem",
@@ -44,7 +51,6 @@ def build_parser():
     def common(p):
         p.add_argument("--config", required=True, help="INI run configuration")
         p.add_argument("--out", help="output CSV path (overrides the config)")
-        p.add_argument("--threads", type=int, help="BLAS/OpenMP thread count")
 
     p_run = sub.add_parser("run", help="run one experiment schedule")
     common(p_run)
@@ -52,14 +58,16 @@ def build_parser():
     common(p_ref)
     p_sweep = sub.add_parser("sweep", help="smallest eigenvalue along a k path")
     common(p_sweep)
-    p_check = sub.add_parser("check", help="run the built-in invariant checks")
-    p_check.add_argument("--threads", type=int, help="BLAS/OpenMP thread count")
+    sub.add_parser("check", help="run the built-in invariant checks")
+    for p in sub.choices.values():
+        p.add_argument("--threads", type=_positive_int,
+                       help="BLAS/OpenMP thread count")
     return parser
 
 
 def _pin_threads(n):
     for var in _THREAD_VARS:
-        os.environ[var] = str(int(n))
+        os.environ[var] = str(n)
 
 
 def _load_config(args):
@@ -214,7 +222,7 @@ def _cmd_check(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", None):
+    if args.threads is not None:
         _pin_threads(args.threads)
     handler = {
         "run": _cmd_run,

@@ -36,7 +36,9 @@ fixed length and runs LOPCG on span{x, step(x), p} on a leg to a
 tolerance. The rate of the power steps is (lam1 + beta)/(lam2 + beta), slow
 for a shift just above the spread; both kinds of leg solve with the Schur
 complement, never with the extended matrix, and record the nonlinear
-residual.
+residual. Its dual norm is that of K + M_alpha, which
+:class:`~blochfem.linalg.DualNorm` inverts by FFT when alpha1 == alpha2,
+one weight on both regions, and otherwise by one factorization.
 """
 
 import numpy as np
@@ -44,7 +46,7 @@ import scipy.sparse as sparse
 from dataclasses import dataclass
 
 from . import dispersion
-from .assembly import assemble_tm, weighted_mass
+from .assembly import assemble_tm
 from .errors import ShiftBoundError
 from .eigeniter import Pencil, inverse_power_rq, lopcg
 from .linalg import (DualNorm, Factorization, HermitianSparse, compact,
@@ -80,9 +82,9 @@ class EliminatedPencil(Pencil):
     M2 restricted to those columns (full V rows), and ``M_X`` is the square
     restriction; by construction ``R[xdofs, :] == M_X`` entry for entry.
     The pencil also keeps the V-space ``forms`` it was built from, the
-    pivot mass ``M_alpha`` and the model's ``realization``;
-    ``cell_periodic`` says that M_alpha has one weight on both regions
-    (see :class:`NonlinearResidual`).
+    ``weights`` (alpha1, alpha2) and the pivot mass
+    M_alpha = alpha1*M1 + alpha2*M2 it sums from them, and the model's
+    ``realization``.
 
     Solving with the assembled extended matrix directly is numerically
     hopeless: a basis function whose support meets the disk only in a thin
@@ -116,15 +118,17 @@ class EliminatedPencil(Pencil):
     quantity the linearization exists to drive down.
     """
 
-    def __init__(self, forms, M_alpha, realization, beta, cell_periodic=False):
+    def __init__(self, forms, weights, realization, beta):
+        w1, w2 = weights
+        m1, m2 = shared_data(forms.M1, forms.M2)
+        self.M_alpha = HermitianSparse(with_data(forms.M1.mat, w1 * m1 + w2 * m2))
         M2 = compact(forms.M2.mat)
         self.xdofs = np.flatnonzero(M2.diagonal().real > 0.0)
         self.R = M2.tocsc()[:, self.xdofs].tocsr()
         self.M_X = self.R[self.xdofs, :]
         self.forms = forms
-        self.M_alpha = M_alpha
+        self.weights = weights
         self.realization = realization
-        self.cell_periodic = cell_periodic
         A00 = self._v_block(realization.Xi, beta)
         L = realization.order
         blocks = [[A00] + [-b_l * self.R for b_l in realization.b]]
@@ -136,7 +140,7 @@ class EliminatedPencil(Pencil):
         super().__init__(
             HermitianSparse(sparse.bmat(blocks, format="csr")),
             HermitianSparse(
-                sparse.block_diag([M_alpha.mat] + [self.M_X] * L, format="csr")
+                sparse.block_diag([self.M_alpha.mat] + [self.M_X] * L, format="csr")
             ),
             beta,
         )
@@ -160,7 +164,7 @@ class EliminatedPencil(Pencil):
         """The :class:`NonlinearResidual` its rows record (built lazily)."""
         if self._residual is None:
             self._residual = NonlinearResidual(
-                self.forms, self.M_alpha, self.realization, self.cell_periodic
+                self.forms, self.M_alpha, self.realization, self.weights
             )
         return self._residual
 
@@ -222,11 +226,8 @@ def build_companion(mesh, k, model, alpha1=1.0, beta=None):
             "matrix is not guaranteed below that bound"
         )
 
-    forms = assemble_tm(mesh, k)
-    realization = dispersion.realize(model)
-    M_alpha = weighted_mass(mesh, alpha1, model.alpha2)
-    return EliminatedPencil(forms, M_alpha, realization, beta,
-                            cell_periodic=alpha1 == model.alpha2)
+    return EliminatedPencil(assemble_tm(mesh, k), (alpha1, model.alpha2),
+                            dispersion.realize(model), beta)
 
 
 def default_big_start(pencil):
@@ -247,20 +248,17 @@ def lifted_big_start(pencil, u, lam):
 class NonlinearResidual:
     """Dual-norm residual of the rational eigenproblem, reusable across steps.
 
-    The dual norm lives on V with the pivot mass M_alpha, and K + M_alpha
-    is inverted once: by FFT when ``cell_periodic`` says that M_alpha has
-    one weight on both regions (alpha1 == alpha2), so that K + M_alpha
-    repeats from cell to cell, and otherwise by one factorization. The
-    input u is renormalized to M_alpha-norm 1 so residual magnitudes are
-    comparable across steps and meshes.
+    The dual norm lives on V with the pivot mass M_alpha of ``weights``
+    (alpha1, alpha2): :class:`~blochfem.linalg.DualNorm` of K + M_alpha.
+    The input u is renormalized to M_alpha-norm 1 so residual magnitudes
+    are comparable across steps and meshes.
     """
 
-    def __init__(self, forms, M_alpha, realization, cell_periodic=False):
+    def __init__(self, forms, M_alpha, realization, weights):
         self.forms = forms
         self.M_alpha = M_alpha
         self.realization = realization
-        self.dual = DualNorm(forms.K.mat, M_alpha.mat,
-                             cell_periodic=cell_periodic)
+        self.dual = DualNorm(forms.K, forms.M1, forms.M2, weights)
 
     def __call__(self, u, lam):
         Mu = self.M_alpha @ u

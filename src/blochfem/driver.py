@@ -45,7 +45,7 @@ from .companion import (
 from .eigeniter import Pencil, inverse_power_rq, lopcg
 from .errors import BlochFEMError, NonConvergenceError
 from .linalg import BoundedDualNorm
-from .mesh import build_mesh, prolongate
+from .mesh import MAX_LEVEL, build_mesh, prolongate
 from .newton import (
     NonlinearPencil,
     newton_solve,
@@ -122,8 +122,10 @@ class RunConfig:
             )
         if self.steps_per_mesh < 1:
             raise ValueError("steps_per_mesh must be >= 1")
-        if self.max_level < 0:
-            raise ValueError("max_level must be >= 0")
+        # a reference solves on the level above max_level
+        top = MAX_LEVEL - 1 if self.use_reference else MAX_LEVEL
+        if not 0 <= self.max_level <= top:
+            raise ValueError("max_level must be in [0, %d]" % top)
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
         if self.max_fine_steps < 1:
@@ -397,8 +399,9 @@ def _newton_level(config, mesh, coarse, trace, leg):
 # references and persistence
 
 
-def compute_reference(config, final=None, tol=REFERENCE_TOL):
-    """Eigenvalue on the (max_level + 1) mesh, iterated down to ``tol``.
+def compute_reference(config, final=None):
+    """Eigenvalue on the (max_level + 1) mesh, iterated down to
+    :data:`REFERENCE_TOL`.
 
     Starts from ``final``, the ``(mesh, state)`` a schedule of ``config``
     ended on (``trace.final``); without it, the schedule runs first. The
@@ -411,7 +414,8 @@ def compute_reference(config, final=None, tol=REFERENCE_TOL):
     row that stops the leg records an upper bound of its dual norm, by
     proof, and ``mu_ref`` is the pencil's own Rayleigh quotient.
     ``homogeneous_check`` returns the analytic Fourier value and solves
-    nothing.
+    nothing; the other families refuse a ``max_level`` of
+    :data:`~blochfem.mesh.MAX_LEVEL` or more before the schedule runs.
 
     A reference is the last thing a run solves, so it releases the cached
     region pieces (:func:`~blochfem.assembly.release_pieces`) before the
@@ -429,12 +433,14 @@ def compute_reference(config, final=None, tol=REFERENCE_TOL):
             mu_ref=lam + config.resolved_beta(), lam_ref=lam, level=None,
             dofs=None, residual_dual=0.0,
         )
+    if config.max_level + 1 > MAX_LEVEL:
+        raise ValueError("a reference needs max_level < %d" % MAX_LEVEL)
     if final is None:
         final = run_schedule(config).final
     release_pieces()
     mesh = build_mesh(config.max_level + 1)
     trace = IterationTrace()
-    leg = dict(tol=tol, max_steps=max(config.max_fine_steps, 2000))
+    leg = dict(tol=REFERENCE_TOL, max_steps=max(config.max_fine_steps, 2000))
     if config.experiment == "dl_linearized":
         _companion_level(config, mesh, final, trace, leg)
     elif config.experiment == "newton":
@@ -444,7 +450,8 @@ def compute_reference(config, final=None, tol=REFERENCE_TOL):
         u = prolongate(final[1].u, final[0], mesh)
         forms, masses = reference_pencil(mesh, config.k, weights, beta)
         pencil = Pencil(*forms, beta)
-        dual = BoundedDualNorm(pencil.dual_operator(), *masses, weights, tol)
+        dual = BoundedDualNorm(pencil.dual_operator(), *masses, weights,
+                               REFERENCE_TOL)
         lopcg(pencil, u, dual=dual, mesh_level=mesh.level, trace=trace, **leg)
     last = trace[-1]
     return ReferenceSolution(

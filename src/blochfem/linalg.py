@@ -12,10 +12,10 @@ this module pins the contracts the eigensolvers rely on:
 * inexact solves by preconditioned GMRES (:func:`gmres_solve`) to a fixed
   relative residual, which fail loudly instead of handing on a worse one,
 * real Rayleigh quotients with an imaginary-residue diagnostics counter,
-* dual-norm residual evaluation sqrt(r^H (K+M)^{-1} r) with K+M inverted
-  once: by FFT when its builder knows from the weights that it repeats
-  from cell to cell of the mesh, as the unit-weight K(k) + M does,
-  otherwise by a cached factorization.
+* dual-norm residual evaluation sqrt(r^H (K + M_w)^{-1} r), M_w =
+  w1*M1 + w2*M2 the pivot mass, by one rule (:class:`DualNorm`): K + M_w
+  is inverted once, by FFT when w1 == w2, as it then repeats from cell to
+  cell of a mesh, and otherwise by a cached factorization.
   :meth:`DualNorm.norm_and_solve` is the contract a
   preconditioner of :func:`~blochfem.eigeniter.lopcg` meets; the
   power-family reference meets it with :class:`BoundedDualNorm` instead,
@@ -307,62 +307,62 @@ def rayleigh_quotient(u, A, B, Au=None, Bu=None):
 
 
 class DualNorm:
-    """Evaluator of the dual norm sqrt(r^H (K+M)^{-1} r).
+    """Evaluator of the dual norm sqrt(r^H (K + M_w)^{-1} r), with
+    M_w = w1*M1 + w2*M2 for ``weights`` = (w1, w2).
 
-    Inverts K+M, summed on the pattern K and M share, once. Its builder
-    passes ``cell_periodic`` when the weights of K and M make K+M repeat
-    from cell to cell of a mesh, as unit weights do in K(k) + M: K+M is
-    then inverted by FFT from cell (0, 0)'s rows alone
-    (:meth:`~blochfem.mesh.CellPeriodicInverse.of_cell`), and factored
-    only when it is not on a mesh's DOF lattice. Otherwise it is factored.
-    Meant to be constructed once per mesh (and wave vector) and reused for
-    every residual of the run.
+    Sums K + M_w on the pattern K, M1 and M2 share, and inverts it once.
+    With one weight on both regions, w1 == w2, the sum repeats from cell
+    to cell of a mesh and is inverted by FFT from cell (0, 0)'s rows
+    alone (:meth:`~blochfem.mesh.CellPeriodicInverse.of_cell`); it is
+    factored when the weights differ or it is not on a mesh's DOF
+    lattice. Built once per mesh (and wave vector) and reused for every
+    residual of the run.
 
-    Built from K and M, it also has ``precondition``, which applies
-    (K+M)^{-1} as a preconditioner needs it: the FFT inverse without the
-    refinement step that a norm takes, or the LU's solve.
+    ``precondition`` applies (K + M_w)^{-1} as a preconditioner needs it:
+    the FFT inverse without the refinement step that a norm takes, or
+    the LU's solve.
     """
 
-    def __init__(self, K, M, cell_periodic=False):
-        Kd, Md = shared_data(K, M)
-        A = with_data(_as_csr(K), Kd + Md)
-        if cell_periodic:
-            inverse = CellPeriodicInverse.of_cell(A)
-            if inverse is not None:
-                self.fact = _PeriodicSolve(A, inverse)
-                self.precondition = inverse
-                return
+    def __init__(self, K, M1, M2, weights):
+        w1, w2 = weights
+        Kd, M1d, M2d = shared_data(K, M1, M2)
+        A = with_data(_as_csr(K), Kd + (w1 * M1d + w2 * M2d))
+        inverse = CellPeriodicInverse.of_cell(A) if w1 == w2 else None
+        if inverse is not None:
+            self.fact = _PeriodicSolve(A, inverse)
+            self.precondition = inverse
+            return
         try:
             self.fact = Factorization(A)
         except SingularMatrixError as exc:
             raise SingularMatrixError(
-                "K+M is singular; dual norm undefined (%s)" % exc
+                "K + M_w is singular; dual norm undefined (%s)" % exc
             ) from exc
         self.precondition = self.fact.solve
 
     @classmethod
     def from_factorization(cls, fact):
-        """Wrap an existing factorization whose matrix already *is* K+M.
+        """Wrap an existing factorization whose matrix already *is* K + M_w.
 
-        Shift-by-one pencils hit this: K + 1.0*M is bitwise the shifted
+        Shift-by-one pencils hit this: K + 1.0*M_w is bitwise the shifted
         operator, so the solver factorization doubles as the dual-norm
         factorization for free.
         """
         dn = cls.__new__(cls)
-        dn.fact = fact
+        dn.fact, dn.precondition = fact, fact.solve
         return dn
 
     def __call__(self, r):
         return self.norm_and_solve(r)[0]
 
     def norm_and_solve(self, r):
-        """The dual norm of ``r`` and the solve (K+M)^{-1} r it is taken from."""
+        """The dual norm of ``r`` and the solve (K + M_w)^{-1} r."""
         r = np.asarray(r)
         if not np.any(r):
             return 0.0, np.zeros_like(r)
         z = self.fact.solve(r)
         val = np.vdot(r, z)
-        # r^H (K+M)^{-1} r is real nonnegative for Hermitian positive K+M;
+        # r^H (K+M_w)^{-1} r is real nonnegative for Hermitian positive K+M_w;
         # tiny negative round-off is clipped
         return float(np.sqrt(max(val.real, 0.0))), z
 

@@ -41,6 +41,10 @@ Two iterations solve T(lam) u = 0:
   or runs out of steps; no partial answer is handed on. The rows record
   the exact dual norm of T(lam) u.
 
+Every dual norm here is that of K + M, M = M1 + M2 the pivot mass with
+the weights (1, 1): one weight on both regions, so
+:class:`~blochfem.linalg.DualNorm` inverts K + M by FFT on a mesh.
+
 Each row multiplies its field u once by K, M1 and M2 (:class:`Products`).
 T(lam) u is the sum K u - lam*alpha1*M1 u - lam*eps2(lam)*M2 u of those
 products, for the row's residual and for the right-hand side of the next
@@ -89,9 +93,9 @@ FUNCTIONAL_MAXIT = 50
 class NonlinearPencil:
     """T(lam) = K - lam*(alpha1*M1 + eps2(lam)*M2) and its lam-derivative.
 
-    ``forms`` holds K, M1, M2 and the plain mass M = M1 + M2 on one
-    pattern, so T(lam) is a sum of their data vectors. The derivative is
-    only applied, summed from products (:meth:`apply_derivative`).
+    ``forms`` holds K, M1 and M2 on one pattern, so T(lam) is a sum of
+    their data vectors. The derivative is only applied, summed from
+    products (:meth:`apply_derivative`).
     """
 
     forms: AssembledForms
@@ -108,22 +112,13 @@ class NonlinearPencil:
         return self.forms.K.n
 
     @property
-    def mass(self):
-        """Plain mass M = M1 + M2, assembled: the weight of :attr:`dual`.
-        A normalization takes M u as M1 u + M2 u (:class:`Products`)."""
-        return self.forms.M
-
-    @property
     def dual(self):
-        """The :class:`~blochfem.linalg.DualNorm` of K + M, built once.
-
-        K and M carry unit weights, so K + M repeats from cell to cell by
-        construction and is inverted by FFT from cell (0, 0)'s rows; no
-        factorization is made for it on a mesh. Its ``precondition`` also
-        preconditions the GMRES solves of the refined levels.
-        """
+        """The :class:`~blochfem.linalg.DualNorm` of K + M, M = M1 + M2,
+        built once; it is an FFT inverse on a mesh. Its ``precondition``
+        also preconditions the GMRES solves of the refined levels."""
         if self._dual is None:
-            self._dual = DualNorm(self.forms.K, self.mass, cell_periodic=True)
+            f = self.forms
+            self._dual = DualNorm(f.K, f.M1, f.M2, (1.0, 1.0))
         return self._dual
 
     def products(self, u):

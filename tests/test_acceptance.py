@@ -154,7 +154,7 @@ def test_c01_homogeneous_fourier_convergence():
             eigsh(
                 forms.K.mat.tocsc(),
                 k=2,
-                M=forms.M.mat.tocsc(),
+                M=(forms.M1.mat + forms.M2.mat).tocsc(),
                 sigma=12.0,
                 which="LM",
                 return_eigenvectors=False,

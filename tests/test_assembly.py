@@ -2,7 +2,8 @@
 
 The strongest checks here are the ones that hold to machine precision by
 construction and would catch sign or transpose mistakes immediately:
-M = M1 + M2 bitwise, K(-k) = conj(K(k)) and K(k) 1 = |k|^2 M 1.
+M_w = M1 + M2 bitwise for unit weights, K(-k) = conj(K(k)) and
+K(k) 1 = |k|^2 M 1.
 """
 
 import itertools
@@ -30,6 +31,11 @@ def fourier_lambda1(k, window=3):
         for a in range(-window, window + 1)
         for b in range(-window, window + 1)
     )
+
+
+def plain_mass(forms):
+    """M = M1 + M2, the plain mass, as scipy's sum of the region masses."""
+    return (forms.M1.mat + forms.M2.mat).tocsr()
 
 
 @pytest.fixture(scope="module")
@@ -86,9 +92,8 @@ def test_pieces_are_checked_once_per_build(monkeypatch):
     # per cell set: the reference element, then the mixed cells per region
     assert batches == [1, 1, 1, 1, 5, 5]
     asm.assemble_tm(mesh, (0.3, -1.1))
-    asm.weighted_mass(mesh, 1.0, 8.0)
-    asm.weighted_mass(mesh, 2.0, 3.0)
     Pencil.on_mesh(mesh, (0.3, -1.1), (1.0, 8.0), 1.0)
+    Pencil.on_mesh(mesh, (0.3, -1.1), (2.0, 3.0), 2.5)
     assert len(batches) == 6
     # the stiffness and the mass of each of the six batches are checked;
     # the convection elements are not symmetric, so they cannot be
@@ -213,13 +218,12 @@ def test_forms_on_the_pattern_match_scipy_sums_bitwise(level, monkeypatch):
     mesh = msh.build_mesh(level)
     pieces = asm._pieces(mesh)
     for k in K_PATTERN:
-        forms = asm.assemble_tm(mesh, k)
-        Mw = asm.weighted_mass(mesh, *W_PATTERN)
         pencil = Pencil.on_mesh(mesh, k, W_PATTERN, 1.0)
-        got = dict(K=forms.K, M=forms.M, M_w=Mw, A_beta=pencil.A_beta)
+        got = dict(K=asm.assemble_tm(mesh, k).K,
+                   M=Pencil.on_mesh(mesh, k, (1.0, 1.0), 1.0).M_w,
+                   M_w=pencil.M_w, A_beta=pencil.A_beta)
         for name, want in _scipy_forms(pieces, k, 1.0).items():
             _assert_same_bytes(got[name].mat, want, (k, name))
-        _assert_same_bytes(pencil.M_w.mat, got["M_w"].mat, (k, "pencil M_w"))
     # the dual operator K + M_w of a shifted pencil, at the last k
     want = _scipy_forms(pieces, k, 2.5)
     shifted = Pencil.on_mesh(mesh, k, W_PATTERN, 2.5)
@@ -247,8 +251,8 @@ def test_nonlinear_forms_on_the_pattern_match_scipy_sums_bitwise(level):
     mesh = msh.build_mesh(level)
     pieces = asm._pieces(mesh)
     p = NonlinearPencil(asm.assemble_tm(mesh, K_PATTERN[0]), silver(), alpha1=1.3)
-    _assert_same_bytes(p.mass.mat, pieces.M1 + pieces.M2, "mass")
     K = p.forms.K.mat
+    _assert_same_bytes(p.dual.fact.mat, K + (pieces.M1 + pieces.M2), "K + M")
     for lam in (0.5, 6.0, 20.0):
         eps2 = dispersion.eval_lambda(p.model, lam)
         deps2 = dispersion.eval_dlambda(p.model, lam)
@@ -265,19 +269,19 @@ def test_forms_of_one_mesh_share_one_read_only_pattern():
     forms = asm.assemble_tm(mesh, K_PATTERN[0])
     pencil = Pencil.on_mesh(mesh, K_PATTERN[0], (1.0, 8.0), 2.5)
     nonlinear = NonlinearPencil(forms, model=None)
-    mats = [forms.K.mat, forms.M.mat, forms.M1.mat, forms.M2.mat,
+    mats = [forms.K.mat, forms.M1.mat, forms.M2.mat,
             asm.assemble_tm(mesh, K_PATTERN[1]).K.mat, pencil.A_beta.mat,
-            pencil.M_w.mat, pencil.dual_operator(), nonlinear.mass.mat]
+            pencil.M_w.mat, pencil.dual_operator(), nonlinear.dual.fact.mat]
     for A in mats:
         for attr in ("indices", "indptr"):
             assert np.shares_memory(getattr(A, attr), getattr(mats[0], attr))
     with pytest.raises(ValueError, match="read-only"):
         forms.K.mat.indices[0] = 0
     with pytest.raises(ValueError, match="read-only"):
-        forms.M.mat.indptr[1] = 0
+        forms.M1.mat.indptr[1] = 0
     # a matrix of another pattern is refused, not summed
     with pytest.raises(ValueError, match="pattern"):
-        shared_data(forms.K, asm.weighted_mass(msh.build_mesh(1), 1.0, 8.0))
+        shared_data(forms.K, asm.assemble_tm(msh.build_mesh(1), K_PATTERN[0]).M1)
 
 
 def test_shifted_operator_holds_exactly_its_entries():
@@ -391,14 +395,16 @@ def test_l4_reference_pencil_peaks_within_18_mib_of_what_it_keeps():
 
 
 def test_mass_splits_exactly(level1):
-    _, forms = level1
-    assert (forms.M.mat - (forms.M1.mat + forms.M2.mat)).nnz == 0
+    # M_w of unit weights is the plain mass M1 + M2, bitwise
+    mesh, forms = level1
+    M = Pencil.on_mesh(mesh, K_GENERIC, (1.0, 1.0), 1.0).M_w.mat
+    assert M.data.tobytes() == plain_mass(forms).data.tobytes()
 
 
 def test_total_measure_is_one(level1):
     mesh, forms = level1
     ones = np.ones(mesh.dof_count)
-    assert float(ones @ (forms.M.mat @ ones)) == pytest.approx(1.0, rel=1e-13)
+    assert float(ones @ (plain_mass(forms) @ ones)) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_constant_is_exact_bloch_mode(level1):
@@ -407,7 +413,7 @@ def test_constant_is_exact_bloch_mode(level1):
     mesh, forms = level1
     ones = np.ones(mesh.dof_count)
     k2 = K_GENERIC[0] ** 2 + K_GENERIC[1] ** 2
-    r = forms.K.mat @ ones - k2 * (forms.M.mat @ ones)
+    r = forms.K.mat @ ones - k2 * (plain_mass(forms) @ ones)
     assert np.abs(r).max() <= 1e-12
 
 
@@ -450,7 +456,7 @@ def test_plane_wave_rayleigh_quotients(level1):
     x, y = mesh.dof_coords[:, 0], mesh.dof_coords[:, 1]
     for G, tol in [((0, 0), 1e-12), ((1, 0), 1e-3), ((0, -1), 1e-3), ((-1, 1), 1e-3)]:
         u = np.exp(2j * np.pi * (G[0] * x + G[1] * y))
-        rq = rayleigh_quotient(u, forms.K, forms.M)
+        rq = rayleigh_quotient(u, forms.K, plain_mass(forms))
         exact = (K_GENERIC[0] + 2 * np.pi * G[0]) ** 2 + (
             K_GENERIC[1] + 2 * np.pi * G[1]
         ) ** 2
@@ -463,21 +469,21 @@ def test_plane_wave_rayleigh_quotients(level1):
 
 def test_weighted_mass_combination(level1):
     mesh, forms = level1
-    W = asm.weighted_mass(mesh, 2.0, 3.0)
+    W = Pencil.on_mesh(mesh, K_GENERIC, (2.0, 3.0), 1.0).M_w
     expect = 2.0 * forms.M1.mat + 3.0 * forms.M2.mat
     assert np.abs(W.mat - expect).max() == 0.0
 
 
 def test_weighted_mass_unit_shortcut(level1):
     mesh, forms = level1
-    W = asm.weighted_mass(mesh, 1.0, 1.0)
-    assert (W.mat - forms.M.mat).nnz == 0
+    W = Pencil.on_mesh(mesh, K_GENERIC, (1.0, 1.0), 1.0).M_w
+    assert (W.mat - plain_mass(forms)).nnz == 0
 
 
 def test_weighted_mass_rejects_nonfinite():
     mesh = msh.build_mesh(0)
     with pytest.raises(ValueError, match="finite"):
-        asm.weighted_mass(mesh, np.inf, 1.0)
+        asm.assemble_tm(mesh, K_GENERIC, shift=((np.inf, 1.0), 1.0))
 
 
 def test_region2_area_converges_to_disk_area():

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from blochfem.cli import main
+from blochfem.cli import _THREAD_VARS, main
 from blochfem.trace import CSV_HEADER
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -127,6 +127,28 @@ def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as info:
         main(["run"])  # --config is required
     assert info.value.code == 1
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+@pytest.mark.parametrize("command", ["run", "reference", "sweep", "check"])
+def test_threads_must_be_a_positive_integer(command, threads, tmp_path, capsys,
+                                            monkeypatch):
+    # a usage error, before any handler runs; the pins stay as they were
+    for var in _THREAD_VARS:
+        monkeypatch.setenv(var, "3")
+    config = [] if command == "check" else ["--config", str(tmp_path / "nope.ini")]
+    with pytest.raises(SystemExit) as info:
+        main([command] + config + ["--threads", threads])
+    assert info.value.code == 1
+    assert "--threads: must be a positive integer" in capsys.readouterr().err
+    assert all(os.environ[var] == "3" for var in _THREAD_VARS)
+
+
+def test_threads_pins_every_pool(tmp_path, monkeypatch):
+    for var in _THREAD_VARS:
+        monkeypatch.setenv(var, "3")
+    assert main(["run", "--config", str(tmp_path / "nope.ini"), "--threads", "2"]) == 1
+    assert all(os.environ[var] == "2" for var in _THREAD_VARS)
 
 
 def test_reference_prints_value(tmp_path, capsys):

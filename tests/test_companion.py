@@ -186,19 +186,13 @@ def test_a_power_leg_factors_the_dual_norm_before_the_schur_complement(monkeypat
 
 
 @pytest.mark.parametrize("alpha1", [1.0, 2.0])
-def test_k_plus_m_alpha_is_inverted_by_fft_iff_alpha1_is_alpha2(alpha1, monkeypatch):
-    # alpha2 = 2: one weight on both regions makes K + M_alpha cell-periodic
-    factored = []
-    init = linalg.Factorization.__init__
-    monkeypatch.setattr(linalg.Factorization, "__init__",
-                        lambda self, A: factored.append(A.shape) or init(self, A))
+def test_m_alpha_is_the_weighted_sum_of_the_region_masses(alpha1):
+    # alpha1*M1 + alpha2*M2 summed on the forms' pattern, alpha2 = 2
     cs = build_companion(build_mesh(1), K_POINT, two_oscillator(), alpha1=alpha1)
-    dual = cs.nonlinear_residual.dual
-    A = (cs.forms.K.mat + cs.M_alpha.mat).tocsr()
-    assert factored == ([] if alpha1 == 2.0 else [A.shape])
-    r = np.random.default_rng(5).standard_normal(cs.n_v) + 0.5j
-    lu = linalg.Factorization(A).solve(r)
-    assert dual(r) == pytest.approx(np.sqrt(np.vdot(r, lu).real), rel=1e-12, abs=0.0)
+    M1, M2 = cs.forms.M1.mat, cs.forms.M2.mat
+    assert cs.weights == (alpha1, 2.0)
+    assert np.shares_memory(cs.M_alpha.mat.indices, M1.indices)
+    assert cs.M_alpha.mat.data.tobytes() == (alpha1 * M1.data + 2.0 * M2.data).tobytes()
 
 
 def test_mu_trace_monotone_to_working_precision(sol1):
@@ -296,7 +290,8 @@ def test_residual_dual_is_the_nonlinear_residual_of_the_field(sys1):
     # the extended linear residual
     rng = np.random.default_rng(3)
     z = rng.standard_normal(sys1.n) + 1j * rng.standard_normal(sys1.n)
-    resid = NonlinearResidual(sys1.forms, sys1.M_alpha, sys1.realization)
+    resid = NonlinearResidual(sys1.forms, sys1.M_alpha, sys1.realization,
+                              sys1.weights)
     for mu in (sys1.beta + 1.5, sys1.beta + 30.0):
         expect = resid(sys1.split(z)[0], mu - sys1.beta)
         assert sys1.residual_dual(z, mu) == expect

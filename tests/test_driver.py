@@ -9,7 +9,7 @@ import pytest
 
 from blochfem import assembly as asm, dispersion, driver, linalg, newton
 from blochfem.errors import NonConvergenceError
-from blochfem.mesh import build_mesh
+from blochfem.mesh import MAX_LEVEL, build_mesh
 from blochfem.trace import CSV_HEADER, IterationTrace
 
 from test_dispersion import silver
@@ -165,8 +165,9 @@ def test_newton_solve_steps_is_the_schedules_level0_leg(monkeypatch):
     # every step is normalized against the iterate it starts from,
     # mass-normalized
     for old, new in states:
-        q = old / math.sqrt(np.vdot(old, pencil.mass @ old).real)
-        assert abs(np.vdot(pencil.mass @ q, new) - 1.0) <= 1e-12
+        M = pencil.forms.M1.mat + pencil.forms.M2.mat
+        q = old / math.sqrt(np.vdot(old, M @ old).real)
+        assert abs(np.vdot(M @ q, new) - 1.0) <= 1e-12
 
 
 def test_refined_newton_levels_factor_nothing(monkeypatch):
@@ -598,6 +599,34 @@ def test_validate_rejects_bad_values():
         driver.RunConfig(
             experiment="dl_linearized", model=two_oscillator(), beta=1.0
         ).validate()
+
+
+def test_max_level_is_bounded_by_the_finest_mesh(tmp_path):
+    # a reference solves one level above max_level
+    linear_config(max_level=MAX_LEVEL).validate()
+    linear_config(max_level=MAX_LEVEL - 1, use_reference=True).validate()
+    for bad in (dict(max_level=-1), dict(max_level=MAX_LEVEL + 1),
+                dict(max_level=MAX_LEVEL, use_reference=True)):
+        with pytest.raises(ValueError, match="max_level"):
+            linear_config(**bad).validate()
+    ini = tmp_path / "deep.ini"
+    for text in ("max_level = %d\n" % (MAX_LEVEL + 1),
+                 "max_level = %d\nuse_reference = true\n" % MAX_LEVEL):
+        ini.write_text("[run]\nexperiment = linear\n" + text)
+        with pytest.raises(ValueError, match="max_level"):
+            driver.RunConfig.from_ini(ini)
+
+
+@pytest.mark.parametrize("experiment", ["linear", "newton"])
+def test_reference_above_the_finest_mesh_builds_no_mesh(experiment, monkeypatch):
+    built = []
+    monkeypatch.setattr(driver, "build_mesh", lambda level: built.append(level))
+    cfg = replace(linear_config(max_level=MAX_LEVEL), experiment=experiment,
+                  model=silver() if experiment == "newton" else dispersion.Constant(8.0))
+    for final in (None, (None, None)):
+        with pytest.raises(ValueError, match="max_level"):
+            driver.compute_reference(cfg, final)
+    assert built == []
 
 
 def test_default_beta_per_experiment():

@@ -375,7 +375,8 @@ def test_lopcg_below_the_floor_raises_with_the_partial_trace(disk_pencil):
 def test_on_mesh_shifts_correctly(level0):
     mesh, forms = level0
     p = Pencil.on_mesh(mesh, K_POINT, (1.0, 1.0), 2.5)
-    diff = (p.A_beta.mat - (forms.K.mat + 2.5 * forms.M.mat)).toarray()
+    M = forms.M1.mat + forms.M2.mat
+    diff = (p.A_beta.mat - (forms.K.mat + 2.5 * M)).toarray()
     assert np.abs(diff).max() == 0.0
 
 

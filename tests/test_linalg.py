@@ -10,6 +10,7 @@ from scipy import sparse
 from blochfem import dispersion, driver
 from blochfem import linalg as lin
 from blochfem.assembly import assemble_tm, reference_pencil
+from blochfem.eigeniter import Pencil, lopcg
 from blochfem.errors import SingularMatrixError
 from blochfem.mesh import CellPeriodicInverse, build_mesh
 from test_mesh import cell_periodic
@@ -204,11 +205,16 @@ def test_rayleigh_quotient_scale_invariance(scale, phase):
 # --- dual norm -------------------------------------------------------------------
 
 
+def dual_norm(K, M):
+    """The DualNorm of K + M, with M the one region mass of weight 1."""
+    return lin.DualNorm(K, M, M, (1.0, 0.0))
+
+
 def test_dual_norm_matches_dense():
     K = random_hpd(10, seed=14)
     M = random_hpd(10, seed=15)
     r = RNG.standard_normal(10) + 1j * RNG.standard_normal(10)
-    dn = lin.DualNorm(K, M)
+    dn = dual_norm(K, M)
     dense = (K + M).toarray()
     expect = np.sqrt((r.conj() @ np.linalg.solve(dense, r)).real)
     assert dn(r) == pytest.approx(expect, rel=1e-12)
@@ -216,7 +222,7 @@ def test_dual_norm_matches_dense():
 
 def test_dual_norm_of_zero_is_zero():
     K = random_hpd(4, seed=16)
-    assert lin.DualNorm(K, K)(np.zeros(4)) == 0.0
+    assert dual_norm(K, K)(np.zeros(4)) == 0.0
 
 
 def test_dual_norm_from_existing_factorization():
@@ -225,14 +231,49 @@ def test_dual_norm_from_existing_factorization():
     F = lin.Factorization(sparse.csr_matrix(K + M))
     dn = lin.DualNorm.from_factorization(F)
     r = RNG.standard_normal(7)
-    assert dn(r) == pytest.approx(lin.DualNorm(K, M)(r), rel=1e-12)
+    assert dn(r) == pytest.approx(dual_norm(K, M)(r), rel=1e-12)
 
 
 def test_dual_norm_singular_sum():
     K = sparse.diags([1.0, -1.0]).tocsr()
     M = sparse.diags([-1.0, 1.0]).tocsr()
     with pytest.raises(SingularMatrixError, match="dual norm"):
-        lin.DualNorm(K, M)
+        dual_norm(K, M)
+
+
+@pytest.mark.parametrize("weights", [(1.0, 1.0), (2.0, 2.0), (1.0, 8.0)])
+def test_dual_norm_takes_the_fft_iff_the_weights_are_equal(weights, monkeypatch):
+    # on a mesh lattice, one weight on both regions makes K + M_w repeat
+    # from cell to cell, and nothing is factored for it; (1, 8) is factored
+    factored = []
+    init = lin.Factorization.__init__
+    monkeypatch.setattr(lin.Factorization, "__init__",
+                        lambda self, A: factored.append(A.shape) or init(self, A))
+    forms = assemble_tm(build_mesh(2), K_POINTS[1])
+    dual = lin.DualNorm(forms.K, forms.M1, forms.M2, weights)
+    w1, w2 = weights
+    A = lin.with_data(forms.K.mat, forms.K.mat.data
+                      + (w1 * forms.M1.mat.data + w2 * forms.M2.mat.data))
+    assert dual.fact.mat.data.tobytes() == A.data.tobytes()
+    assert cell_periodic(A) == (w1 == w2)
+    assert factored == ([] if w1 == w2 else [A.shape])
+    r = np.random.default_rng(5).standard_normal(A.shape[0]) + 0.5j
+    lu = lin.Factorization(A).solve(r)
+    assert dual(r) == pytest.approx(np.sqrt(np.vdot(r, lu).real), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.5])
+def test_pencil_dual_norm_preconditions_with_its_factorization(beta):
+    # from_factorization gives a Pencil's dual norm the precondition of a
+    # DualNorm built from the forms: the LU's solve of K + M_w
+    pencil = Pencil.on_mesh(build_mesh(1), K_POINTS[0], (1.0, 8.0), beta)
+    dual = pencil.dual
+    assert dual.precondition == dual.fact.solve
+    assert (dual.fact is pencil.factorization) == (beta == 1.0)
+    r = np.random.default_rng(3).standard_normal(pencil.n) + 0.5j
+    K_Mw = pencil.dual_operator()
+    z = dual.precondition(r)
+    assert np.linalg.norm(K_Mw @ z - r) <= 1e-10 * np.linalg.norm(r)
 
 
 # --- the FFT bound of the power-family reference -------------------------------
@@ -296,12 +337,29 @@ def test_cell_reader_applies_the_checked_inverse_bitwise(level, k):
     mesh = build_mesh(level)
     pencil, _ = driver._power_pencil(experiment1(level, k), mesh, None)
     forms = assemble_tm(mesh, k)
-    K, M = forms.K.mat, forms.M.mat
-    A = lin.with_data(K, K.data + 1.0 * M.data)
+    K = forms.K.mat
+    A = lin.with_data(K, K.data + 1.0 * (forms.M1.mat.data + forms.M2.mat.data))
     assert cell_periodic(A)
     checked = CellPeriodicInverse.of_cell(A)
     r = np.array([1.0, 1j]) @ np.random.default_rng(level).standard_normal((2, pencil.n))
     assert bounded(pencil, mesh, k).B(r).tobytes() == checked(r).tobytes()
+
+
+# the stop row of the power-family reference, whose LOPCG leg the FFT bound
+# preconditions
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("k", K_POINTS)
+def test_stop_row_never_reads_below_the_exact_dual_norm(level, k):
+    # from the start experiment1's schedule hands to the reference
+    cfg = experiment1(level, k)
+    mesh = build_mesh(level)
+    pencil, u = driver._power_pencil(cfg, mesh, driver.run_schedule(cfg).final)
+    tol = driver.REFERENCE_TOL
+    trace, x = lopcg(pencil, u, tol, dual=bounded(pencil, mesh, k))
+    last = trace[-1]
+    r = pencil.A_beta @ x - last.mu * (pencil.M_w @ x)
+    assert isinstance(pencil.dual.fact, lin.Factorization)
+    assert pencil.dual(r) <= last.residual_dual <= tol
 
 
 def test_bounded_dual_norm_needs_a_mesh_lattice():

@@ -235,8 +235,8 @@ def test_oracle_rejects_a_perturbed_copy(on_diagonal):
     # one entry of K + M moved by 1e-9 of its largest entry, far inside the
     # disk: on the diagonal, or the last entry of its row
     forms = assemble_tm(msh.build_mesh(2), (math.pi / 2, math.pi))
-    K, M = forms.K.mat, forms.M.mat
-    A = with_data(K, K.data + M.data)
+    K = forms.K.mat
+    A = with_data(K, K.data + (forms.M1.mat.data + forms.M2.mat.data))
     assert cell_periodic(A)
     row = A.shape[0] // 2 + 3
     start, stop = A.indptr[row], A.indptr[row + 1]

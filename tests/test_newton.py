@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 from blochfem import dispersion, driver, linalg, newton
-from blochfem.assembly import AssembledForms, assemble_tm, weighted_mass
+from blochfem.assembly import AssembledForms, assemble_tm
 from blochfem.eigeniter import Pencil, inverse_power_rq
 from blochfem.errors import NonConvergenceError, SingularMatrixError
 from blochfem.linalg import HermitianSparse, shared_data, with_data
@@ -26,6 +26,7 @@ from blochfem.newton import (
     residual_inverse_iteration,
     warm_start,
 )
+from test_assembly import plain_mass
 from test_dispersion import silver
 from test_mesh import cell_periodic
 
@@ -34,14 +35,13 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 def diag_forms(k, m1, m2):
-    """Diagonal forms K, M = M1 + M2, M1 and M2 on one pattern."""
+    """Diagonal forms K, M1 and M2 on one pattern."""
     n = len(k)
     K = HermitianSparse(sp.csr_matrix(
         (np.asarray(k, dtype=float), np.arange(n), np.arange(n + 1)), shape=(n, n)))
-    m1, m2 = np.asarray(m1, dtype=float), np.asarray(m2, dtype=float)
-    M, M1, M2 = (HermitianSparse(linalg.with_data(K.mat, m))
-                 for m in (m1 + m2, m1, m2))
-    return AssembledForms(K=K, M=M, M1=M1, M2=M2)
+    M1, M2 = (HermitianSparse(linalg.with_data(K.mat, np.asarray(m, dtype=float)))
+              for m in (m1, m2))
+    return AssembledForms(K=K, M1=M1, M2=M2)
 
 
 def toy_pencil():
@@ -145,6 +145,7 @@ def test_singular_bordered_matrix_reported():
 # the dual norm of K + M: by FFT, because unit weights build K + M
 # cell-periodic, and by LU for forms off a mesh lattice; the entry-by-entry
 # oracle (test_mesh.cell_periodic) checks that the weights tell the truth
+# (test_linalg checks the rule for other weights)
 
 # (pi/2, pi) as experiment3, the origin, and benchmark pool point 38
 DUAL_K_POINTS = [K_POINT, (0.0, 0.0), (3.0557955062589977, 1.9657217236799707)]
@@ -171,7 +172,7 @@ def test_dual_norm_of_k_plus_m_takes_the_fft(level, k, factor_sizes):
     p = NonlinearPencil(assemble_tm(build_mesh(level), k), silver())
     dual = p.dual
     assert factor_sizes == []
-    A = (p.forms.K.mat + p.mass.mat).tocsr()
+    A = (p.forms.K.mat + plain_mass(p.forms)).tocsr()
     rng = np.random.default_rng(level)
     r = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
     val, z = dual.norm_and_solve(r)
@@ -187,18 +188,8 @@ def test_dual_norm_of_k_plus_m_takes_the_fft(level, k, factor_sizes):
 @pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
 def test_unit_weights_build_k_plus_m_cell_periodic(level, k):
     forms = assemble_tm(build_mesh(level), k)
-    K, M = forms.K.mat, forms.M.mat
-    assert cell_periodic(linalg.with_data(K, K.data + M.data))
-
-
-@pytest.mark.parametrize("weights", [(1.0, 2.0), (2.0, 2.0)])
-def test_only_one_weight_builds_k_plus_m_alpha_cell_periodic(weights):
-    # the companion's K + M_alpha is inverted by FFT iff alpha1 == alpha2
-    mesh = build_mesh(2)
-    K = assemble_tm(mesh, K_POINT).K.mat
-    M_alpha = weighted_mass(mesh, *weights).mat
-    A = linalg.with_data(K, K.data + M_alpha.data)
-    assert cell_periodic(A) == (weights[0] == weights[1])
+    K = forms.K.mat
+    assert cell_periodic(linalg.with_data(K, K.data + plain_mass(forms).data))
 
 
 def test_dual_norm_off_a_mesh_lattice_factors(factor_sizes):
@@ -298,10 +289,11 @@ def test_alpha1_validated(level1):
 
 
 def test_plain_mass_is_unweighted_sum(level1):
+    # the dual norm weighs K with the plain mass M = M1 + M2, bitwise
     _, forms = level1
     p = NonlinearPencil(forms, model=dispersion.Constant(2.0))
-    assert p.mass is forms.M
-    assert (p.mass.mat != (forms.M1.mat + forms.M2.mat).tocsr()).nnz == 0
+    A = (forms.K.mat + plain_mass(forms)).tocsr()
+    assert p.dual.fact.mat.data.tobytes() == A.data.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +331,10 @@ def test_normalization_persists_across_steps(silver_run):
     p, _, _, (u0, lam0) = silver_run
     state = NewtonState(u=np.asarray(u0, complex), lam=lam0)
     for _ in range(4):
-        q = state.u / math.sqrt(np.vdot(state.u, p.mass @ state.u).real)
+        M = plain_mass(p.forms)
+        q = state.u / math.sqrt(np.vdot(state.u, M @ state.u).real)
         state = newton_step(p, state)
-        assert abs(np.vdot(p.mass @ q, state.u) - 1.0) <= 1e-12
+        assert abs(np.vdot(M @ q, state.u) - 1.0) <= 1e-12
 
 
 def test_warm_start_lands_near_newton_answer(silver_run):
@@ -382,7 +375,7 @@ def test_residual_inverse_iteration_converges_on_toy():
     )
     assert state.lam == pytest.approx(1.0, abs=1e-14)
     assert abs(state.u[1]) <= 1e-13
-    assert np.vdot(state.u, p.mass @ state.u).real == pytest.approx(1.0)
+    assert np.vdot(state.u, plain_mass(p.forms) @ state.u).real == pytest.approx(1.0)
 
 
 def _prolongated_coarse(level):
