@@ -186,6 +186,22 @@ def test_a_power_leg_factors_the_dual_norm_before_the_schur_complement(monkeypat
 
 
 @pytest.mark.parametrize("alpha1", [1.0, 2.0])
+def test_k_plus_m_alpha_is_inverted_by_fft_iff_alpha1_is_alpha2(alpha1, monkeypatch):
+    # alpha2 = 2: one weight on both regions makes K + M_alpha cell-periodic
+    factored = []
+    init = linalg.Factorization.__init__
+    monkeypatch.setattr(linalg.Factorization, "__init__",
+                        lambda self, A: factored.append(A.shape) or init(self, A))
+    cs = build_companion(build_mesh(1), K_POINT, two_oscillator(), alpha1=alpha1)
+    dual = cs.nonlinear_residual.dual
+    A = (cs.forms.K.mat + cs.M_alpha.mat).tocsr()
+    assert factored == ([] if alpha1 == 2.0 else [A.shape])
+    r = np.random.default_rng(5).standard_normal(cs.n_v) + 0.5j
+    lu = linalg.Factorization(A).solve(r)
+    assert dual(r) == pytest.approx(np.sqrt(np.vdot(r, lu).real), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha1", [1.0, 2.0])
 def test_m_alpha_is_the_weighted_sum_of_the_region_masses(alpha1):
     # alpha1*M1 + alpha2*M2 summed on the forms' pattern, alpha2 = 2
     cs = build_companion(build_mesh(1), K_POINT, two_oscillator(), alpha1=alpha1)

@@ -192,6 +192,16 @@ def test_unit_weights_build_k_plus_m_cell_periodic(level, k):
     assert cell_periodic(linalg.with_data(K, K.data + plain_mass(forms).data))
 
 
+@pytest.mark.parametrize("weights", [(1.0, 2.0), (2.0, 2.0)])
+def test_only_one_weight_builds_k_plus_m_alpha_cell_periodic(weights):
+    # the companion's K + M_alpha is inverted by FFT iff alpha1 == alpha2
+    forms = assemble_tm(build_mesh(2), K_POINT)
+    w1, w2 = weights
+    K = forms.K.mat
+    A = linalg.with_data(K, K.data + (w1 * forms.M1.mat.data + w2 * forms.M2.mat.data))
+    assert cell_periodic(A) == (w1 == w2)
+
+
 def test_dual_norm_off_a_mesh_lattice_factors(factor_sizes):
     toy_pencil().dual
     assert factor_sizes == [2]
